@@ -159,7 +159,7 @@ def cmd_kernel(args) -> int:
     name, run_params = _kernel_for_run(args.kernel, params)
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    if name.startswith("radial") and args.x_min <= 0:
+    if kn.kernel_kind(name).halfline and args.x_min <= 0:
         print("error: radial kernels need --x-min > 0", file=sys.stderr)
         return 2
 
@@ -221,44 +221,31 @@ def cmd_oracle_compare(args) -> int:
         rep.lines.append("# epsilon-schedule: " + ",".join(_fmt(e) for e in schedule))
 
     failed = False
+    name = "radial_sho" if params.omega > 0 else "radial_h0"
     for n in orders:
         run = sr.PhysParams(hbar=params.hbar, m=params.m, omega=params.omega, n=n)
         for x1 in _DEF_ORACLE_X1:
             for x2 in _DEF_ORACLE_X2:
                 for t in times:
-                    pt = kn.KernelPoint(x1, x2, t)
-                    if run.omega > 0:
-                        try:
-                            closed = kn.radial_sho_kernel(pt, run).value
-                        except kn.CausticSingularity as e:
-                            rep.comment(
-                                f"skip t={_fmt(t)} n={_fmt(n)} reason=caustic "
-                                f"nearest={_fmt(e.nearest_caustic_time)}"
-                            )
-                            continue
-                        coeffs = sr.factor_coeffs("MAIN", t, run)
-                        te = 2.0 * run.m * run.hbar * coeffs.beta
-                        spec = orc.default_hankel_spec(
-                            kn.KernelPoint(x1, x2, te), run,
-                            epsilon=schedule[0] if schedule else 1e-2,
-                            levels=len(schedule) if schedule else 5,
+                    try:
+                        closed = kn.kernel_values(name, x1, x2, t, run)
+                    except kn.CausticSingularity as e:
+                        rep.comment(
+                            f"skip t={_fmt(t)} n={_fmt(n)} reason=caustic "
+                            f"nearest={_fmt(e.nearest_caustic_time)}"
                         )
-                        res = orc.hankel_kernel_oracle(
-                            kn.KernelPoint(x1, x2, te), n, run, spec=spec,
-                            eps_schedule=schedule,
-                        )
-                        phase = np.exp(-1j * coeffs.alpha * (x1**2 + x2**2))
-                        oracle_val = phase * res.value
-                    else:
-                        closed = kn.radial_h0_kernel(pt, run).value
-                        spec = None
-                        if schedule:
-                            spec = orc.default_hankel_spec(
-                                pt, run, epsilon=min(schedule), levels=len(schedule)
-                            )
-                        res = orc.hankel_kernel_oracle(pt, n, run, spec=spec,
-                                                       eps_schedule=schedule)
-                        oracle_val = res.value
+                        continue
+                    # The oracle gives the w = 0 kernel; MAIN's phases and
+                    # effective time carry it to the oscillator.
+                    phase, te = kn.main_wrap(x1, x2, t, run)
+                    pt = kn.KernelPoint(x1, x2, te)
+                    # The truncation point follows the weakest damping used.
+                    spec = orc.default_hankel_spec(
+                        pt, run, epsilon=min(schedule), levels=1
+                    ) if schedule else None
+                    res = orc.hankel_kernel_oracle(pt, n, run, spec=spec,
+                                                   eps_schedule=schedule)
+                    oracle_val = phase * res.value
                     rel = abs(oracle_val - closed) / abs(closed)
                     flag = "ok"
                     if res.error_estimate > tol:
@@ -273,29 +260,18 @@ def cmd_oracle_compare(args) -> int:
     return 1 if failed else 0
 
 
-def _edge_contaminated(frame: orc.GridWavefunction) -> bool:
-    peak = float(np.max(np.abs(frame.samples)))
-    if peak == 0.0:
-        return False
-    edge = max(1, frame.grid.points // 20)
-    amp = float(np.max(np.abs(frame.samples[-edge:])))
-    if frame.grid.x_min < 0.0:
-        amp = max(amp, float(np.max(np.abs(frame.samples[:edge]))))
-    return amp > 1e-8 * peak
-
-
 def cmd_evolve(args) -> int:
     params = _params(args)
     tol = 1e-6 if args.tolerance is None else args.tolerance
     name, run_params = _kernel_for_run(args.kernel, params)
-    halfline = name.startswith("radial")
-    x_min = 0.0 if halfline else -args.x_max
+    kind = kn.kernel_kind(name)
+    x_min = 0.0 if kind.halfline else -args.x_max
     grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
                         x_min=x_min)
     packet = ev.TestFunction(center=args.center, width=args.width,
                              momentum=args.momentum)
     try:
-        psi0 = ev._as_gridfunction(packet, run_params, grid, halfline)
+        psi0 = ev.as_gridfunction(packet, run_params, grid, kind.halfline)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -318,7 +294,7 @@ def cmd_evolve(args) -> int:
         else:
             frame = ev.propagate(psi0, t, name, run_params)
         worst_drift = max(worst_drift, abs(frame.norm() - norm0))
-        if _edge_contaminated(frame):
+        if orc.edge_contaminated(frame):
             contaminated = True
         for x, v in zip(frame.x, frame.samples):
             rep.row(t, x, v.real, v.imag, abs(v) ** 2)
@@ -327,9 +303,7 @@ def cmd_evolve(args) -> int:
     cross_l2 = None
     if not args.no_cross_check and float(frame_times[-1]) > 0:
         # The grid evolver must see the same Hamiltonian the kernel solves.
-        n_eff, omega_eff = ev._potential_config(name, run_params)
-        cn_params = sr.PhysParams(hbar=run_params.hbar, m=run_params.m,
-                                  omega=omega_eff, n=n_eff)
+        cn_params = kind.hamiltonian(run_params)
         with warnings.catch_warnings():
             warnings.simplefilter("error", orc.BoundaryContaminationWarning)
             try:
@@ -374,8 +348,8 @@ def cmd_selftest(args) -> int:
     for x1 in (0.5, 1.1, 1.9):
         for x2 in (0.7, 1.4):
             for t in (0.4, 0.9):
-                img = kn._free_value(x1, x2, t, p32) - kn._free_value(x1, -x2, t, p32)
-                gen = kn._radial_h0_bessel_value(x1, x2, t, p32)
+                img = kn.kernel_values("radial_h0", x1, x2, t, p32)
+                gen = kn.kernel_values("radial_h0", x1, x2, t, p32, core="bessel")
                 worst = max(worst, abs(img - gen) / abs(img))
     check("image-method exactness (n=1/2)", worst, 1e-12)
 

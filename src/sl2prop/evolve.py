@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .kernels import CAUSTIC_TOL, KERNEL_NAMES, KernelPoint, kernel_values
+from .kernels import CAUSTIC_TOL, KernelPoint, kernel_kind, kernel_values
 from .oracle import GridSpec, GridWavefunction
 from .sl2rep import PhysParams
 
 __all__ = [
     "TestFunction",
+    "as_gridfunction",
     "propagate",
     "schrodinger_residual",
     "delta_limit_check",
@@ -31,7 +32,8 @@ __all__ = [
     "l2_distance",
 ]
 
-_HALFLINE_KERNELS = ("radial_h0", "radial_sho")
+# Output rows per kernel-matrix block in ``propagate`` (memory control only).
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,10 @@ def _trapezoid_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
-def _as_gridfunction(psi0, params: PhysParams, grid: GridSpec | None,
-                     halfline: bool) -> GridWavefunction:
+def as_gridfunction(psi0, params: PhysParams, grid: GridSpec | None,
+                    halfline: bool) -> GridWavefunction:
+    """The state as grid samples; a TestFunction is sampled on ``grid``,
+    after checking its support stays off the wall for half-line kernels."""
     if isinstance(psi0, GridWavefunction):
         return psi0
     if isinstance(psi0, TestFunction):
@@ -90,7 +94,6 @@ def propagate(
     kernel: str,
     params: PhysParams,
     grid: GridSpec | None = None,
-    chunk: int = 256,
 ) -> GridWavefunction:
     """Evolve a packet by quadrature against the selected kernel.
 
@@ -109,13 +112,9 @@ def propagate(
     params : PhysParams
     grid : GridSpec, optional
         Quadrature and output grid when psi0 is a TestFunction.
-    chunk : int
-        Output rows per kernel-matrix block (memory control only).
     """
-    if kernel not in KERNEL_NAMES:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    halfline = kernel in _HALFLINE_KERNELS
-    state = _as_gridfunction(psi0, params, grid, halfline)
+    halfline = kernel_kind(kernel).halfline
+    state = as_gridfunction(psi0, params, grid, halfline)
     g = state.grid
     if halfline and g.x_min != 0.0:
         raise ValueError("half-line kernels need the half-line grid (x_min = 0)")
@@ -133,10 +132,10 @@ def propagate(
         cols = x
 
     out_rows = np.empty(rows.size, dtype=complex)
-    for start in range(0, rows.size, chunk):
-        block = rows[start : start + chunk]
+    for start in range(0, rows.size, _CHUNK):
+        block = rows[start : start + _CHUNK]
         kmat = kernel_values(kernel, block[:, None], cols[None, :], t, params)
-        out_rows[start : start + chunk] = kmat @ weighted
+        out_rows[start : start + _CHUNK] = kmat @ weighted
 
     if halfline:
         out = np.zeros(x.size, dtype=complex)
@@ -155,13 +154,6 @@ def l2_distance(a: GridWavefunction, b: GridWavefunction) -> float:
     )
 
 
-def _potential_config(kernel: str, params: PhysParams) -> tuple[float, float]:
-    """Order and frequency entering the PDE satisfied by each kernel."""
-    n = params.n if kernel in _HALFLINE_KERNELS else 0.5
-    omega = params.omega if kernel in ("sho", "radial_sho") else 0.0
-    return n, omega
-
-
 def schrodinger_residual(
     kernel: str,
     pt: KernelPoint,
@@ -176,14 +168,14 @@ def schrodinger_residual(
     |LHS - RHS| / |RHS| shrinks as O(dx^2) + O(dt^2).  The stencil must not
     cross the wall or a caustic.
     """
-    if kernel not in KERNEL_NAMES:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    kind = kernel_kind(kernel)
     x1 = float(pt.x1)
     x2 = float(pt.x2)
     t = float(pt.t)
-    if kernel in _HALFLINE_KERNELS and x1 - dx <= 0:
+    if kind.halfline and x1 - dx <= 0:
         raise ValueError("x1 stencil crosses the wall")
-    n, omega = _potential_config(kernel, params)
+    ham = kind.hamiltonian(params)
+    n, omega = ham.n, ham.omega
     if omega > 0:
         for ts in (t - dt, t, t + dt):
             if abs(math.sin(omega * ts)) <= CAUSTIC_TOL:
@@ -227,7 +219,7 @@ def delta_limit_check(
     ts = np.asarray(list(t_sequence), dtype=float)
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("t_sequence must be positive and strictly decreasing")
-    halfline = kernel in _HALFLINE_KERNELS
+    halfline = kernel_kind(kernel).halfline
     if halfline and isinstance(f, TestFunction):
         f.require_halfline_support()
     x = grid.nodes()

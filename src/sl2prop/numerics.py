@@ -45,9 +45,6 @@ SERIES_CROSSOVER = 12.0
 SERIES_TERMS = 30
 _ASYM_TERMS = 26
 _GL_NODES = 24
-# Phase advance per Gauss-Legendre panel; 24 nodes resolve this to far below
-# double-precision roundoff.
-_PHASE_PER_PANEL = 12.0
 
 DEFAULT_EPSILON = 1e-2
 DEFAULT_EXTRAPOLATION_LEVELS = 3
