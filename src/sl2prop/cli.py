@@ -238,12 +238,7 @@ def cmd_oracle_compare(args) -> int:
                     # The oracle gives the w = 0 kernel; MAIN's phases and
                     # effective time carry it to the oscillator.
                     phase, te = kn.main_wrap(x1, x2, t, run)
-                    pt = kn.KernelPoint(x1, x2, te)
-                    # The truncation point follows the weakest damping used.
-                    spec = orc.default_hankel_spec(
-                        pt, run, epsilon=min(schedule), levels=1
-                    ) if schedule else None
-                    res = orc.hankel_kernel_oracle(pt, n, run, spec=spec,
+                    res = orc.hankel_kernel_oracle(kn.KernelPoint(x1, x2, te), n, run,
                                                    eps_schedule=schedule)
                     oracle_val = phase * res.value
                     rel = abs(oracle_val - closed) / abs(closed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -66,11 +67,16 @@ class TestFunction:
             )
 
 
-def _trapezoid_weights(grid: GridSpec) -> np.ndarray:
+def _columns(samples: np.ndarray, grid: GridSpec, halfline: bool):
+    """Quadrature nodes of ``grid`` and the trapezoid-weighted ``samples``;
+    half-line kernels vanish at the wall, so its node is dropped."""
+    if halfline and grid.x_min != 0.0:
+        raise ValueError("half-line kernels need the half-line grid (x_min = 0)")
     w = np.full(grid.points + 1, grid.dx)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return w
+    skip = 1 if halfline else 0
+    return grid.nodes()[skip:], (w * samples)[skip:]
 
 
 def as_gridfunction(psi0, params: PhysParams, grid: GridSpec | None,
@@ -116,32 +122,15 @@ def propagate(
     halfline = kernel_kind(kernel).halfline
     state = as_gridfunction(psi0, params, grid, halfline)
     g = state.grid
-    if halfline and g.x_min != 0.0:
-        raise ValueError("half-line kernels need the half-line grid (x_min = 0)")
+    cols, weighted = _columns(state.samples, g, halfline)
 
-    x = g.nodes()
-    w = _trapezoid_weights(g)
-    weighted = w * state.samples
-
-    if halfline:
-        rows = x[1:]
-        cols = x[1:]
-        weighted = weighted[1:]
-    else:
-        rows = x
-        cols = x
-
-    out_rows = np.empty(rows.size, dtype=complex)
-    for start in range(0, rows.size, _CHUNK):
-        block = rows[start : start + _CHUNK]
+    # The output rows are the quadrature columns; a dropped wall node stays 0.
+    out = np.zeros(g.points + 1, dtype=complex)
+    rows = out[1:] if halfline else out
+    for start in range(0, cols.size, _CHUNK):
+        block = cols[start : start + _CHUNK]
         kmat = kernel_values(kernel, block[:, None], cols[None, :], t, params)
-        out_rows[start : start + _CHUNK] = kmat @ weighted
-
-    if halfline:
-        out = np.zeros(x.size, dtype=complex)
-        out[1:] = out_rows
-    else:
-        out = out_rows
+        rows[start : start + _CHUNK] = kmat @ weighted
     return GridWavefunction(out, g)
 
 
@@ -214,33 +203,23 @@ def delta_limit_check(
 
     As the kernel collapses to a delta the sequence must decay linearly in
     t.  ``f`` is a TestFunction or any callable of x.  The grid must resolve
-    the kernel oscillation at the smallest time.
+    the kernel oscillation at the smallest time, and start at the wall for
+    half-line kernels.
     """
     ts = np.asarray(list(t_sequence), dtype=float)
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("t_sequence must be positive and strictly decreasing")
     halfline = kernel_kind(kernel).halfline
-    if halfline and isinstance(f, TestFunction):
-        f.require_halfline_support()
-    x = grid.nodes()
-    w = _trapezoid_weights(grid)
-    fx = f.evaluate(x, params) if isinstance(f, TestFunction) else np.asarray(
-        f(x), dtype=complex
-    )
-    if halfline:
-        x_cols = x[1:]
-        wfx = (w * fx)[1:]
-    else:
-        x_cols = x
-        wfx = w * fx
     if isinstance(f, TestFunction):
-        target = complex(f.evaluate(np.array([x1]), params)[0])
-    else:
-        target = complex(np.asarray(f(np.array([x1])), dtype=complex)[0])
+        if halfline:
+            f.require_halfline_support()
+        f = partial(f.evaluate, params=params)
+    cols, weighted = _columns(np.asarray(f(grid.nodes()), dtype=complex), grid, halfline)
+    target = complex(np.asarray(f(np.array([x1])), dtype=complex)[0])
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
-        row = kernel_values(kernel, x1, x_cols, t, params)
-        out[i] = abs(complex(row @ wfx) - target)
+        row = kernel_values(kernel, x1, cols, t, params)
+        out[i] = abs(complex(row @ weighted) - target)
     return out
 
 

@@ -1,11 +1,20 @@
 """Special functions and quadrature used throughout the package.
 
 Bessel functions of the first kind (real order, real argument) and modified
-Bessel functions (real order, complex argument) are evaluated from an
-ascending Gamma-normalized power series below ``SERIES_CROSSOVER`` and from
-the large-argument (Hankel/Debye-type) expansions above it.  Orders 1/2 and
-3/2 have dedicated closed trigonometric/hyperbolic forms; they serve both as
-fast paths and as independent cross-checks on the generic machinery.
+Bessel functions (real order, complex argument) are thin, validated
+dispatchers over ``scipy.special``, with the routine chosen by the order:
+
+- J_0 and J_1 come from Cephes ``j0`` and ``j1``;
+- half-integer orders use the exact identity
+  J_n(x) = sqrt(2x/pi) j_{n-1/2}(x) with ``spherical_jn``;
+- every other order, and I_n off the imaginary axis, go to AMOS (Amos 1986)
+  through ``jv`` and ``ive``.
+
+The dedicated routines are several times faster than the general ``jv``,
+and the packet evolver and the spectral oracle spend most of their time
+here.  At tiny arguments, where scipy returns 0 or NaN, the leading series
+term is used; any other non-finite result for a finite argument is refused
+rather than passed on.
 
 The oscillatory half-line integrals that arise as spectral representations
 of propagators are conditionally convergent for real time; they are computed
@@ -21,10 +30,9 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 __all__ = [
-    "SERIES_CROSSOVER",
-    "SERIES_TERMS",
     "DEFAULT_EPSILON",
     "DEFAULT_EXTRAPOLATION_LEVELS",
     "NonConvergenceError",
@@ -37,13 +45,6 @@ __all__ = [
     "integrate_oscillatory",
 ]
 
-# Crossover between the ascending series and the large-argument expansion.
-# At |z| = 12 the 30-term series is converged to well below 1e-12 while the
-# alternating-sign cancellation still leaves ~1e-11 relative accuracy; the
-# asymptotic sums reach a comparable floor there from the other side.
-SERIES_CROSSOVER = 12.0
-SERIES_TERMS = 30
-_ASYM_TERMS = 26
 _GL_NODES = 24
 
 DEFAULT_EPSILON = 1e-2
@@ -66,8 +67,7 @@ class NonConvergenceError(RuntimeError):
 def gamma_real(a: float) -> float:
     """Gamma function for real positive argument.
 
-    Thin wrapper around ``math.gamma`` restricted to a > 0; used for the
-    1/Gamma(n+k+1) normalization of the Bessel series.
+    Thin wrapper around ``math.gamma`` restricted to a > 0.
     """
     if a <= 0:
         raise ValueError(f"gamma_real requires a > 0, got a={a}")
@@ -81,162 +81,76 @@ def _validate_order(n: float) -> float:
     return n
 
 
-@lru_cache(maxsize=128)
-def _series_coeffs(n: float) -> np.ndarray:
-    """Coefficients 1 / (k! Gamma(n+k+1)) for k = 0 .. SERIES_TERMS-1."""
-    c = np.empty(SERIES_TERMS)
-    c[0] = 1.0 / math.gamma(n + 1.0)
-    for k in range(1, SERIES_TERMS):
-        c[k] = c[k - 1] / (k * (n + k))
-    return c
-
-
-@lru_cache(maxsize=128)
-def _asym_coeffs(n: float) -> np.ndarray:
-    """Hankel-expansion coefficients a_k(n) for k = 0 .. _ASYM_TERMS-1.
-
-    a_0 = 1 and a_k = a_{k-1} (4n^2 - (2k-1)^2) / (8k).  For half-integer n
-    the product terminates, making the expansion exact.
-    """
-    fournsq = 4.0 * n * n
-    a = np.empty(_ASYM_TERMS)
-    a[0] = 1.0
-    for k in range(1, _ASYM_TERMS):
-        a[k] = a[k - 1] * (fournsq - (2 * k - 1) ** 2) / (8.0 * k)
-    return a
-
-
 def _as_array(x, dtype):
     arr = np.asarray(x, dtype=dtype)
     return arr, arr.ndim == 0
 
 
-def _bessel_j_series(n: float, x: np.ndarray) -> np.ndarray:
-    """Ascending series for J_n, alternating signs, SERIES_TERMS terms."""
-    c = _series_coeffs(n)
-    u = 0.25 * x * x
-    # Horner in u with alternating signs folded in.
-    s = np.full_like(u, c[SERIES_TERMS - 1])
-    for k in range(SERIES_TERMS - 2, -1, -1):
-        s = c[k] - u * s
-    out = np.zeros_like(u)
-    nz = x > 0
-    out[nz] = np.power(0.5 * x[nz], n) * s[nz]
-    if np.any(~nz):
-        out[~nz] = c[0] if n == 0.0 else 0.0
+def _small_argument(n: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The leading series term (z/2)^n / Gamma(n+1) where 0 < |z| < 1e-150.
+
+    The next term is smaller by |z|^2/4(n+1) < 1e-300 there.  AMOS returns 0
+    below about 2e-305 whatever n is, and spherical_jn NaN at subnormal z.
+    """
+    sub = (z != 0) & (np.abs(z) < 1e-150)
+    if not np.any(sub):
+        return out
+    out = np.array(out)
+    out[sub] = z[sub] ** n * (0.5**n * special.rgamma(n + 1.0))
     return out
 
 
-def _bessel_j_asymptotic(n: float, x: np.ndarray) -> np.ndarray:
-    """Large-argument expansion sqrt(2/(pi x)) (P cos(chi) - Q sin(chi))."""
-    a = _asym_coeffs(n)
-    inv2 = 1.0 / (x * x)
-    # P: even-index coefficients with alternating sign, Horner in 1/x^2.
-    jmax_p = (_ASYM_TERMS - 1) // 2
-    p = np.full_like(x, a[2 * jmax_p] * (-1.0) ** jmax_p)
-    for j in range(jmax_p - 1, -1, -1):
-        p = a[2 * j] * (-1.0) ** j + inv2 * p
-    jmax_q = (_ASYM_TERMS - 2) // 2
-    q = np.full_like(x, a[2 * jmax_q + 1] * (-1.0) ** jmax_q)
-    for j in range(jmax_q - 1, -1, -1):
-        q = a[2 * j + 1] * (-1.0) ** j + inv2 * q
-    q = q / x
-    chi = x - (0.5 * n + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+def _require_finite(out: np.ndarray, arg: np.ndarray) -> None:
+    bad = ~np.isfinite(out) & np.isfinite(arg)
+    if np.any(bad):
+        raise ValueError(f"scipy.special gave a non-finite Bessel value at {arg[bad][0]}")
 
 
 def bessel_j(n: float, x) -> float | np.ndarray:
     """Bessel function of the first kind J_n(x) for real order n >= 0.
 
+    The scipy routine is chosen by the order: ``j0`` and ``j1`` for n = 0
+    and 1, sqrt(2x/pi) ``spherical_jn``(n - 1/2, x) for half-integer n, and
+    AMOS ``jv`` otherwise; the first three are several times faster than
+    ``jv``.
+
     Parameters
     ----------
     n : float
-        Order, n >= 0.  Orders 1/2 and 3/2 use their closed forms.
+        Order, n >= 0.
     x : float or array_like
         Argument, x >= 0.
 
     Returns
     -------
     float or ndarray
-        J_n(x), elementwise for array input.
+        J_n(x), elementwise for array input.  ``ValueError`` is raised for
+        n < 0, x < 0, or a non-finite value at a finite argument.
     """
     n = _validate_order(n)
     x, scalar = _as_array(x, float)
     if np.any(x < 0):
         raise ValueError("bessel_j requires x >= 0")
-    if n == 0.5 or n == 1.5:
-        out = np.zeros_like(x)
-        nz = x > 0
-        xs = x[nz]
-        pref = np.sqrt(2.0 / (np.pi * xs))
-        if n == 0.5:
-            out[nz] = pref * np.sin(xs)
-        else:
-            out[nz] = pref * (np.sin(xs) / xs - np.cos(xs))
+    if n == 0.0:
+        out = special.j0(x)
+    elif n == 1.0:
+        out = special.j1(x)
+    elif n % 1.0 == 0.5:
+        out = np.sqrt(2.0 * x / np.pi) * special.spherical_jn(int(n - 0.5), x)
     else:
-        out = np.empty_like(x)
-        small = x < SERIES_CROSSOVER
-        if np.any(small):
-            out[small] = _bessel_j_series(n, x[small])
-        if np.any(~small):
-            out[~small] = _bessel_j_asymptotic(n, x[~small])
+        out = special.jv(n, x)
+    out = _small_argument(n, x, out)
+    _require_finite(out, x)
     return float(out) if scalar else out
-
-
-def _bessel_i_series_scaled(n: float, z: np.ndarray) -> np.ndarray:
-    """Ascending series for e^{-|Re z|} I_n(z), all-positive coefficients."""
-    c = _series_coeffs(n)
-    u = 0.25 * z * z
-    s = np.full(z.shape, c[SERIES_TERMS - 1], dtype=complex)
-    for k in range(SERIES_TERMS - 2, -1, -1):
-        s = c[k] + u * s
-    out = np.zeros_like(s)
-    nz = z != 0
-    out[nz] = np.power(0.5 * z[nz], n) * s[nz] * np.exp(-np.abs(z[nz].real))
-    if np.any(~nz):
-        out[~nz] = c[0] if n == 0.0 else 0.0
-    return out
-
-
-def _bessel_i_asymptotic_scaled(n: float, z: np.ndarray) -> np.ndarray:
-    """Two-term large-argument expansion of e^{-|Re z|} I_n(z).
-
-    Both exponentials are kept: on and near the imaginary axis the
-    recessive term is not small.  The half-plane of the (n+1/2)pi phase is
-    picked by the sign of Im z.
-    """
-    a = _asym_coeffs(n)
-    invz = 1.0 / z
-    s1 = np.full(z.shape, a[_ASYM_TERMS - 1] * (-1.0) ** (_ASYM_TERMS - 1), dtype=complex)
-    s2 = np.full(z.shape, a[_ASYM_TERMS - 1], dtype=complex)
-    for k in range(_ASYM_TERMS - 2, -1, -1):
-        s1 = a[k] * (-1.0) ** k + invz * s1
-        s2 = a[k] + invz * s2
-    absre = np.abs(z.real)
-    grow = np.exp(z - absre)
-    decay = np.exp(-z - absre)
-    sign = np.where(z.imag >= 0, 1.0, -1.0)
-    phase = np.exp(1j * sign * (n + 0.5) * np.pi)
-    return (grow * s1 + phase * decay * s2) / np.sqrt(2.0 * np.pi * z)
-
-
-def _sinh_scaled(z: np.ndarray) -> np.ndarray:
-    absre = np.abs(z.real)
-    return 0.5 * (np.exp(z - absre) - np.exp(-z - absre))
-
-
-def _cosh_scaled(z: np.ndarray) -> np.ndarray:
-    absre = np.abs(z.real)
-    return 0.5 * (np.exp(z - absre) + np.exp(-z - absre))
 
 
 def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
     """Modified Bessel function I_n(z) for real order n >= 0 and complex z.
 
     Purely imaginary arguments are routed through the connection
-    I_n(iy) = e^{i n pi/2} J_n(y), which is where the propagator formulas
-    live for real time.  Orders 1/2 and 3/2 use their hyperbolic closed
-    forms.
+    I_n(iy) = e^{i n pi/2} J_n(y) to ``bessel_j`` and its order-chosen
+    routines; that is where the propagator formulas live for real time.
+    Every other argument goes to AMOS through ``scipy.special.ive``.
 
     Parameters
     ----------
@@ -252,36 +166,21 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
     Returns
     -------
     complex or ndarray
+        ``ValueError`` is raised for n < 0, or a non-finite value at a
+        finite argument (AMOS gives up on |z| beyond about 1e9).
     """
     n = _validate_order(n)
     z, scalar = _as_array(z, complex)
     out = np.empty(z.shape, dtype=complex)
-
-    if n == 0.5 or n == 1.5:
-        nz = z != 0
-        zs = z[nz]
-        pref = np.sqrt(2.0 / (np.pi * zs))
-        if n == 0.5:
-            out[nz] = pref * _sinh_scaled(zs)
-        else:
-            out[nz] = pref * (_cosh_scaled(zs) - _sinh_scaled(zs) / zs)
-        out[~nz] = 0.0
-    else:
-        imag_axis = (z.real == 0) & (z.imag != 0)
-        rest = ~imag_axis
-        if np.any(imag_axis):
-            y = z[imag_axis].imag
-            j = bessel_j(n, np.abs(y))
-            out[imag_axis] = np.exp(1j * np.sign(y) * n * np.pi / 2) * j
-        if np.any(rest):
-            zr = z[rest]
-            sub = np.empty(zr.shape, dtype=complex)
-            small = np.abs(zr) < SERIES_CROSSOVER
-            if np.any(small):
-                sub[small] = _bessel_i_series_scaled(n, zr[small])
-            if np.any(~small):
-                sub[~small] = _bessel_i_asymptotic_scaled(n, zr[~small])
-            out[rest] = sub
+    imag_axis = (z.real == 0) & (z.imag != 0)
+    if np.any(imag_axis):
+        y = z[imag_axis].imag
+        out[imag_axis] = np.exp(1j * np.sign(y) * n * np.pi / 2) * bessel_j(n, np.abs(y))
+    rest = ~imag_axis
+    if np.any(rest):
+        zr = z[rest]
+        out[rest] = vals = _small_argument(n, zr, special.ive(n, zr))
+        _require_finite(vals, zr)
 
     if not scaled:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -161,6 +161,9 @@ def hankel_kernel_oracle(
     to zero.  This never evaluates a modified Bessel function, making it an
     independent check on the closed form, which it must match within
     max(1e-6, 10x its own error estimate).
+
+    Without ``spec``, the truncation point follows the weakest damping that
+    is used: that of ``eps_schedule`` when given, else the default schedule.
     """
     x1 = float(pt.x1)
     x2 = float(pt.x2)
@@ -170,20 +173,22 @@ def hankel_kernel_oracle(
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
     if spec is None:
-        spec = default_hankel_spec(pt, params)
+        spec = (default_hankel_spec(pt, params) if eps_schedule is None else
+                default_hankel_spec(pt, params, epsilon=min(eps_schedule), levels=1))
     h, m = params.hbar, params.m
     sgn = 1.0 if t > 0 else -1.0
 
-    cache: dict[int, np.ndarray] = {}
+    # The Bessel product is kept with its node array and reused while the
+    # quadrature passes that same array again, once per damping level.
+    last: tuple[np.ndarray, np.ndarray] | None = None
 
     def integrand(k: np.ndarray, eps: float) -> np.ndarray:
-        key = id(k)
-        if key not in cache:
-            cache[key] = k * math.sqrt(x1 * x2) * bessel_j(order, k * x1) * bessel_j(
-                order, k * x2
-            )
+        nonlocal last
+        if last is None or last[0] is not k:
+            last = (k, k * math.sqrt(x1 * x2) * bessel_j(order, k * x1)
+                    * bessel_j(order, k * x2))
         tc = t * (1.0 - 1j * eps * sgn)
-        return cache[key] * np.exp(-1j * h * k**2 * tc / (2.0 * m))
+        return last[1] * np.exp(-1j * h * k**2 * tc / (2.0 * m))
 
     return integrate_oscillatory(integrand, spec, tolerance=tolerance,
                                  eps_schedule=eps_schedule)

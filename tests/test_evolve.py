@@ -96,6 +96,34 @@ class TestSchrodingerResidual:
             assert 3.5 < coarse / fine < 4.5
 
 
+class TestDeltaLimitCheck:
+    TIMES = [0.04, 0.02, 0.01, 0.005]
+
+    @pytest.mark.parametrize("kernel", ["sho", "radial_sho"])
+    def test_smearing_error_is_linear_in_t(self, kernel):
+        # At n = 1/2 radial_sho is the half-line (image) kernel.
+        x_min = 0.0 if kernel == "radial_sho" else -8.0
+        grid = orc.GridSpec(x_max=8.0, points=4000, dt=1e-3, x_min=x_min)
+        packet = ev.TestFunction(center=3.0, width=0.5, momentum=1.0)
+        err = ev.delta_limit_check(packet, 3.2, self.TIMES, kernel, P_LINE, grid)
+        assert np.all(np.abs(err[:-1] / err[1:] - 2.0) < 0.1)
+
+    def test_callable_matches_test_function(self):
+        grid = orc.GridSpec(x_max=8.0, points=4000, dt=1e-3)
+        packet = ev.TestFunction(center=3.0, width=0.5)
+        want = ev.delta_limit_check(packet, 3.2, self.TIMES, "radial_sho", P_LINE, grid)
+        got = ev.delta_limit_check(lambda x: packet.evaluate(x, P_LINE), 3.2,
+                                   self.TIMES, "radial_sho", P_LINE, grid)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("times", [[0.01, 0.02], [0.02, 0.02], [0.02, 0.0]])
+    def test_refuses_a_sequence_that_is_not_decreasing_and_positive(self, times):
+        grid = orc.GridSpec(x_max=8.0, points=400, dt=1e-3, x_min=-8.0)
+        packet = ev.TestFunction(center=1.0, width=0.5)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ev.delta_limit_check(packet, 1.0, times, "sho", P_LINE, grid)
+
+
 class TestGridEvolveFullLine:
     def test_node_at_origin_raises_no_warning(self):
         grid = orc.GridSpec(x_max=8.0, points=800, dt=1e-3, x_min=-8.0)

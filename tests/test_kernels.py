@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -173,6 +174,29 @@ class TestRadialShoKernel:
         a = kv("radial_sho", 1.2, 0.7, 0.9, p)
         assert kv("radial_sho", 0.7, 1.2, 0.9, p) == a
         assert kv("radial_sho", 1.2, 0.7, -0.9, p) == np.conj(a)
+
+
+def mp_radial_kernel(n, x1, x2, t, omega):
+    """(sqrt(x1 x2)/(i T)) I_n(x1 x2/(i T)) e^{i c (x1^2+x2^2)/2T} in mpmath
+    (hbar = m = 1), with T = sin(wt)/w and c = cos(wt), or T = t, c = 1."""
+    with mp.workdps(30):
+        x1, x2, t = mp.mpf(x1), mp.mpf(x2), mp.mpf(t)
+        T, c = (mp.sin(omega * t) / omega, mp.cos(omega * t)) if omega else (t, 1)
+        return complex(mp.sqrt(x1 * x2) / (1j * T) * mp.besseli(n, x1 * x2 / (1j * T))
+                       * mp.exp(1j * c * (x1**2 + x2**2) / (2 * T)))
+
+
+class TestLargeOrder:
+    @pytest.mark.parametrize("n, x1, x2, t, omega", [
+        (30.0, 4.0, 4.0, 1.0, 0.0),
+        (20.0, 2.0, 2.0, 0.3, 1.0),
+        (20.0, 2.0, 2.5, 0.4, 1.0),
+    ])
+    def test_matches_mpmath(self, n, x1, x2, t, omega):
+        name = "radial_sho" if omega else "radial_h0"
+        v = kv(name, x1, x2, t, PhysParams(omega=omega, n=n))
+        ref = mp_radial_kernel(n, x1, x2, t, omega)
+        assert abs(v - ref) <= 1e-12 * abs(ref)
 
 
 class TestEffectiveTime:

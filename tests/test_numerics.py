@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2prop import numerics as nm
 
@@ -55,13 +57,6 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             nm.bessel_j(-1.0, 0.5)
 
-    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.5])
-    def test_crossover_continuity(self, n):
-        x = np.array([nm.SERIES_CROSSOVER])
-        lo = nm._bessel_j_series(n, x)[0]
-        hi = nm._bessel_j_asymptotic(n, x)[0]
-        assert abs(lo - hi) < 1e-9
-
     @pytest.mark.parametrize("n", [1.0, 1.5, 2.5])
     def test_recurrence_residual(self, n):
         x = 0.537 + 0.631 * np.arange(40)
@@ -88,9 +83,6 @@ class TestBesselI:
         v = nm.bessel_i_complex(0.5, 1.0)
         assert v.real == pytest.approx(I_HALF_AT_1, rel=1e-14)
         assert v.imag == 0.0
-        # generic series path reproduces the closed form
-        gen = nm._bessel_i_series_scaled(0.5, np.array([1.0 + 0j]))[0] * math.e
-        assert gen == pytest.approx(I_HALF_AT_1, rel=1e-13)
 
     def test_imaginary_axis_example(self):
         v = nm.bessel_i_complex(1.0, 2j)
@@ -118,14 +110,72 @@ class TestBesselI:
         s = nm.bessel_i_complex(2.0, z, scaled=True)
         assert np.isfinite(s.real) and np.isfinite(s.imag)
 
-    def test_series_asymptotic_crossover(self):
-        # both I branches agree at |z| = crossover off the imaginary axis
-        for n in (0.0, 1.0, 2.5):
-            for phase in (0.3, 1.2, -0.8):
-                z = np.array([nm.SERIES_CROSSOVER * np.exp(1j * phase)])
-                lo = nm._bessel_i_series_scaled(n, z)[0]
-                hi = nm._bessel_i_asymptotic_scaled(n, z)[0]
-                assert abs(lo - hi) / abs(hi) < 1e-9
+
+# Orders drawn from the whole range, with the integer and half-integer
+# orders that have their own scipy routines drawn as well.
+ORDERS = st.one_of(
+    st.floats(0.0, 50.0),
+    st.integers(0, 50).map(float),
+    st.integers(0, 49).map(lambda k: k + 0.5),
+)
+
+
+class TestBesselAgainstMpmath:
+    """The public functions against mpmath across orders and arguments,
+    including the |z| = 12 band where an order-blind large-argument
+    expansion goes wrong once n^2 is comparable to |z|."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=ORDERS, x=st.floats(0.0, 200.0))
+    def test_j_matches_mpmath(self, n, x):
+        ref = float(mp.besselj(n, x))
+        assert abs(nm.bessel_j(n, x) - ref) <= 1e-13 + 1e-10 * abs(ref)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.one_of(st.floats(1.0, 50.0), st.integers(1, 50).map(float)),
+           x=st.floats(0.01, 200.0))
+    def test_j_recurrence(self, n, x):
+        lhs = nm.bessel_j(n - 1, x) + nm.bessel_j(n + 1, x)
+        rhs = (2.0 * n / x) * nm.bessel_j(n, x)
+        scale = abs(nm.bessel_j(n - 1, x)) + abs(nm.bessel_j(n + 1, x)) + abs(rhs)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=ORDERS, r=st.floats(0.0, 40.0), theta=st.floats(-math.pi, math.pi))
+    def test_i_off_the_imaginary_axis_matches_mpmath(self, n, r, theta):
+        z = complex(r * math.cos(theta), r * math.sin(theta))
+        ref = complex(mp.besseli(n, mp.mpc(z.real, z.imag)) * mp.exp(-abs(z.real)))
+        # Values below the smallest normal float carry no relative accuracy.
+        err = abs(nm.bessel_i_complex(n, z, scaled=True) - ref)
+        assert err <= 1e-12 * abs(ref) + np.finfo(float).tiny
+
+    @pytest.mark.parametrize("n", [0.0, 0.03125, 0.3, 1.0, 2.3, 3.5])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2e-308, 1e-305, 1e-200])
+    def test_tiny_arguments_match_mpmath(self, n, x):
+        # scipy's jv and ive return 0 below about 2e-305, spherical_jn NaN
+        # at subnormal x.  A complex power of a subnormal z keeps about 13
+        # digits, which the 1e-12 bound on I allows for.
+        ref = mp.besselj(n, x)
+        assert abs(nm.bessel_j(n, x) - ref) <= 1e-14 * abs(ref) + 1e-320
+        ref = mp.besseli(n, mp.mpc(x, x))
+        assert abs(nm.bessel_i_complex(n, complex(x, x)) - ref) <= 1e-12 * abs(ref) + 1e-320
+
+    @pytest.mark.parametrize("n", [20.0, 30.0])
+    def test_large_order_at_the_old_crossover(self, n):
+        ref = float(mp.besselj(n, 12.0))
+        assert nm.bessel_j(n, 12.0) == pytest.approx(ref, rel=1e-12)
+
+    def test_non_finite_result_is_refused(self):
+        # AMOS gives up on |z| beyond about 1e9 and returns NaN.
+        with pytest.raises(ValueError, match="non-finite"):
+            nm.bessel_i_complex(2.5, 1.1e9 + 1j)
+
+    def test_non_finite_result_of_j_is_refused(self, monkeypatch):
+        monkeypatch.setattr(nm.special, "jv", lambda n, x: np.full_like(x, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            nm.bessel_j(2.3, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            nm.bessel_i_complex(2.3, 2j)
 
 
 class TestGamma:

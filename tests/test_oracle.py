@@ -68,6 +68,19 @@ class TestHankelOracle:
         closed = kn._radial_h0_bessel_value(1.0, 1.2, -0.8, p)
         assert abs(res.value - closed) / abs(closed) < 1e-6
 
+    def test_truncation_follows_the_schedule(self):
+        # Without a spec, the truncation point must follow the weakest
+        # damping of the schedule actually used, not the default one.
+        p = PhysParams(omega=0.0, n=1.0)
+        pt = kn.KernelPoint(0.7, 0.9, 0.7)
+        schedule = [1e-2, 1e-3, 1e-4]
+        res = orc.hankel_kernel_oracle(pt, 1.0, p, eps_schedule=schedule)
+        closed = kn._radial_h0_bessel_value(0.7, 0.9, 0.7, p)
+        assert abs(res.value - closed) / abs(closed) < 1e-7
+        spec = orc.default_hankel_spec(pt, p, epsilon=1e-4, levels=1)
+        assert res == orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec,
+                                               eps_schedule=schedule)
+
     def test_nonconvergence_surfaces_estimate(self):
         pt = kn.KernelPoint(1.0, 1.0, 1.0)
         bad = nm.QuadratureSpec(panel_count=16, k_max=8.0, epsilon=1e-2,
