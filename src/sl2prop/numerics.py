@@ -19,7 +19,8 @@ rather than passed on.
 The oscillatory half-line integrals that arise as spectral representations
 of propagators are conditionally convergent for real time; they are computed
 with a small complex damping of the time variable and polynomial
-extrapolation of the damping strength to zero.
+extrapolation of the damping strength to zero.  The damping schedule is
+stated in one place, ``QuadratureSpec.eps_schedule``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "DEFAULT_EPSILON",
-    "DEFAULT_EXTRAPOLATION_LEVELS",
+    "DEFAULT_EPS_SCHEDULE",
     "NonConvergenceError",
     "QuadratureSpec",
     "QuadratureResult",
@@ -47,8 +47,7 @@ __all__ = [
 
 _GL_NODES = 24
 
-DEFAULT_EPSILON = 1e-2
-DEFAULT_EXTRAPOLATION_LEVELS = 3
+DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 
 
 class NonConvergenceError(RuntimeError):
@@ -203,34 +202,28 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
 class QuadratureSpec:
     """Controls for the oscillatory half-line integrals.
 
-    ``epsilon`` is the largest damping strength; the schedule halves it
-    ``extrapolation_levels`` times (default {1e-2, 5e-3, 2.5e-3}) before the
-    polynomial extrapolation to zero.  ``epsilon = 0`` disables damping and
-    extrapolation entirely.
+    Composite Gauss-Legendre over (0, k_max] in ``panel_count`` panels.
+    ``eps_schedule`` is the only statement of the damping schedule: the
+    integral is computed at each strength, strictly decreasing and in
+    [0, 1), and polynomially extrapolated to zero.  A single level is used
+    as it stands; ``(0.0,)`` is the undamped integral.
     """
 
-    rule: str = "gauss-legendre-panel"
     panel_count: int = 64
     k_max: float = 30.0
-    epsilon: float = DEFAULT_EPSILON
-    extrapolation_levels: int = DEFAULT_EXTRAPOLATION_LEVELS
+    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
 
     def __post_init__(self):
-        if self.rule not in ("gauss-legendre-panel", "trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.panel_count < 1:
             raise ValueError("panel_count must be >= 1")
         if not self.k_max > 0:
             raise ValueError("k_max must be > 0")
-        if not 0 <= self.epsilon < 1:
-            raise ValueError("epsilon must satisfy 0 <= epsilon < 1")
-        if self.extrapolation_levels < 1:
-            raise ValueError("extrapolation_levels must be >= 1")
-
-    def epsilon_schedule(self) -> list[float]:
-        if self.epsilon == 0:
-            return [0.0]
-        return [self.epsilon * 0.5**j for j in range(self.extrapolation_levels)]
+        eps = tuple(float(e) for e in self.eps_schedule)
+        if not (eps and 0 <= eps[-1] and eps[0] < 1
+                and all(a > b for a, b in zip(eps, eps[1:]))):
+            raise ValueError(f"epsilon schedule {eps} must be non-empty, "
+                             "strictly decreasing and in [0, 1)")
+        object.__setattr__(self, "eps_schedule", eps)
 
 
 @dataclass(frozen=True)
@@ -258,19 +251,6 @@ def gauss_legendre_panels(
     return k, w
 
 
-def _nodes_for(spec: QuadratureSpec, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    if spec.rule == "gauss-legendre-panel":
-        return gauss_legendre_panels(0.0, spec.k_max, spec.panel_count, nodes_per_panel)
-    # Trapezoid: open at k=0 is not needed (integrands here vanish there);
-    # sample the same node budget on a closed uniform grid.
-    npts = spec.panel_count * nodes_per_panel + 1
-    k = np.linspace(0.0, spec.k_max, npts)
-    w = np.full(npts, spec.k_max / (npts - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return k, w
-
-
 def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[complex]) -> tuple[complex, float]:
     """Neville evaluation at 0 of the polynomial through (xs, ys).
 
@@ -290,14 +270,14 @@ def integrate_oscillatory(
     f: Callable[[np.ndarray, float], np.ndarray],
     spec: QuadratureSpec,
     tolerance: float | None = None,
-    eps_schedule: Sequence[float] | None = None,
 ) -> QuadratureResult:
     """Regularized integral of ``f`` over k in (0, k_max].
 
     ``f(k, eps)`` must evaluate the integrand with damping strength ``eps``
     applied to its time variable (t -> t(1 - i eps sign t)); the integral is
-    computed at each strength in the schedule and polynomially extrapolated
-    to eps = 0.
+    computed at each strength of ``spec.eps_schedule`` and polynomially
+    extrapolated to eps = 0.  ``f`` is called once per level plus once on
+    the half-density nodes.
 
     The reported error estimate combines the node-halving quadrature error,
     a truncation-tail heuristic from the last panel, and the final
@@ -309,41 +289,34 @@ def integrate_oscillatory(
     f : callable
         Integrand, called as f(k_array, eps) -> complex array.
     spec : QuadratureSpec
+        Nodes and the damping schedule.
     tolerance : float, optional
         Error-estimate ceiling; exceeding it raises.
-    eps_schedule : sequence of float, optional
-        Explicit damping strengths overriding the spec's halving schedule.
 
     Returns
     -------
     QuadratureResult
     """
-    eps_list = list(eps_schedule) if eps_schedule is not None else spec.epsilon_schedule()
-    if not eps_list:
-        raise ValueError("empty epsilon schedule")
-
-    k, w = _nodes_for(spec, _GL_NODES)
+    k, w = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count)
     values = []
-    for eps in eps_list:
-        values.append(complex(np.sum(w * f(k, eps))))
+    for eps in spec.eps_schedule:
+        fk = f(k, eps)
+        values.append(complex(np.sum(w * fk)))
+        tail = fk[-_GL_NODES:].copy()
+        del fk  # so that no level's values stay alive while the next is computed
 
-    eps_min = eps_list[-1]
     # Node-halving estimate of the quadrature error at the least-damped
-    # (hardest) level.
-    k2, w2 = _nodes_for(spec, _GL_NODES // 2)
-    coarse = complex(np.sum(w2 * f(k2, eps_min)))
+    # (hardest) level, the last one.
+    k2, w2 = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count, _GL_NODES // 2)
+    coarse = complex(np.sum(w2 * f(k2, spec.eps_schedule[-1])))
     quad_err = abs(values[-1] - coarse)
 
-    # Truncation heuristic: contribution and envelope of the last panel.
-    per_panel = _GL_NODES
-    fk = f(k[-per_panel:], eps_min)
+    # Truncation heuristic: contribution and envelope of the last panel,
+    # from the values of the last level.
     width = spec.k_max / spec.panel_count
-    tail_err = abs(np.sum(w[-per_panel:] * fk)) + float(np.max(np.abs(fk))) * width
+    tail_err = abs(np.sum(w[-_GL_NODES:] * tail)) + float(np.max(np.abs(tail))) * width
 
-    if len(eps_list) > 1:
-        value, extrap_err = _extrapolate_to_zero(eps_list, values)
-    else:
-        value, extrap_err = values[0], 0.0
+    value, extrap_err = _extrapolate_to_zero(spec.eps_schedule, values)
 
     error = quad_err + tail_err + extrap_err
     if tolerance is not None and error > tolerance:

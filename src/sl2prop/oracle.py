@@ -112,23 +112,25 @@ class GridWavefunction:
 
 _TAIL_LOG = 27.6  # e^-27.6 ~ 1e-12 damping at the truncation point
 _PHASE_PER_PANEL = 12.0  # per 24-node Gauss-Legendre panel: resolved far below roundoff
-_ORACLE_LEVELS = 5  # extrapolation depth the oracle picks for itself
+_ORACLE_SCHEDULE = tuple(1e-2 * 0.5**j for j in range(5))  # the oracle's own: 1e-2 halved 4x
 
 
 def default_hankel_spec(
     pt: KernelPoint,
     params: PhysParams,
-    epsilon: float = 1e-2,
-    levels: int = _ORACLE_LEVELS,
+    eps_schedule=_ORACLE_SCHEDULE,
 ) -> QuadratureSpec:
     """Quadrature controls sized for the spectral kernel integral.
 
-    The truncation point is where the weakest damping level has suppressed
-    the integrand by e^-27.6, and the panel count keeps the total phase
-    advance (quadratic chirp plus the Bessel oscillation at x1 + x2) below
-    a fixed budget per panel.
+    The truncation point is where the weakest damping of ``eps_schedule``
+    has suppressed the integrand by e^-27.6, and the panel count keeps the
+    total phase advance (quadratic chirp plus the Bessel oscillation at
+    x1 + x2) below a fixed budget per panel.  Every damping must be > 0:
+    the undamped integral has no truncation point.
     """
-    eps_min = epsilon * 0.5 ** (levels - 1) if epsilon > 0 else 1.0
+    eps_min = min(eps_schedule, default=1.0)  # QuadratureSpec refuses an empty one
+    if not eps_min > 0:
+        raise ValueError(f"spectral oracle needs every damping > 0, got {eps_min}")
     h, m, t = params.hbar, params.m, abs(pt.t)
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
@@ -137,13 +139,7 @@ def default_hankel_spec(
     x2 = float(np.max(np.asarray(pt.x2)))
     max_freq = h * t / m * k_max + (x1 + x2)
     panels = max(8, int(math.ceil(max_freq * k_max / _PHASE_PER_PANEL)))
-    return QuadratureSpec(
-        rule="gauss-legendre-panel",
-        panel_count=panels,
-        k_max=k_max,
-        epsilon=epsilon,
-        extrapolation_levels=levels,
-    )
+    return QuadratureSpec(panel_count=panels, k_max=k_max, eps_schedule=eps_schedule)
 
 
 def hankel_kernel_oracle(
@@ -152,18 +148,16 @@ def hankel_kernel_oracle(
     params: PhysParams,
     spec: QuadratureSpec | None = None,
     tolerance: float | None = None,
-    eps_schedule=None,
 ) -> QuadratureResult:
     """Inverse-square kernel from its Bessel spectral representation.
 
     Integrates sqrt(k x1) J_n(k x1) e^{-i hbar k^2 t / 2m} sqrt(k x2)
     J_n(k x2) over k > 0 with damped time and extrapolation of the damping
     to zero.  This never evaluates a modified Bessel function, making it an
-    independent check on the closed form, which it must match within
-    max(1e-6, 10x its own error estimate).
+    independent check on the closed form.
 
-    Without ``spec``, the truncation point follows the weakest damping that
-    is used: that of ``eps_schedule`` when given, else the default schedule.
+    The damping schedule is ``spec.eps_schedule``; without ``spec``,
+    ``default_hankel_spec`` sizes one for the oracle's own schedule.
     """
     x1 = float(pt.x1)
     x2 = float(pt.x2)
@@ -173,8 +167,7 @@ def hankel_kernel_oracle(
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
     if spec is None:
-        spec = (default_hankel_spec(pt, params) if eps_schedule is None else
-                default_hankel_spec(pt, params, epsilon=min(eps_schedule), levels=1))
+        spec = default_hankel_spec(pt, params)
     h, m = params.hbar, params.m
     sgn = 1.0 if t > 0 else -1.0
 
@@ -190,8 +183,7 @@ def hankel_kernel_oracle(
         tc = t * (1.0 - 1j * eps * sgn)
         return last[1] * np.exp(-1j * h * k**2 * tc / (2.0 * m))
 
-    return integrate_oscillatory(integrand, spec, tolerance=tolerance,
-                                 eps_schedule=eps_schedule)
+    return integrate_oscillatory(integrand, spec, tolerance=tolerance)
 
 
 def orthogonality_check(k1: float, k2: float, order: float, x_max: float) -> complex:

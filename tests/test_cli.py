@@ -53,3 +53,22 @@ def test_oracle_truncation_follows_the_weakest_damping(tmp_path):
     rel = [float(r[rows[0].index("rel_err")]) for r in rows[1:]]
     assert len(rel) == 4
     assert max(rel) < 1e-5
+
+
+@pytest.mark.parametrize("schedule,code", [
+    ("0", 2),                 # undamped: no truncation point
+    ("1e-2,1e-2", 2),         # duplicate level
+    ("1e-4,1e-2,1e-3", 2),    # not decreasing
+    ("0.5,0.25", 1),          # valid, but far too damped for the tolerance
+])
+def test_oracle_epsilon_schedule_verdicts(schedule, code, tmp_path, capsys):
+    path = tmp_path / "o.csv"
+    argv = ["oracle-compare", "--orders", "1", "--times", "0.7",
+            "--epsilon-schedule", schedule]
+    assert run(argv, path) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error:")  # an uncaught exception fails the call itself
+        assert not path.exists()
+    else:
+        assert path.read_text().count(",fail\n") >= 1

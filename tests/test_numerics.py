@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -193,8 +194,7 @@ class TestGamma:
 
 class TestIntegrateOscillatory:
     def test_gaussian_sanity(self):
-        spec = nm.QuadratureSpec(panel_count=16, k_max=12.0, epsilon=0.0,
-                                 extrapolation_levels=1)
+        spec = nm.QuadratureSpec(panel_count=16, k_max=12.0, eps_schedule=(0.0,))
         res = nm.integrate_oscillatory(lambda k, eps: np.exp(-(k**2)), spec)
         assert res.value.real == pytest.approx(SQRT_PI_OVER_2, abs=1e-12)
         assert res.error_estimate < 1e-10
@@ -204,21 +204,20 @@ class TestIntegrateOscillatory:
         # 1/(i (1 - i eps)) up to the truncated tail; the extrapolated value
         # must approach the undamped limit -i far better than any single
         # damping level does.
-        spec = nm.QuadratureSpec(panel_count=600, k_max=80.0, epsilon=0.04,
-                                 extrapolation_levels=3)
+        spec = nm.QuadratureSpec(panel_count=600, k_max=80.0,
+                                 eps_schedule=(0.04, 0.02, 0.01))
 
         def f(k, eps):
             tc = 1.0 - 1j * eps
             return k * np.exp(-1j * k**2 * tc / 2.0)
 
         res = nm.integrate_oscillatory(f, spec)
-        raw = nm.integrate_oscillatory(f, spec, eps_schedule=[0.04])
+        raw = nm.integrate_oscillatory(f, replace(spec, eps_schedule=(0.04,)))
         assert res.value == pytest.approx(-1j, abs=5e-5)
         assert abs(res.value + 1j) < abs(raw.value + 1j) / 100.0
 
     def test_truncation_failure_raised(self):
-        spec = nm.QuadratureSpec(panel_count=8, k_max=5.0, epsilon=0.0,
-                                 extrapolation_levels=1)
+        spec = nm.QuadratureSpec(panel_count=8, k_max=5.0, eps_schedule=(0.0,))
         with pytest.raises(nm.NonConvergenceError) as exc:
             nm.integrate_oscillatory(lambda k, eps: 1.0 / (1.0 + k**2), spec,
                                      tolerance=1e-6)
@@ -226,20 +225,26 @@ class TestIntegrateOscillatory:
 
     def test_default_schedule(self):
         spec = nm.QuadratureSpec(panel_count=4, k_max=1.0)
-        assert spec.epsilon_schedule() == [1e-2, 5e-3, 2.5e-3]
+        assert spec.eps_schedule == (1e-2, 5e-3, 2.5e-3)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(rule="simpson", panel_count=4, k_max=1.0)
         with pytest.raises(ValueError):
             nm.QuadratureSpec(panel_count=0, k_max=1.0)
         with pytest.raises(ValueError):
             nm.QuadratureSpec(panel_count=4, k_max=-1.0)
         with pytest.raises(ValueError):
-            nm.QuadratureSpec(panel_count=4, k_max=1.0, epsilon=1.5)
+            nm.QuadratureSpec(panel_count=4, k_max=1.0, eps_schedule=(1.5,))
+        for bad in [(1e-2, 1e-2), (1e-3, 1e-2), ()]:  # duplicate, increasing, empty
+            with pytest.raises(ValueError):
+                nm.QuadratureSpec(panel_count=4, k_max=1.0, eps_schedule=bad)
 
-    def test_trapezoid_rule(self):
-        spec = nm.QuadratureSpec(rule="trapezoid", panel_count=64, k_max=12.0,
-                                 epsilon=0.0, extrapolation_levels=1)
-        res = nm.integrate_oscillatory(lambda k, eps: np.exp(-(k**2)), spec)
-        assert res.value.real == pytest.approx(SQRT_PI_OVER_2, abs=1e-8)
+    def test_one_integrand_call_per_level_plus_the_coarse_pass(self):
+        spec = nm.QuadratureSpec(panel_count=4, k_max=6.0, eps_schedule=(0.1, 0.05, 0.02))
+        calls = []
+
+        def f(k, eps):
+            calls.append(eps)
+            return np.exp(-(k**2) * (1.0 + eps))
+
+        nm.integrate_oscillatory(f, spec)
+        assert len(calls) == len(spec.eps_schedule) + 1

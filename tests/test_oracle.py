@@ -47,7 +47,7 @@ class TestHankelOracle:
         # single damping level, no extrapolation: absolutely convergent tail
         pt = kn.KernelPoint(1.0, 1.5, 0.8)
         p = PhysParams(omega=0.0, n=1.0)
-        spec = orc.default_hankel_spec(pt, p, epsilon=0.01, levels=1)
+        spec = orc.default_hankel_spec(pt, p, eps_schedule=(0.01,))
         res = orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec)
         assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
         assert res.error_estimate < 1e-8
@@ -69,22 +69,20 @@ class TestHankelOracle:
         assert abs(res.value - closed) / abs(closed) < 1e-6
 
     def test_truncation_follows_the_schedule(self):
-        # Without a spec, the truncation point must follow the weakest
-        # damping of the schedule actually used, not the default one.
+        # The truncation point must follow the weakest damping of the
+        # schedule actually used, not that of the default one.
         p = PhysParams(omega=0.0, n=1.0)
         pt = kn.KernelPoint(0.7, 0.9, 0.7)
         schedule = [1e-2, 1e-3, 1e-4]
-        res = orc.hankel_kernel_oracle(pt, 1.0, p, eps_schedule=schedule)
+        spec = orc.default_hankel_spec(pt, p, eps_schedule=schedule)
+        res = orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec)
         closed = kn._radial_h0_bessel_value(0.7, 0.9, 0.7, p)
         assert abs(res.value - closed) / abs(closed) < 1e-7
-        spec = orc.default_hankel_spec(pt, p, epsilon=1e-4, levels=1)
-        assert res == orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec,
-                                               eps_schedule=schedule)
 
     def test_nonconvergence_surfaces_estimate(self):
         pt = kn.KernelPoint(1.0, 1.0, 1.0)
-        bad = nm.QuadratureSpec(panel_count=16, k_max=8.0, epsilon=1e-2,
-                                extrapolation_levels=3)
+        bad = nm.QuadratureSpec(panel_count=16, k_max=8.0,
+                                eps_schedule=(1e-2, 5e-3, 2.5e-3))
         with pytest.raises(nm.NonConvergenceError) as exc:
             orc.hankel_kernel_oracle(pt, 0.0, P_FREE, spec=bad, tolerance=1e-8)
         assert exc.value.error_estimate > 1e-8
@@ -194,7 +192,7 @@ class TestGridEvolve:
         assert np.all(out.samples == 0.0)
 
     def test_norm_preserved_over_thousand_steps(self):
-        g = orc.GridSpec(x_max=12.0, points=600, dt=1e-3)
+        g = orc.GridSpec(x_max=16.0, points=800, dt=1e-3)
         x = g.nodes()
         packet = np.exp(-((x - 5.0) ** 2)) * np.exp(2j * x)
         psi = orc.GridWavefunction(packet, g)
