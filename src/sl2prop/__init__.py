@@ -30,7 +30,6 @@ from .kernels import (
     sho_kernel,
 )
 from .numerics import (
-    NonConvergenceError,
     QuadratureResult,
     QuadratureSpec,
     bessel_i_complex,
@@ -75,7 +74,6 @@ __all__ = [
     "KERNEL_NAMES",
     "KernelPoint",
     "KernelValue",
-    "NonConvergenceError",
     "PhysParams",
     "QuadratureResult",
     "QuadratureSpec",

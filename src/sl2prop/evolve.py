@@ -44,11 +44,8 @@ class TestFunction:
     center: float
     width: float
     momentum: float = 0.0
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported test function kind {self.kind!r}")
         if not self.width > 0:
             raise ValueError("width must be > 0")
 

@@ -17,10 +17,11 @@ term is used; any other non-finite result for a finite argument is refused
 rather than passed on.
 
 The oscillatory half-line integrals that arise as spectral representations
-of propagators are conditionally convergent for real time; they are computed
-with a small complex damping of the time variable and polynomial
-extrapolation of the damping strength to zero.  The damping schedule is
-stated in one place, ``QuadratureSpec.eps_schedule``.
+of propagators are conditionally convergent for real time.  A small complex
+damping of the time variable multiplies such an integrand g(k) by a real
+envelope e^{-eps phi(k)}; ``integrate_oscillatory`` takes the undamped g and
+the rate phi once, applies the envelope at each strength of
+``QuadratureSpec.eps_schedule`` and extrapolates the strength to zero.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from scipy import special
 
 __all__ = [
     "DEFAULT_EPS_SCHEDULE",
-    "NonConvergenceError",
     "QuadratureSpec",
     "QuadratureResult",
     "gamma_real",
@@ -48,19 +48,6 @@ __all__ = [
 _GL_NODES = 24
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
-
-
-class NonConvergenceError(RuntimeError):
-    """Quadrature error estimate exceeded the caller's tolerance.
-
-    Distinct from ``ValueError`` so that callers can tell an unconverged
-    integral apart from an invalid input.
-    """
-
-    def __init__(self, message: str, value: complex, error_estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
 
 
 def gamma_real(a: float) -> float:
@@ -267,63 +254,52 @@ def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[complex]) -> tuple[co
 
 
 def integrate_oscillatory(
-    f: Callable[[np.ndarray, float], np.ndarray],
+    integrand: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     spec: QuadratureSpec,
-    tolerance: float | None = None,
 ) -> QuadratureResult:
-    """Regularized integral of ``f`` over k in (0, k_max].
+    """Regularized integral of an oscillatory integrand over k in (0, k_max].
 
-    ``f(k, eps)`` must evaluate the integrand with damping strength ``eps``
-    applied to its time variable (t -> t(1 - i eps sign t)); the integral is
-    computed at each strength of ``spec.eps_schedule`` and polynomially
-    extrapolated to eps = 0.  ``f`` is called once per level plus once on
-    the half-density nodes.
+    ``integrand(k)`` returns ``(g, decay)``: the undamped values g(k) and a
+    real rate phi(k) >= 0.  Level eps of ``spec.eps_schedule`` integrates
+    g e^{-eps phi}, which is what the damping t -> t(1 - i eps sign t) of a
+    chirp e^{-i c t k^2} gives with phi = c |t| k^2; the levels are
+    polynomially extrapolated to eps = 0.  ``integrand`` is called twice,
+    on the nodes and on the half-density nodes, and the arrays it returns
+    are the quadrature's to overwrite.
 
     The reported error estimate combines the node-halving quadrature error,
     a truncation-tail heuristic from the last panel, and the final
-    extrapolation step.  If ``tolerance`` is given and the estimate exceeds
-    it, ``NonConvergenceError`` is raised.
+    extrapolation step.
 
     Parameters
     ----------
-    f : callable
-        Integrand, called as f(k_array, eps) -> complex array.
+    integrand : callable
+        Called as integrand(k_array) -> (values, decay rates).
     spec : QuadratureSpec
         Nodes and the damping schedule.
-    tolerance : float, optional
-        Error-estimate ceiling; exceeding it raises.
 
     Returns
     -------
     QuadratureResult
     """
+    eps = spec.eps_schedule
     k, w = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count)
-    values = []
-    for eps in spec.eps_schedule:
-        fk = f(k, eps)
-        values.append(complex(np.sum(w * fk)))
-        tail = fk[-_GL_NODES:].copy()
-        del fk  # so that no level's values stay alive while the next is computed
+    g, decay = integrand(k)
 
-    # Node-halving estimate of the quadrature error at the least-damped
-    # (hardest) level, the last one.
-    k2, w2 = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count, _GL_NODES // 2)
-    coarse = complex(np.sum(w2 * f(k2, spec.eps_schedule[-1])))
-    quad_err = abs(values[-1] - coarse)
-
-    # Truncation heuristic: contribution and envelope of the last panel,
-    # from the values of the last level.
+    # Truncation heuristic: contribution and envelope of the last panel at
+    # the least-damped level.
+    tail = g[-_GL_NODES:] * np.exp(-eps[-1] * decay[-_GL_NODES:])
     width = spec.k_max / spec.panel_count
     tail_err = abs(np.sum(w[-_GL_NODES:] * tail)) + float(np.max(np.abs(tail))) * width
 
-    value, extrap_err = _extrapolate_to_zero(spec.eps_schedule, values)
+    g *= w
+    values = [complex(np.sum(g * np.exp(-e * decay))) for e in eps]
 
-    error = quad_err + tail_err + extrap_err
-    if tolerance is not None and error > tolerance:
-        raise NonConvergenceError(
-            f"quadrature error estimate {error:.3e} exceeds tolerance {tolerance:.3e}"
-            f" (k_max={spec.k_max}, panels={spec.panel_count})",
-            value,
-            error,
-        )
-    return QuadratureResult(value=value, error_estimate=error)
+    # Node-halving estimate of the quadrature error at the least-damped
+    # (hardest) level.
+    k, w = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count, _GL_NODES // 2)
+    g, decay = integrand(k)
+    quad_err = abs(values[-1] - complex(np.sum(w * g * np.exp(-eps[-1] * decay))))
+
+    value, extrap_err = _extrapolate_to_zero(eps, values)
+    return QuadratureResult(value=value, error_estimate=quad_err + tail_err + extrap_err)

@@ -77,15 +77,15 @@ class GridSpec:
 class GridWavefunction:
     """Complex samples of psi on the nodes of a GridSpec.
 
-    For half-line grids the wall value psi(0) is pinned to zero on
-    construction.
+    The samples are copied on construction; for half-line grids the wall
+    value psi(0) of the copy is pinned to zero.
     """
 
     samples: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        self.samples = np.array(self.samples, dtype=complex)
         if self.samples.shape != (self.grid.points + 1,):
             raise ValueError(
                 f"expected {self.grid.points + 1} samples, got {self.samples.shape}"
@@ -103,7 +103,7 @@ class GridWavefunction:
         return float(np.sqrt(np.trapezoid(np.abs(self.samples) ** 2, dx=self.grid.dx)))
 
     def copy(self) -> "GridWavefunction":
-        return GridWavefunction(self.samples.copy(), self.grid)
+        return GridWavefunction(self.samples, self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +147,14 @@ def hankel_kernel_oracle(
     order: float,
     params: PhysParams,
     spec: QuadratureSpec | None = None,
-    tolerance: float | None = None,
 ) -> QuadratureResult:
     """Inverse-square kernel from its Bessel spectral representation.
 
     Integrates sqrt(k x1) J_n(k x1) e^{-i hbar k^2 t / 2m} sqrt(k x2)
-    J_n(k x2) over k > 0 with damped time and extrapolation of the damping
-    to zero.  This never evaluates a modified Bessel function, making it an
+    J_n(k x2) over k > 0.  The damping t -> t(1 - i eps sign t) multiplies
+    this by the real envelope e^{-eps hbar |t| k^2 / 2m}, which
+    ``integrate_oscillatory`` applies at each level and extrapolates to
+    eps = 0.  This never evaluates a modified Bessel function, making it an
     independent check on the closed form.
 
     The damping schedule is ``spec.eps_schedule``; without ``spec``,
@@ -169,21 +170,14 @@ def hankel_kernel_oracle(
     if spec is None:
         spec = default_hankel_spec(pt, params)
     h, m = params.hbar, params.m
-    sgn = 1.0 if t > 0 else -1.0
 
-    # The Bessel product is kept with its node array and reused while the
-    # quadrature passes that same array again, once per damping level.
-    last: tuple[np.ndarray, np.ndarray] | None = None
+    def integrand(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The real Bessel product before the complex chirp, so that no
+        # complex array is alive while the Bessel values are computed.
+        g = k * math.sqrt(x1 * x2) * bessel_j(order, k * x1) * bessel_j(order, k * x2)
+        return g * np.exp(-1j * h * k**2 * t / (2.0 * m)), h * abs(t) * k**2 / (2.0 * m)
 
-    def integrand(k: np.ndarray, eps: float) -> np.ndarray:
-        nonlocal last
-        if last is None or last[0] is not k:
-            last = (k, k * math.sqrt(x1 * x2) * bessel_j(order, k * x1)
-                    * bessel_j(order, k * x2))
-        tc = t * (1.0 - 1j * eps * sgn)
-        return last[1] * np.exp(-1j * h * k**2 * tc / (2.0 * m))
-
-    return integrate_oscillatory(integrand, spec, tolerance=tolerance)
+    return integrate_oscillatory(integrand, spec)
 
 
 def orthogonality_check(k1: float, k2: float, order: float, x_max: float) -> complex:
@@ -248,14 +242,13 @@ def grid_evolve(
     psi0: GridWavefunction,
     t_final: float,
     params: PhysParams,
-    dt: float | None = None,
 ) -> GridWavefunction:
     """Crank-Nicolson evolution under the full Hamiltonian.
 
     Unconditionally stable and exactly norm-preserving in the discrete l2
     sense (the step is a Cayley transform of a Hermitian tridiagonal
-    matrix); Dirichlet conditions at both ends of the grid.  The step count
-    is rounded so the final time is hit exactly.
+    matrix); Dirichlet conditions at both ends of the grid.  The step is
+    ``grid.dt``, rounded so the final time is hit exactly.
 
     Requires n >= 1/2: below that the near-origin behavior of the true
     solutions makes a Dirichlet stencil dishonest, and the spectral oracle
@@ -267,11 +260,9 @@ def grid_evolve(
     if params.n < 0.5:
         raise ValueError("grid evolver requires n >= 1/2; use the spectral oracle")
     grid = psi0.grid
-    if dt is None:
-        dt = grid.dt
     if t_final == 0:
         return psi0.copy()
-    steps = max(1, round(abs(t_final) / dt))
+    steps = max(1, round(abs(t_final) / grid.dt))
     dt_eff = t_final / steps
 
     h, m, w = params.hbar, params.m, params.omega

@@ -11,7 +11,8 @@ def run(argv, path):
     return cli.main([*argv, "--output", str(path)])
 
 
-@pytest.mark.parametrize("argv", [["identities"], ["kernel"], ORACLE_SMALL],
+@pytest.mark.parametrize("argv", [["identities"], ["kernel"], ORACLE_SMALL,
+                                  ["evolve", "--frames", "2"]],
                          ids=lambda a: a[0])
 def test_default_runs_pass_and_repeat_byte_for_byte(argv, tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"

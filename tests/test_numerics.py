@@ -195,7 +195,7 @@ class TestGamma:
 class TestIntegrateOscillatory:
     def test_gaussian_sanity(self):
         spec = nm.QuadratureSpec(panel_count=16, k_max=12.0, eps_schedule=(0.0,))
-        res = nm.integrate_oscillatory(lambda k, eps: np.exp(-(k**2)), spec)
+        res = nm.integrate_oscillatory(lambda k: (np.exp(-(k**2)), np.zeros_like(k)), spec)
         assert res.value.real == pytest.approx(SQRT_PI_OVER_2, abs=1e-12)
         assert res.error_estimate < 1e-10
 
@@ -207,21 +207,19 @@ class TestIntegrateOscillatory:
         spec = nm.QuadratureSpec(panel_count=600, k_max=80.0,
                                  eps_schedule=(0.04, 0.02, 0.01))
 
-        def f(k, eps):
-            tc = 1.0 - 1j * eps
-            return k * np.exp(-1j * k**2 * tc / 2.0)
+        def integrand(k):
+            return k * np.exp(-1j * k**2 / 2.0), k**2 / 2.0
 
-        res = nm.integrate_oscillatory(f, spec)
-        raw = nm.integrate_oscillatory(f, replace(spec, eps_schedule=(0.04,)))
+        res = nm.integrate_oscillatory(integrand, spec)
+        raw = nm.integrate_oscillatory(integrand, replace(spec, eps_schedule=(0.04,)))
         assert res.value == pytest.approx(-1j, abs=5e-5)
         assert abs(res.value + 1j) < abs(raw.value + 1j) / 100.0
 
     def test_truncation_failure_raised(self):
+        # Truncating 1/(1 + k²) at k_max = 5 shows as an error estimate above the bound.
         spec = nm.QuadratureSpec(panel_count=8, k_max=5.0, eps_schedule=(0.0,))
-        with pytest.raises(nm.NonConvergenceError) as exc:
-            nm.integrate_oscillatory(lambda k, eps: 1.0 / (1.0 + k**2), spec,
-                                     tolerance=1e-6)
-        assert exc.value.error_estimate > 1e-6
+        res = nm.integrate_oscillatory(lambda k: (1.0 / (1.0 + k**2), np.zeros_like(k)), spec)
+        assert res.error_estimate > 1e-6
 
     def test_default_schedule(self):
         spec = nm.QuadratureSpec(panel_count=4, k_max=1.0)
@@ -239,12 +237,21 @@ class TestIntegrateOscillatory:
                 nm.QuadratureSpec(panel_count=4, k_max=1.0, eps_schedule=bad)
 
     def test_one_integrand_call_per_level_plus_the_coarse_pass(self):
+        # All levels share one call on the fine nodes; one more on the coarse nodes.
         spec = nm.QuadratureSpec(panel_count=4, k_max=6.0, eps_schedule=(0.1, 0.05, 0.02))
         calls = []
 
-        def f(k, eps):
-            calls.append(eps)
-            return np.exp(-(k**2) * (1.0 + eps))
+        def integrand(k):
+            calls.append(k.size)
+            return np.exp(-(k**2)), k**2
 
-        nm.integrate_oscillatory(f, spec)
-        assert len(calls) == len(spec.eps_schedule) + 1
+        nm.integrate_oscillatory(integrand, spec)
+        assert calls == [4 * 24, 4 * 12]
+
+    def test_each_level_integrates_the_envelope(self):
+        # With g = 1 and decay k on (0, 4], level eps integrates e^{-eps k}
+        # to (1 - e^{-4 eps}) / eps; one level is used as it stands.
+        eps = 0.5
+        spec = nm.QuadratureSpec(panel_count=4, k_max=4.0, eps_schedule=(eps,))
+        res = nm.integrate_oscillatory(lambda k: (np.ones_like(k), k), spec)
+        assert res.value == pytest.approx((1.0 - math.exp(-4.0 * eps)) / eps, rel=1e-14)
