@@ -20,7 +20,6 @@ from .kernels import (
     ROUTE_IDS,
     CausticSingularity,
     KernelPoint,
-    KernelValue,
     effective_time,
     free_kernel,
     kernel_values,
@@ -34,7 +33,6 @@ from .numerics import (
     QuadratureSpec,
     bessel_i_complex,
     bessel_j,
-    gamma_real,
     integrate_oscillatory,
 )
 from .oracle import (
@@ -73,7 +71,6 @@ __all__ = [
     "IDENTITY_IDS",
     "KERNEL_NAMES",
     "KernelPoint",
-    "KernelValue",
     "PhysParams",
     "QuadratureResult",
     "QuadratureSpec",
@@ -90,7 +87,6 @@ __all__ = [
     "exp_traceless",
     "factor_coeffs",
     "free_kernel",
-    "gamma_real",
     "generator_matrix",
     "grid_evolve",
     "hankel_kernel_oracle",

@@ -21,10 +21,10 @@ from . import kernels as kn
 from . import oracle as orc
 from . import sl2rep as sr
 
-_DEF_ORACLE_ORDERS = (0.0, 0.5, 1.0, 2.5)
 _DEF_ORACLE_X1 = (0.7, 1.3)
 _DEF_ORACLE_X2 = (0.9, 1.6)
-_DEF_ORACLE_T = (0.3, 0.7, 1.2, 2.0, 3.5)
+# The --kernel spelling of each kernel name.
+_KERNEL_CHOICES = tuple(name.replace("_", "-") for name in kn.KERNEL_NAMES)
 
 
 def _fmt(v: float) -> str:
@@ -42,7 +42,6 @@ def _add_phys_args(p: argparse.ArgumentParser):
                        help="inverse-square coupling, >= -hbar^2/4")
     p.add_argument("--output", type=str, default=None,
                    help="CSV path (default: stdout)")
-    p.add_argument("--tolerance", type=float, default=None)
 
 
 def _params(args) -> sr.PhysParams:
@@ -101,7 +100,7 @@ def _identity_window_ok(identity_id: str, t: float, params: sr.PhysParams) -> bo
 
 def cmd_identities(args) -> int:
     params = _params(args)
-    tol = 1e-12 if args.tolerance is None else args.tolerance
+    tol = args.tolerance
     if params.omega > 0:
         default_span = 0.45 * math.pi / params.omega
     else:
@@ -115,6 +114,7 @@ def cmd_identities(args) -> int:
     rep.lines.append(f"# tolerance: {_fmt(tol)}")
 
     worst = 0.0
+    checked = 0
     clipped = {ident: 0 for ident in sr.IDENTITY_IDS}
     for ident in sr.IDENTITY_IDS:
         for t in ts:
@@ -123,12 +123,17 @@ def cmd_identities(args) -> int:
                 continue
             r = sr.identity_residual(ident, float(t), params)
             worst = max(worst, r)
+            checked += 1
             rep.row(ident, t, r)
     for ident, cnt in clipped.items():
         if cnt:
             msg = f"{ident}: {cnt} t-points outside validity window were clipped"
             rep.note(msg)
             print(f"notice: {msg}", file=sys.stderr)
+    if checked == 0:
+        print("error: no t-point was checked (none requested, or every one clipped)",
+              file=sys.stderr)
+        return 2
 
     ok = worst <= tol
     rep.write(args.output, trailer=[f"max_residual={_fmt(worst)}",
@@ -136,30 +141,13 @@ def cmd_identities(args) -> int:
     return 0 if ok else 1
 
 
-_KERNEL_FLAG = {
-    "free": "free",
-    "sho": "sho",
-    "radial-h0": "radial_h0",
-    "radial-sho": "radial_sho",
-}
-
-
-def _kernel_for_run(flag: str, params: sr.PhysParams) -> tuple[str, sr.PhysParams]:
-    """Resolve the CLI kernel choice; 'image' pins n = 1/2 and runs the same
-    image-combination code path the radial kernels use at that order."""
-    if flag == "image":
-        base = "radial_sho" if params.omega > 0 else "radial_h0"
-        forced = sr.PhysParams(hbar=params.hbar, m=params.m, omega=params.omega, n=0.5)
-        return base, forced
-    return _KERNEL_FLAG[flag], params
-
-
 def cmd_kernel(args) -> int:
-    params = _params(args)
-    name, run_params = _kernel_for_run(args.kernel, params)
+    name = args.kernel.replace("-", "_")
+    kind = kn.kernel_kind(name)
+    run_params = kind.hamiltonian(_params(args))
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    if kn.kernel_kind(name).halfline and args.x_min <= 0:
+    if kind.halfline and args.x_min <= 0:
         print("error: radial kernels need --x-min > 0", file=sys.stderr)
         return 2
 
@@ -193,20 +181,20 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _parse_schedule(text: str) -> tuple[float, ...]:
-    return tuple(float(s) for s in text.split(",") if s.strip())
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma-separated list of floats; a blank entry is refused."""
+    items = text.split(",")
+    if not all(s.strip() for s in items):
+        raise ValueError(f"blank entry in the comma-separated list {text!r}")
+    return tuple(float(s) for s in items)
 
 
 def cmd_oracle_compare(args) -> int:
     params = _params(args)
-    tol = 1e-6 if args.tolerance is None else args.tolerance
-    orders = [float(s) for s in args.orders.split(",")] if args.orders else list(
-        _DEF_ORACLE_ORDERS
-    )
-    times = [float(s) for s in args.times.split(",")] if args.times else list(
-        _DEF_ORACLE_T
-    )
-    schedule = _parse_schedule(args.epsilon_schedule) if args.epsilon_schedule else None
+    tol = args.tolerance
+    orders = _floats(args.orders)
+    times = _floats(args.times)
+    schedule = None if args.epsilon_schedule is None else _floats(args.epsilon_schedule)
 
     rep = _Report(
         "oracle-compare", params,
@@ -255,10 +243,14 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    params = _params(args)
-    tol = 1e-6 if args.tolerance is None else args.tolerance
-    name, run_params = _kernel_for_run(args.kernel, params)
+    if args.frames < 1:
+        raise ValueError("--frames must be >= 1")
+    tol = args.tolerance
+    name = args.kernel.replace("-", "_")
     kind = kn.kernel_kind(name)
+    # The kernel, the grid evolver and the header all see the Hamiltonian
+    # the kernel name fixes.
+    run_params = kind.hamiltonian(_params(args))
     x_min = 0.0 if kind.halfline else -args.x_max
     grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
                         x_min=x_min)
@@ -296,12 +288,10 @@ def cmd_evolve(args) -> int:
 
     cross_l2 = None
     if not args.no_cross_check and float(frame_times[-1]) > 0:
-        # The grid evolver must see the same Hamiltonian the kernel solves.
-        cn_params = kind.hamiltonian(run_params)
         with warnings.catch_warnings():
             warnings.simplefilter("error", orc.BoundaryContaminationWarning)
             try:
-                cn = orc.grid_evolve(psi0, float(frame_times[-1]), cn_params)
+                cn = orc.grid_evolve(psi0, float(frame_times[-1]), run_params)
                 cross_l2 = ev.l2_distance(last, cn)
             except orc.BoundaryContaminationWarning:
                 contaminated = True
@@ -351,15 +341,15 @@ def cmd_selftest(args) -> int:
     worst = 0.0
     for route in ("ELEMENT", "A1a", "A2a", "A3a"):
         pt = kn.KernelPoint(1.2, 0.8, 0.9)
-        d = kn.radial_sho_kernel(pt, p52).value
-        r = kn.kernel_via_route(route, pt, p52).value
+        d = kn.radial_sho_kernel(pt, p52)
+        r = kn.kernel_via_route(route, pt, p52)
         worst = max(worst, abs(r - d) / abs(d))
     check("route equivalence spot", worst, 1e-10)
 
     p0 = sr.PhysParams(omega=0.0, n=0.0)
     pt = kn.KernelPoint(1.0, 1.0, 1.0)
     res = orc.hankel_kernel_oracle(pt, 0.0, p0)
-    closed = kn.radial_h0_kernel(pt, p0).value
+    closed = kn.radial_h0_kernel(pt, p0)
     check("spectral oracle spot", abs(res.value - closed) / abs(closed), 1e-6)
 
     print(f"{'PASS' if failures == 0 else 'FAIL'} selftest")
@@ -376,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("identities", help="disentangling-identity residual sweep")
     _add_phys_args(pi)
+    pi.add_argument("--tolerance", type=float, default=1e-12)
     pi.add_argument("--t-min", type=float, default=None)
     pi.add_argument("--t-max", type=float, default=None)
     pi.add_argument("--t-steps", type=int, default=25)
@@ -383,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="tabulate a propagator on a grid")
     _add_phys_args(pk)
-    pk.add_argument("--kernel", choices=sorted([*_KERNEL_FLAG, "image"]),
-                    default="radial-sho")
+    pk.add_argument("--kernel", choices=_KERNEL_CHOICES, default="radial-sho")
     pk.add_argument("--t-min", type=float, default=0.2)
     pk.add_argument("--t-max", type=float, default=1.4)
     pk.add_argument("--t-steps", type=int, default=7)
@@ -396,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle-compare",
                         help="closed forms vs the spectral quadrature oracle")
     _add_phys_args(po)
-    po.add_argument("--orders", type=str, default=None,
+    po.add_argument("--tolerance", type=float, default=1e-6)
+    po.add_argument("--orders", type=str, default="0,0.5,1,2.5",
                     help="comma-separated Bessel orders (default 0,0.5,1,2.5)")
-    po.add_argument("--times", type=str, default=None,
+    po.add_argument("--times", type=str, default="0.3,0.7,1.2,2,3.5",
                     help="comma-separated times (default 0.3,0.7,1.2,2,3.5)")
     po.add_argument("--epsilon-schedule", type=str, default=None,
                     help="comma-separated damping strengths, strictly decreasing, "
@@ -407,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("evolve", help="wavepacket evolution trace")
     _add_phys_args(pe)
-    pe.add_argument("--kernel", choices=sorted([*_KERNEL_FLAG, "image"]),
-                    default="radial-sho")
+    pe.add_argument("--kernel", choices=_KERNEL_CHOICES, default="radial-sho")
+    pe.add_argument("--tolerance", type=float, default=1e-6)
     pe.add_argument("--center", type=float, default=6.0)
     pe.add_argument("--width", type=float, default=0.6)
     pe.add_argument("--momentum", type=float, default=0.0)

@@ -21,6 +21,9 @@ phase factors around a re-timed w = 0 kernel, plus a dilation rescaling for
 the appendix routes); the assembled and direct values must agree, which is
 the core consistency check of the package.
 
+Every kernel returns its value: a complex number at scalar positions, an
+ndarray broadcast from array positions.  A point it does not define raises.
+
 All square roots are principal-branch; the i in 1/sqrt(i t) carries the
 phase e^{-i pi/4} for t > 0.  Evaluation refuses within ``CAUSTIC_TOL`` of a
 zero of sin(w t), where the oscillator kernels are distributional; no
@@ -40,13 +43,11 @@ from .sl2rep import PhysParams, factor_coeffs
 
 __all__ = [
     "CAUSTIC_TOL",
-    "NEAR_CAUSTIC",
     "ROUTE_IDS",
     "KERNEL_NAMES",
     "CausticSingularity",
     "KernelKind",
     "KernelPoint",
-    "KernelValue",
     "effective_time",
     "kernel_kind",
     "main_wrap",
@@ -59,9 +60,6 @@ __all__ = [
 ]
 
 CAUSTIC_TOL = 1e-8
-# Above the refusal tolerance but close enough that the caller should know
-# the prefactor is blowing up.
-NEAR_CAUSTIC = 1e-6
 
 ROUTE_IDS = ("DIRECT", "ELEMENT", "A1a", "A2a", "A3a")
 
@@ -120,40 +118,12 @@ class KernelPoint:
     t: float
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel value plus a note on how close the evaluation sat to a caustic."""
-
-    value: object
-    branch_note: str = "principal"
-
-
 def effective_time(t, omega: float):
     """The re-parameterized time sin(w t)/w that maps the oscillator kernels
     onto the w = 0 ones; reduces to t itself as w -> 0."""
     if omega == 0.0:
         return t
     return np.sin(omega * t) / omega
-
-
-def _branch_note(t, params: PhysParams, caustic_tol: float) -> str:
-    if params.omega == 0.0:
-        return "principal"
-    s = abs(np.sin(params.omega * t))
-    if s <= caustic_tol:
-        raise CausticSingularity(t, params.omega, caustic_tol)
-    return "near_caustic" if s < NEAR_CAUSTIC else "principal"
-
-
-def _check_time(t):
-    if t == 0:
-        raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
-
-
-def _check_positive(*arrays):
-    for a in arrays:
-        if np.any(np.asarray(a).real <= 0):
-            raise ValueError("half-line kernels require strictly positive positions")
 
 
 def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, core: str):
@@ -189,7 +159,23 @@ _radial_h0_bessel_value = partial(_closed_form, oscillator=False, core="bessel")
 _radial_sho_bessel_value = partial(_closed_form, oscillator=True, core="bessel")
 
 
-def _core(kind: KernelKind, params: PhysParams, core: str | None = None) -> str:
+def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
+                  core: str | None = None) -> str:
+    """The core the named kernel is evaluated with at ``pt``, after refusing
+    what the kernel does not define: w <= 0 for an oscillator, t = 0, a
+    position <= 0 on the half line, and the caustic window of sin(w t)."""
+    kind = kernel_kind(name)
+    if kind.oscillator and params.omega <= 0:
+        limit = "radial_h0" if kind.halfline else "free"
+        raise ValueError(
+            f"{name}_kernel requires omega > 0; use {limit}_kernel at omega = 0"
+        )
+    if pt.t == 0:
+        raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
+    if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (pt.x1, pt.x2)):
+        raise ValueError("half-line kernels require strictly positive positions")
+    if kind.oscillator and abs(np.sin(params.omega * pt.t)) <= CAUSTIC_TOL:
+        raise CausticSingularity(pt.t, params.omega, CAUSTIC_TOL)
     own = "line" if not kind.halfline else "image" if params.n == 0.5 else "bessel"
     if core is None or core == own:
         return own
@@ -198,70 +184,63 @@ def _core(kind: KernelKind, params: PhysParams, core: str | None = None) -> str:
     raise ValueError(f"core {core!r} does not apply here; the kernel's own is {own!r}")
 
 
-def _kernel(name: str, pt: KernelPoint, params: PhysParams,
-            core: str | None = None) -> KernelValue:
-    kind = kernel_kind(name)
-    if kind.oscillator and params.omega <= 0:
-        limit = "radial_h0" if kind.halfline else "free"
-        raise ValueError(
-            f"{name}_kernel requires omega > 0; use {limit}_kernel at omega = 0"
-        )
-    _check_time(pt.t)
-    if kind.halfline:
-        _check_positive(pt.x1, pt.x2)
-    note = _branch_note(pt.t, params, CAUSTIC_TOL) if kind.oscillator else "principal"
-    v = _closed_form(pt.x1, pt.x2, pt.t, params, kind.oscillator,
-                     _core(kind, params, core))
-    return KernelValue(value=v if np.ndim(v) else complex(v), branch_note=note)
+def _kernel(name: str, pt: KernelPoint, params: PhysParams, core: str | None = None):
+    core = _checked_core(name, pt, params, core)
+    v = _closed_form(pt.x1, pt.x2, pt.t, params, kernel_kind(name).oscillator, core)
+    return v if np.ndim(v) else complex(v)
 
 
-def free_kernel(pt: KernelPoint, params: PhysParams) -> KernelValue:
+def free_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
     """Free-particle kernel sqrt(m/(2 pi i hbar t)) e^{i m (x1-x2)^2 / 2 hbar t}.
 
     Its modulus sqrt(m/(2 pi hbar |t|)) is independent of the positions, and
-    t -> -t conjugates the value.
+    t -> -t conjugates the value.  Returns the complex value, an array for
+    array positions.
     """
     return _kernel("free", pt, params)
 
 
-def sho_kernel(pt: KernelPoint, params: PhysParams) -> KernelValue:
+def sho_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
     """Full-line oscillator kernel (coupling-free case).
 
     sqrt(m w/(2 pi i hbar sin wt)) exp{(i m w/2 hbar)[(x1^2+x2^2) cot wt
     - 2 x1 x2 / sin wt]}.  Requires w > 0 and |sin wt| above the caustic
-    tolerance; as w -> 0 it goes over into the free kernel.
+    tolerance; as w -> 0 it goes over into the free kernel.  Returns the
+    complex value, an array for array positions.
     """
     return _kernel("sho", pt, params)
 
 
-def radial_h0_kernel(pt: KernelPoint, params: PhysParams) -> KernelValue:
+def radial_h0_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
     """Half-line kernel of the pure inverse-square Hamiltonian.
 
     (m sqrt(x1 x2)/(i hbar t)) I_n(m x1 x2/(i hbar t))
     e^{i m (x1^2+x2^2)/(2 hbar t)} on x1, x2 > 0.  Order 1/2 reduces to the
     image-method difference of free kernels and is evaluated that way.
+    Returns the complex value, an array for array positions.
     """
     return _kernel("radial_h0", pt, params)
 
 
-def radial_sho_kernel(pt: KernelPoint, params: PhysParams) -> KernelValue:
+def radial_sho_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
     """Half-line kernel with both the inverse-square and oscillator terms.
 
     (m w sqrt(x1 x2)/(i hbar sin wt)) I_n(m w x1 x2/(i hbar sin wt))
     e^{(i m w/2 hbar)(x1^2+x2^2) cot wt}; equals the quadratic phases wrapped
     around the w = 0 kernel at effective time sin(wt)/w.  Order 1/2 is the
     image-method difference of oscillator kernels and is evaluated that way.
+    Returns the complex value, an array for array positions.
     """
     return _kernel("radial_sho", pt, params)
 
 
 def kernel_values(name: str, x1, x2, t, params: PhysParams, core: str | None = None):
-    """Raw complex kernel values for array arguments; used by propagation.
+    """The named kernel at (x1, x2, t), positions broadcast; used by propagation.
 
     ``core="bessel"`` evaluates a half-line kernel through the Bessel core
     even at n = 1/2, where it otherwise takes the image difference.
     """
-    return _kernel(name, KernelPoint(x1=x1, x2=x2, t=t), params, core).value
+    return _kernel(name, KernelPoint(x1=x1, x2=x2, t=t), params, core)
 
 
 def main_wrap(x1, x2, t, params: PhysParams):
@@ -285,8 +264,8 @@ def kernel_via_route(
     pt: KernelPoint,
     params: PhysParams,
     halfline: bool = True,
-) -> KernelValue:
-    """Kernel assembled along one factorization route.
+) -> complex | np.ndarray:
+    """Kernel value assembled along one factorization route.
 
     ``DIRECT`` evaluates the closed form.  ``ELEMENT`` wraps the w = 0
     kernel at the effective time sin(wt)/w in the quadratic phase factors of
@@ -304,27 +283,19 @@ def kernel_via_route(
     """
     if route not in ROUTE_IDS:
         raise ValueError(f"unknown route {route!r}; choose from {ROUTE_IDS}")
-    if params.omega <= 0:
-        raise ValueError("routes re-parameterize time and require omega > 0")
-    name = "radial_sho" if halfline else "sho"
-    if halfline:
-        _check_positive(pt.x1, pt.x2)
-    elif params.n != 0.5:
+    if not halfline and params.n != 0.5:
         raise ValueError("full-line routes require lam = 0, i.e. n = 1/2")
-    if route == "DIRECT":
-        return _kernel(name, pt, params)
-
-    _check_time(pt.t)
-    note = _branch_note(pt.t, params, CAUSTIC_TOL)
+    core = _checked_core("radial_sho" if halfline else "sho", pt, params)
     h = params.hbar
     x1 = np.asarray(pt.x1)
     x2 = np.asarray(pt.x2)
-    core = _core(kernel_kind(name), params)
 
     def base(y1, y2, te):
         return _closed_form(y1, y2, te, params, False, core)
 
-    if route == "ELEMENT":
+    if route == "DIRECT":
+        v = _closed_form(x1, x2, pt.t, params, True, core)
+    elif route == "ELEMENT":
         phase, te = main_wrap(x1, x2, pt.t, params)
         v = phase * base(x1, x2, te)
     else:
@@ -339,4 +310,4 @@ def kernel_via_route(
         y1, y2 = (x1 * d**2, x2) if left else (x1, x2 * d**2)
         xa = y1 if route == "A2a" else x1
         v = d * np.exp(-1j * coeffs.alpha * xa**2) * base(y1, y2, te)
-    return KernelValue(value=v if np.ndim(v) else complex(v), branch_note=note)
+    return v if np.ndim(v) else complex(v)

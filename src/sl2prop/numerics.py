@@ -26,7 +26,6 @@ the rate phi once, applies the envelope at each strength of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_EPS_SCHEDULE",
     "QuadratureSpec",
     "QuadratureResult",
-    "gamma_real",
     "bessel_j",
     "bessel_i_complex",
     "gauss_legendre_panels",
@@ -48,16 +46,6 @@ __all__ = [
 _GL_NODES = 24
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
-
-
-def gamma_real(a: float) -> float:
-    """Gamma function for real positive argument.
-
-    Thin wrapper around ``math.gamma`` restricted to a > 0.
-    """
-    if a <= 0:
-        raise ValueError(f"gamma_real requires a > 0, got a={a}")
-    return math.gamma(a)
 
 
 def _validate_order(n: float) -> float:

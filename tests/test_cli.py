@@ -29,7 +29,7 @@ def test_selftest_passes(capsys):
     assert all(line.startswith("PASS") for line in out)
 
 
-@pytest.mark.parametrize("kernel", ["radial-sho", "radial-h0", "image"])
+@pytest.mark.parametrize("kernel", ["radial-sho", "radial-h0"])
 def test_radial_kernel_refuses_the_wall(kernel, tmp_path, capsys):
     assert run(["kernel", "--kernel", kernel, "--x-min", "0"], tmp_path / "k.csv") == 2
     assert "x-min > 0" in capsys.readouterr().err
@@ -61,6 +61,7 @@ def test_oracle_truncation_follows_the_weakest_damping(tmp_path):
     ("1e-2,1e-2", 2),         # duplicate level
     ("1e-4,1e-2,1e-3", 2),    # not decreasing
     ("0.5,0.25", 1),          # valid, but far too damped for the tolerance
+    ("1e-2,,5e-3", 2),        # blank entry
 ])
 def test_oracle_epsilon_schedule_verdicts(schedule, code, tmp_path, capsys):
     path = tmp_path / "o.csv"
@@ -73,3 +74,33 @@ def test_oracle_epsilon_schedule_verdicts(schedule, code, tmp_path, capsys):
         assert not path.exists()
     else:
         assert path.read_text().count(",fail\n") >= 1
+
+
+def test_header_reports_the_hamiltonian_the_kernel_runs(tmp_path):
+    # The full-line oscillator carries no inverse-square term, whatever order
+    # was asked for; the header says so.
+    path = tmp_path / "k.csv"
+    assert run(["kernel", "--kernel", "sho", "--order-n", "2.5"], path) == 0
+    units = path.read_text().splitlines()[1]
+    assert units.endswith(" n=0.5 lambda=0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--frames", "0"],
+    ["identities", "--t-steps", "0"],
+    ["identities", "--t-min", "3.1", "--t-max", "3.2", "--t-steps", "3"],  # all clipped
+    ["oracle-compare", "--orders", "0.5,,1"],
+], ids=lambda a: "_".join(a))
+def test_runs_with_nothing_to_check_or_a_blank_list_entry_exit_two(argv, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    assert run(argv, path) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    assert not path.exists()
+
+
+def test_kernel_refuses_the_tolerance_flag(capsys):
+    # The table checks nothing, so it takes no tolerance.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "--tolerance", "1e-300"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err

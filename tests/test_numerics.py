@@ -14,7 +14,6 @@ J1_AT_1 = 0.44005058574493352
 J0_AT_1 = 0.76519768655796655
 J1_AT_2 = 0.57672480775687339
 I_HALF_AT_1 = 0.93767488824548765
-GAMMA_HALF = 1.7724538509055160
 SQRT_PI_OVER_2 = 0.88622692545275801
 
 
@@ -177,19 +176,6 @@ class TestBesselAgainstMpmath:
             nm.bessel_j(2.3, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="non-finite"):
             nm.bessel_i_complex(2.3, 2j)
-
-
-class TestGamma:
-    def test_values(self):
-        assert nm.gamma_real(1.0) == 1.0
-        assert nm.gamma_real(0.5) == pytest.approx(GAMMA_HALF, rel=1e-15)
-        assert nm.gamma_real(5.0) == 24.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            nm.gamma_real(0.0)
-        with pytest.raises(ValueError):
-            nm.gamma_real(-1.3)
 
 
 class TestIntegrateOscillatory:

@@ -39,7 +39,7 @@ class TestHankelOracle:
         p = PhysParams(omega=0.0, n=0.0)
         pt = kn.KernelPoint(1.0, 1.0, 1.0)
         res = orc.hankel_kernel_oracle(pt, 0.0, p)
-        closed = kn.radial_h0_kernel(pt, p).value
+        closed = kn.radial_h0_kernel(pt, p)
         assert abs(res.value - closed) / abs(closed) < 1e-6
         assert abs(res.value - closed) < max(1e-6, 10.0 * res.error_estimate)
 
