@@ -35,13 +35,18 @@ def _add_phys_args(p: argparse.ArgumentParser):
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--output", type=str, default=None,
+                   help="CSV path (default: stdout)")
+
+
+def _add_order_args(p: argparse.ArgumentParser):
+    """--order-n or --lambda, for the subcommands that run at one order
+    (oracle-compare takes a list of orders)."""
     group = p.add_mutually_exclusive_group()
     group.add_argument("--order-n", type=float, default=None,
                        help="Bessel order n >= 0 (default 0.5, i.e. no coupling)")
     group.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="inverse-square coupling, >= -hbar^2/4")
-    p.add_argument("--output", type=str, default=None,
-                   help="CSV path (default: stdout)")
 
 
 def _params(args) -> sr.PhysParams:
@@ -52,16 +57,18 @@ def _params(args) -> sr.PhysParams:
     return sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n)
 
 
+def _units(params: sr.PhysParams) -> dict[str, float]:
+    """The header units of a run at one order."""
+    return {"hbar": params.hbar, "m": params.m, "omega": params.omega,
+            "n": params.n, "lambda": params.lam}
+
+
 class _Report:
     """Accumulates '#' header lines and data rows, written once."""
 
-    def __init__(self, command: str, params: sr.PhysParams, columns: list[str]):
+    def __init__(self, command: str, units: dict[str, float], columns: list[str]):
         self.lines: list[str] = [f"# sl2prop {command}"]
-        self.lines.append(
-            "# units: hbar=%s m=%s omega=%s n=%s lambda=%s"
-            % tuple(_fmt(v) for v in (params.hbar, params.m, params.omega,
-                                      params.n, params.lam))
-        )
+        self.lines.append("# units: " + " ".join(f"{k}={_fmt(v)}" for k, v in units.items()))
         self.columns = columns
         self.rows: list[str] = []
 
@@ -109,7 +116,7 @@ def cmd_identities(args) -> int:
     t_max = default_span if args.t_max is None else args.t_max
     ts = np.linspace(t_min, t_max, args.t_steps)
 
-    rep = _Report("identities", params, ["identity_id", "t", "residual"])
+    rep = _Report("identities", _units(params), ["identity_id", "t", "residual"])
     rep.lines.append(f"# t-range: [{_fmt(t_min)}, {_fmt(t_max)}] steps={args.t_steps}")
     rep.lines.append(f"# tolerance: {_fmt(tol)}")
 
@@ -151,7 +158,7 @@ def cmd_kernel(args) -> int:
         print("error: radial kernels need --x-min > 0", file=sys.stderr)
         return 2
 
-    rep = _Report("kernel", run_params,
+    rep = _Report("kernel", _units(run_params),
                   ["x1", "x2", "t", "re", "im", "abs"])
     rep.lines.append(f"# kernel: {args.kernel}")
 
@@ -190,14 +197,14 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def cmd_oracle_compare(args) -> int:
-    params = _params(args)
     tol = args.tolerance
     orders = _floats(args.orders)
     times = _floats(args.times)
     schedule = None if args.epsilon_schedule is None else _floats(args.epsilon_schedule)
 
+    # Each row carries its order in the n column.
     rep = _Report(
-        "oracle-compare", params,
+        "oracle-compare", {"hbar": args.hbar, "m": args.mass, "omega": args.omega},
         ["x1", "x2", "t", "n", "closed_re", "closed_im", "oracle_re", "oracle_im",
          "rel_err", "oracle_err_estimate", "flag"],
     )
@@ -206,9 +213,9 @@ def cmd_oracle_compare(args) -> int:
         rep.lines.append("# epsilon-schedule: " + ",".join(_fmt(e) for e in schedule))
 
     failed = False
-    name = "radial_sho" if params.omega > 0 else "radial_h0"
+    name = "radial_sho" if args.omega > 0 else "radial_h0"
     for n in orders:
-        run = sr.PhysParams(hbar=params.hbar, m=params.m, omega=params.omega, n=n)
+        run = sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n)
         for x1 in _DEF_ORACLE_X1:
             for x2 in _DEF_ORACLE_X2:
                 for t in times:
@@ -243,8 +250,6 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    if args.frames < 1:
-        raise ValueError("--frames must be >= 1")
     tol = args.tolerance
     name = args.kernel.replace("-", "_")
     kind = kn.kernel_kind(name)
@@ -263,7 +268,11 @@ def cmd_evolve(args) -> int:
         return 2
 
     frame_times = np.linspace(0.0, args.t_max, args.frames)
-    rep = _Report("evolve", run_params, ["t", "x", "re", "im", "abs2"])
+    if not np.any(frame_times != 0.0):
+        print("error: no frame at t != 0 to propagate (--frames < 2 or --t-max 0)",
+              file=sys.stderr)
+        return 2
+    rep = _Report("evolve", _units(run_params), ["t", "x", "re", "im", "abs2"])
     rep.lines.append(
         f"# kernel: {args.kernel} packet: center={_fmt(args.center)} "
         f"width={_fmt(args.width)} momentum={_fmt(args.momentum)}"
@@ -366,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("identities", help="disentangling-identity residual sweep")
     _add_phys_args(pi)
+    _add_order_args(pi)
     pi.add_argument("--tolerance", type=float, default=1e-12)
     pi.add_argument("--t-min", type=float, default=None)
     pi.add_argument("--t-max", type=float, default=None)
@@ -374,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="tabulate a propagator on a grid")
     _add_phys_args(pk)
+    _add_order_args(pk)
     pk.add_argument("--kernel", choices=_KERNEL_CHOICES, default="radial-sho")
     pk.add_argument("--t-min", type=float, default=0.2)
     pk.add_argument("--t-max", type=float, default=1.4)
@@ -398,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("evolve", help="wavepacket evolution trace")
     _add_phys_args(pe)
+    _add_order_args(pe)
     pe.add_argument("--kernel", choices=_KERNEL_CHOICES, default="radial-sho")
     pe.add_argument("--tolerance", type=float, default=1e-6)
     pe.add_argument("--center", type=float, default=6.0)

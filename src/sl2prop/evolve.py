@@ -1,10 +1,12 @@
 """Wavepacket propagation by kernel quadrature, and the kernel PDE checks.
 
-Propagation samples the kernel on the packet's own grid and applies
-trapezoid weights; since the integrand is smooth and vanishes at both ends
-of the window, the rule converges super-algebraically once the kernel
-oscillation is resolved.  The output grid is always the input quadrature
-grid; interpolation happens only inside the dilation operator.
+Propagation integrates the kernel against the packet on the packet's own
+grid with trapezoid weights; since the integrand is smooth and vanishes at
+both ends of the window, the rule converges super-algebraically once the
+kernel oscillation is resolved.  The quadrature goes through the kernel's
+factored form ``kernels.kernel_apply`` (quadratic phase x core x quadratic
+phase), so no kernel matrix is formed.  The output grid is always the input
+quadrature grid; interpolation happens only inside the dilation operator.
 
 Phase conventions are never asserted by these checks: every phase-sensitive
 comparison is made through magnitudes or phase differences.
@@ -19,7 +21,7 @@ from functools import partial
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .kernels import CAUSTIC_TOL, KernelPoint, kernel_kind, kernel_values
+from .kernels import CAUSTIC_TOL, KernelPoint, kernel_apply, kernel_kind, kernel_values
 from .oracle import GridSpec, GridWavefunction
 from .sl2rep import PhysParams
 
@@ -32,9 +34,6 @@ __all__ = [
     "dilation_apply",
     "l2_distance",
 ]
-
-# Output rows per kernel-matrix block in ``propagate`` (memory control only).
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,12 @@ def propagate(
     """Evolve a packet by quadrature against the selected kernel.
 
     psi(x1, t) = integral of K(x1, x2, t) psi(x2, 0) over the grid window,
-    evaluated at every grid node x1.  Half-line kernels pin the wall node to
-    zero on both sides.  Caustic refusals propagate from the kernel.
+    evaluated at every grid node x1.  The sum is D * (C @ (D * w)) for the
+    trapezoid-weighted samples w, the kernel's quadratic phase D and its
+    core C (``kernels.kernel_apply``): an FFT convolution for the line and
+    image cores, row blocks of Bessel values otherwise.  Half-line kernels
+    pin the wall node to zero on both sides.  Caustic and t = 0 refusals
+    propagate from the kernel.
 
     Parameters
     ----------
@@ -123,11 +126,7 @@ def propagate(
 
     # The output rows are the quadrature columns; a dropped wall node stays 0.
     out = np.zeros(g.points + 1, dtype=complex)
-    rows = out[1:] if halfline else out
-    for start in range(0, cols.size, _CHUNK):
-        block = cols[start : start + _CHUNK]
-        kmat = kernel_values(kernel, block[:, None], cols[None, :], t, params)
-        rows[start : start + _CHUNK] = kmat @ weighted
+    out[out.size - cols.size :] = kernel_apply(kernel, cols[0], g.dx, weighted, t, params)
     return GridWavefunction(out, g)
 
 

@@ -23,6 +23,8 @@ the core consistency check of the package.
 
 Every kernel returns its value: a complex number at scalar positions, an
 ndarray broadcast from array positions.  A point it does not define raises.
+``kernel_apply`` applies a kernel to a vector on a uniform grid through the
+factors A, the quadratic phase and the core, without forming the matrix.
 
 All square roots are principal-branch; the i in 1/sqrt(i t) carries the
 phase e^{-i pi/4} for t > 0.  Evaluation refuses within ``CAUSTIC_TOL`` of a
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy import fft
 
 from .numerics import bessel_i_complex
 from .sl2rep import PhysParams, factor_coeffs
@@ -56,12 +59,16 @@ __all__ = [
     "radial_h0_kernel",
     "radial_sho_kernel",
     "kernel_values",
+    "kernel_apply",
     "kernel_via_route",
 ]
 
 CAUSTIC_TOL = 1e-8
 
 ROUTE_IDS = ("DIRECT", "ELEMENT", "A1a", "A2a", "A3a")
+
+# Rows per Bessel-core block in ``kernel_apply`` (memory control only).
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -126,29 +133,38 @@ def effective_time(t, omega: float):
     return np.sin(omega * t) / omega
 
 
+def _factors(t, params: PhysParams, oscillator: bool, core: str):
+    """The closed form's scalars at time t, which may be complex: the
+    prefactor A(T), sigma = hbar T/m (the chirp rate is a = 1/sigma) and
+    c = cos(w t)."""
+    T = effective_time(t, params.omega) if oscillator else t
+    c = np.cos(params.omega * t) if oscillator else 1.0
+    sigma = params.hbar * T / params.m
+    if core == "bessel":
+        # A = m/(i hbar T), which also scales x1 x2 into the Bessel argument.
+        return 1.0 / (1j * sigma), sigma, c
+    return np.sqrt(params.m / (2.0 * np.pi * params.hbar)) / np.sqrt(1j * T), sigma, c
+
+
 def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, core: str):
-    """A(T) e^{i m c (x1^2+x2^2)/2 hbar T} core(m x1 x2/hbar T); t may be complex."""
+    """A(T) e^{i c (x1^2+x2^2)/2 sigma} core(x1 x2/sigma), sigma = hbar T/m; t may be complex."""
     if core == "image":
         # Evaluated as the difference itself so that it is bit-exact.
         return (_closed_form(x1, x2, t, params, oscillator, "line")
                 - _closed_form(x1, -np.asarray(x2), t, params, oscillator, "line"))
-    h, m = params.hbar, params.m
-    T = effective_time(t, params.omega) if oscillator else t
-    c = np.cos(params.omega * t) if oscillator else 1.0
+    A, sigma, c = _factors(t, params, oscillator, core)
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
+    # The two chirps round differently (coefficient first, divisor last);
+    # both orders are kept so that tabulated values stay bit-stable.
     if core == "line":
         # The line core shares the exponential with the quadratic phase.
-        return np.sqrt(m / (2.0 * np.pi * h)) / np.sqrt(1j * T) * np.exp(
-            1j * m / (2.0 * h * T) * ((x1**2 + x2**2) * c - 2.0 * x1 * x2)
-        )
+        return A * np.exp(1j / (2.0 * sigma) * ((x1**2 + x2**2) * c - 2.0 * x1 * x2))
     # The Bessel argument is purely imaginary for real t, so the modified
     # Bessel factor reduces to an ordinary (bounded) Bessel function through
     # the imaginary-axis connection and never overflows.
-    z = m * x1 * x2 / (1j * h * T)
-    return (m * np.sqrt(x1 * x2) / (1j * h * T)) * bessel_i_complex(params.n, z) * np.exp(
-        1j * m * (x1**2 + x2**2) * c / (2.0 * h * T)
-    )
+    return (A * np.sqrt(x1 * x2) * bessel_i_complex(params.n, x1 * x2 * A)
+            * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma)))
 
 
 # Fixed-core views of the evaluator for callers that go off the real time
@@ -241,6 +257,45 @@ def kernel_values(name: str, x1, x2, t, params: PhysParams, core: str | None = N
     even at n = 1/2, where it otherwise takes the image difference.
     """
     return _kernel(name, KernelPoint(x1=x1, x2=x2, t=t), params, core)
+
+
+def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParams):
+    """The named kernel applied to v on the uniform nodes x_j = x0 + j dx.
+
+    Returns sum_k K(x_j, x_k, t) v_k for every node, through the factored
+    form K = A D(x1) C(x1, x2) D(x2) with a quadratic phase D, so the kernel
+    matrix is never formed.  The line and image cores become a Toeplitz
+    chirp e^{i (x1 - x2)^2/2 sigma} and a Hankel chirp e^{i (x1 + x2)^2/2
+    sigma} in the node indices, applied by one zero-padded FFT convolution
+    in O(N log N); the Bessel core is evaluated in row blocks.  Refuses what
+    ``kernel_values`` refuses.
+    """
+    v = np.asarray(v)
+    x = x0 + dx * np.arange(v.size)
+    core = _checked_core(name, KernelPoint(x1=x, x2=x, t=t), params)
+    A, sigma, c = _factors(t, params, kernel_kind(name).oscillator, core)
+    if core == "bessel":
+        d = np.exp(1j * x**2 * c / (2.0 * sigma))
+        u = d * v
+        out = np.empty(v.size, dtype=complex)
+        for start in range(0, v.size, _CHUNK):
+            xb = x[start : start + _CHUNK, None]
+            core_rows = np.sqrt(xb * x) * bessel_i_complex(params.n, xb * x * A)
+            out[start : start + _CHUNK] = core_rows @ u
+        return A * d * out
+    # c (x1^2 + x2^2) - 2 x1 x2 = (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and the
+    # image term takes (x1 + x2)^2 with the opposite sign.
+    d = np.exp(1j * x**2 * (c - 1.0) / (2.0 * sigma))
+    u = d * v
+    n = v.size
+    size = fft.next_fast_len(3 * n - 2)
+    offsets = np.arange(2 * n - 1)
+    toeplitz = np.exp(1j * (dx * (offsets - (n - 1))) ** 2 / (2.0 * sigma))
+    spectrum = fft.fft(toeplitz, size) * fft.fft(u, size)
+    if core == "image":
+        hankel = np.exp(1j * (2.0 * x0 + dx * offsets) ** 2 / (2.0 * sigma))
+        spectrum -= fft.fft(hankel, size) * fft.fft(u[::-1], size)
+    return A * d * fft.ifft(spectrum)[n - 1 : 2 * n - 1]
 
 
 def main_wrap(x1, x2, t, params: PhysParams):

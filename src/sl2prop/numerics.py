@@ -147,22 +147,24 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
     z, scalar = _as_array(z, complex)
     out = np.empty(z.shape, dtype=complex)
     imag_axis = (z.real == 0) & (z.imag != 0)
-    if np.any(imag_axis):
-        y = z[imag_axis].imag
-        out[imag_axis] = np.exp(1j * np.sign(y) * n * np.pi / 2) * bessel_j(n, np.abs(y))
-    rest = ~imag_axis
-    if np.any(rest):
-        zr = z[rest]
-        out[rest] = vals = _small_argument(n, zr, special.ive(n, zr))
-        _require_finite(vals, zr)
+    y = z[imag_axis].imag
+    # e^{+-i n pi/2}: two scalars, picked by the sign of Im z.
+    phase = np.where(y > 0, np.exp(1j * n * np.pi / 2), np.exp(-1j * n * np.pi / 2))
+    out[imag_axis] = phase * bessel_j(n, np.abs(y))
 
+    rest = ~imag_axis
+    zr = z[rest]
+    vals = _small_argument(n, zr, special.ive(n, zr))
+    _require_finite(vals, zr)
+    # On the imaginary axis e^{|Re z|} = 1: only the AMOS values are rescaled.
     if not scaled:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = out * np.exp(np.abs(z.real))
-        if not np.all(np.isfinite(out)):
+            vals = vals * np.exp(np.abs(zr.real))
+        if not np.all(np.isfinite(vals)):
             raise OverflowError(
                 "unscaled I_n overflowed; use scaled=True for large |Re z|"
             )
+    out[rest] = vals
     if scalar:
         return complex(out)
     return out

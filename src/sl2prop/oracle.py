@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .kernels import KernelPoint
 from .numerics import (
@@ -281,17 +281,20 @@ def grid_evolve(
 
     r = 1j * dt_eff / (2.0 * h)
     n_in = xin.size
-    ab = np.zeros((3, n_in), dtype=complex)
-    ab[0, 1:] = r * off
-    ab[1, :] = 1.0 + r * diag
-    ab[2, :-1] = r * off
+    # The left-hand matrix 1 + r H is the same on every step: factor it once.
+    band = np.full(n_in - 1, r * off)
+    lu = lapack.zgttrf(band, 1.0 + r * diag, band)
+    if lu[-1] != 0:
+        raise ValueError(f"Crank-Nicolson matrix is singular (zgttrf info={lu[-1]})")
 
     psi = psi0.samples[1:-1].copy()
     for _ in range(steps):
         rhs = (1.0 - r * diag) * psi
         rhs[1:] -= r * off * psi[:-1]
         rhs[:-1] -= r * off * psi[1:]
-        psi = solve_banded((1, 1), ab, rhs)
+        psi, info = lapack.zgttrs(*lu[:-1], rhs)
+        if info != 0:
+            raise ValueError(f"Crank-Nicolson solve failed (zgttrs info={info})")
 
     out = np.zeros_like(psi0.samples)
     out[1:-1] = psi

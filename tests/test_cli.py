@@ -87,6 +87,8 @@ def test_header_reports_the_hamiltonian_the_kernel_runs(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["evolve", "--frames", "0"],
+    ["evolve", "--frames", "1"],  # the t = 0 frame alone checks nothing
+    ["evolve", "--t-max", "0"],
     ["identities", "--t-steps", "0"],
     ["identities", "--t-min", "3.1", "--t-max", "3.2", "--t-steps", "3"],  # all clipped
     ["oracle-compare", "--orders", "0.5,,1"],
@@ -104,3 +106,23 @@ def test_kernel_refuses_the_tolerance_flag(capsys):
         cli.main(["kernel", "--tolerance", "1e-300"])
     assert exc.value.code == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--order-n", "--lambda"])
+def test_oracle_compare_refuses_a_single_order(flag, capsys):
+    # Its rows carry their own orders; a run-wide order would be reported
+    # over rows that never ran at it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-compare", flag, "3", "--orders", "1", "--times", "0.7"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_oracle_compare_units_leave_the_order_to_the_rows(tmp_path):
+    path = tmp_path / "o.csv"
+    assert run(["oracle-compare", "--orders", "1", "--times", "0.7"], path) == 0
+    lines = path.read_text().splitlines()
+    assert lines[1] == "# units: hbar=1 m=1 omega=1"
+    rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+    n_col = rows[0].index("n")
+    assert {r[n_col] for r in rows[1:]} == {"1"}

@@ -63,6 +63,52 @@ class TestPropagate:
                          grid=orc.GridSpec(x_max=8.0, points=400, dt=1e-3, x_min=-8.0))
 
 
+class TestFactoredApply:
+    """``propagate`` against the dense reference: the kernel matrix on the
+    quadrature columns times the trapezoid-weighted samples."""
+
+    HALF = orc.GridSpec(x_max=10.0, points=301, dt=1e-3)
+    LINE = orc.GridSpec(x_max=17.0, points=400, dt=1e-3, x_min=-3.0)
+
+    @staticmethod
+    def dense(state, t, kernel, params):
+        halfline = kn.kernel_kind(kernel).halfline
+        cols, weighted = ev._columns(state.samples, state.grid, halfline)
+        out = np.zeros(state.grid.points + 1, dtype=complex)
+        out[out.size - cols.size:] = kn.kernel_values(
+            kernel, cols[:, None], cols[None, :], t, params) @ weighted
+        return out
+
+    def states(self, kernel, params):
+        halfline = kn.kernel_kind(kernel).halfline
+        grid = self.HALF if halfline else self.LINE
+        packet = ev.TestFunction(center=4.5, width=0.5, momentum=1.5)
+        rng = np.random.default_rng(11)
+        noise = rng.normal(size=(grid.points + 1, 2)) @ np.array([1.0, 1j])
+        return (ev.as_gridfunction(packet, params, grid, halfline),
+                orc.GridWavefunction(noise, grid))
+
+    @pytest.mark.parametrize("kernel,n", [
+        *[(k, n) for k in ("radial_sho", "radial_h0") for n in (0.0, 0.5, 1.0, 2.5)],
+        ("sho", 0.5), ("free", 0.5),
+    ])
+    @pytest.mark.parametrize("t", [0.7, 2.4, -0.4])
+    def test_matches_the_dense_kernel_matrix(self, kernel, n, t):
+        params = kn.kernel_kind(kernel).hamiltonian(PhysParams(n=n, omega=1.0))
+        for state in self.states(kernel, params):
+            want = self.dense(state, t, kernel, params)
+            got = ev.propagate(state, t, kernel, params).samples
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kernel", ["sho", "radial_sho"])
+    def test_refuses_the_caustic_and_zero_time(self, kernel):
+        state = self.states(kernel, P_LINE)[0]
+        with pytest.raises(kn.CausticSingularity):
+            ev.propagate(state, math.pi, kernel, P_LINE)
+        with pytest.raises(ValueError, match="t = 0"):
+            ev.propagate(state, 0.0, kernel, P_LINE)
+
+
 class TestL2Distance:
     def test_shifted_gaussians(self):
         grid = orc.GridSpec(x_max=8.0, points=1600, dt=1e-3, x_min=-8.0)

@@ -103,6 +103,16 @@ class TestBesselI:
         scaled = nm.bessel_i_complex(n, z, scaled=True)
         assert np.allclose(unscaled, scaled * np.exp(np.abs(z.real)), rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.3, 20.0])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_mixed_array_equals_scalar_calls(self, n, scaled):
+        # On-axis (both signs), off-axis, zero, real and tiny arguments in one
+        # array take the same path per element as one at a time.
+        z = np.array([2.5j, -2.5j, 3.0 + 1.0j, -1.5 - 0.5j, 0.0, 1.7, -4.0j,
+                      1e-200j, -1e-200j, 0.2 - 7.0j, -6.0])
+        vec = nm.bessel_i_complex(n, z, scaled=scaled)
+        assert np.array_equal(vec, [nm.bessel_i_complex(n, v, scaled=scaled) for v in z])
+
     def test_scaled_finite_where_unscaled_overflows(self):
         z = 800.0 + 3.0j
         with pytest.raises(OverflowError):
