@@ -5,6 +5,15 @@ Output is UTF-8 CSV with LF line endings, '#'-prefixed header comments, and
 output; run metadata lives only in header comments and carries no timestamps.
 Exit status is nonzero exactly when a declared tolerance is violated (or the
 configuration itself is invalid).
+
+Every data row is one f-string with ``.17g`` fields.  The kernel and evolve
+tables are built a block at a time: the grid coordinates (and, for
+``kernel``, the ``x1,x2,`` prefix of each grid pair) are formatted once per
+run, the time once per block, and each block is one ``"\n".join`` over the
+values as Python complex numbers (``ndarray.tolist``).  The magnitudes are
+the scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``:
+numpy's vectorised complex magnitude and the product round differently in
+the last bit for some values, and the CSV must stay byte-stable.
 """
 
 from __future__ import annotations
@@ -64,7 +73,9 @@ def _units(params: sr.PhysParams) -> dict[str, float]:
 
 
 class _Report:
-    """Accumulates '#' header lines and data rows, written once."""
+    """Accumulates '#' header lines and data rows, written once.
+
+    An entry of ``rows`` is one line, or a block of lines joined by "\n"."""
 
     def __init__(self, command: str, units: dict[str, float], columns: list[str]):
         self.lines: list[str] = [f"# sl2prop {command}"]
@@ -77,9 +88,6 @@ class _Report:
 
     def comment(self, text: str):
         self.rows.append(f"# {text}")
-
-    def row(self, *vals):
-        self.rows.append(",".join(v if isinstance(v, str) else _fmt(v) for v in vals))
 
     def write(self, path: str | None, trailer: list[str] | None = None):
         body = self.lines + [",".join(self.columns)] + self.rows
@@ -124,14 +132,14 @@ def cmd_identities(args) -> int:
     checked = 0
     clipped = {ident: 0 for ident in sr.IDENTITY_IDS}
     for ident in sr.IDENTITY_IDS:
-        for t in ts:
-            if not _identity_window_ok(ident, float(t), params):
+        for t in ts.tolist():
+            if not _identity_window_ok(ident, t, params):
                 clipped[ident] += 1
                 continue
-            r = sr.identity_residual(ident, float(t), params)
+            r = sr.identity_residual(ident, t, params)
             worst = max(worst, r)
             checked += 1
-            rep.row(ident, t, r)
+            rep.rows.append(f"{ident},{t:.17g},{r:.17g}")
     for ident, cnt in clipped.items():
         if cnt:
             msg = f"{ident}: {cnt} t-points outside validity window were clipped"
@@ -157,28 +165,32 @@ def cmd_kernel(args) -> int:
     if kind.halfline and args.x_min <= 0:
         print("error: radial kernels need --x-min > 0", file=sys.stderr)
         return 2
+    if xs.size == 0:
+        print("error: no grid point requested (--x-steps 0)", file=sys.stderr)
+        return 2
 
     rep = _Report("kernel", _units(run_params),
                   ["x1", "x2", "t", "re", "im", "abs"])
     rep.lines.append(f"# kernel: {args.kernel}")
 
+    # Row-major over (x1, x2), as mat.ravel() is.
+    xs_s = [_fmt(x) for x in xs]
+    prefixes = [f"{x1},{x2}," for x1 in xs_s for x2 in xs_s]
     emitted = 0
-    for t in ts:
-        t = float(t)
+    for t in ts.tolist():
+        t_s = _fmt(t)
         if t == 0.0:
-            rep.comment(f"skip t={_fmt(t)} reason=delta-limit")
+            rep.comment(f"skip t={t_s} reason=delta-limit")
             continue
         try:
             mat = kn.kernel_values(name, xs[:, None], xs[None, :], t, run_params)
         except kn.CausticSingularity as e:
-            rep.comment(
-                f"skip t={_fmt(t)} reason=caustic nearest={_fmt(e.nearest_caustic_time)}"
-            )
+            rep.comment(f"skip t={t_s} reason=caustic nearest={_fmt(e.nearest_caustic_time)}")
             continue
-        for i, x1 in enumerate(xs):
-            for j, x2 in enumerate(xs):
-                v = mat[i, j]
-                rep.row(x1, x2, t, v.real, v.imag, abs(v))
+        rep.rows.append("\n".join([
+            f"{prefix}{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
+            for prefix, v in zip(prefixes, mat.ravel().tolist())
+        ]))
         emitted += 1
     if emitted == 0:
         print("error: every requested time was skipped (caustic or t=0)",
@@ -242,9 +254,12 @@ def cmd_oracle_compare(args) -> int:
                         failed = True
                     elif res.error_estimate > tol:
                         flag = "nonconverged"
-                    rep.row(x1, x2, t, n, closed.real, closed.imag,
-                            oracle_val.real, oracle_val.imag, rel,
-                            res.error_estimate, flag)
+                    rep.rows.append(
+                        f"{x1:.17g},{x2:.17g},{t:.17g},{n:.17g},"
+                        f"{closed.real:.17g},{closed.imag:.17g},"
+                        f"{oracle_val.real:.17g},{oracle_val.imag:.17g},"
+                        f"{rel:.17g},{res.error_estimate:.17g},{flag}"
+                    )
     rep.write(args.output)
     return 1 if failed else 0
 
@@ -278,32 +293,36 @@ def cmd_evolve(args) -> int:
         f"width={_fmt(args.width)} momentum={_fmt(args.momentum)}"
     )
 
-    norm0 = psi0.norm()
-    worst_drift = 0.0
+    # The grid evolver needs only psi0 and the final time (nonzero here, of
+    # either sign), so it runs first and its refusals cost no propagation.
     contaminated = False
-    last = psi0
-    for t in frame_times:
-        t = float(t)
-        if t == 0.0:
-            frame = psi0
-        else:
-            frame = ev.propagate(psi0, t, name, run_params)
-        worst_drift = max(worst_drift, abs(frame.norm() - norm0))
-        if orc.edge_contaminated(frame):
-            contaminated = True
-        for x, v in zip(frame.x, frame.samples):
-            rep.row(t, x, v.real, v.imag, abs(v) ** 2)
-        last = frame
-
-    cross_l2 = None
-    if not args.no_cross_check and float(frame_times[-1]) > 0:
+    cn = None
+    if not args.no_cross_check:
         with warnings.catch_warnings():
             warnings.simplefilter("error", orc.BoundaryContaminationWarning)
             try:
                 cn = orc.grid_evolve(psi0, float(frame_times[-1]), run_params)
-                cross_l2 = ev.l2_distance(last, cn)
             except orc.BoundaryContaminationWarning:
                 contaminated = True
+
+    # Every frame lives on psi0's grid.
+    xs_s = [_fmt(x) for x in psi0.x]
+    norm0 = psi0.norm()
+    worst_drift = 0.0
+    last = psi0
+    for t in frame_times.tolist():
+        frame = psi0 if t == 0.0 else ev.propagate(psi0, t, name, run_params)
+        worst_drift = max(worst_drift, abs(frame.norm() - norm0))
+        if orc.edge_contaminated(frame):
+            contaminated = True
+        t_s = _fmt(t)
+        rep.rows.append("\n".join([
+            f"{t_s},{x_s},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}"
+            for x_s, v in zip(xs_s, frame.samples.tolist())
+        ]))
+        last = frame
+
+    cross_l2 = None if cn is None else ev.l2_distance(last, cn)
 
     ok = worst_drift <= tol and not contaminated
     trailer = [f"norm_drift={_fmt(worst_drift)} pass={'yes' if worst_drift <= tol else 'no'}"]

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
 from sl2prop import cli
+from sl2prop import evolve as ev
+from sl2prop import kernels as kn
+from sl2prop import oracle as orc
+from sl2prop import sl2rep as sr
 
 # Reduced oracle comparison: both the image (n = 1/2) and a Bessel order,
 # one time, four point pairs.
@@ -126,3 +131,127 @@ def test_oracle_compare_units_leave_the_order_to_the_rows(tmp_path):
     rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
     n_col = rows[0].index("n")
     assert {r[n_col] for r in rows[1:]} == {"1"}
+
+
+def test_kernel_with_no_grid_point_exits_two(tmp_path, capsys):
+    path = tmp_path / "k.csv"
+    assert run(["kernel", "--x-steps", "0"], path) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    assert not path.exists()
+
+
+def _cross_l2(text):
+    lines = [ln for ln in text.splitlines() if ln.startswith("# cross_oracle_l2=")]
+    assert len(lines) == 1
+    return float(lines[0].split()[1].split("=")[1])
+
+
+def test_evolve_cross_checks_a_negative_final_time(tmp_path):
+    # A real packet at -t is the conjugate of the packet at t, so the grid
+    # evolver's distance from the kernel frames is the same on both sides.
+    forward, backward = tmp_path / "f.csv", tmp_path / "b.csv"
+    assert run(["evolve", "--frames", "2", "--t-max", "1"], forward) == 0
+    assert run(["evolve", "--frames", "2", "--t-max", "-1"], backward) == 0
+    assert _cross_l2(backward.read_text()) == pytest.approx(
+        _cross_l2(forward.read_text()), rel=1e-9)
+
+
+def test_evolve_refuses_the_grid_evolver_order_before_propagating(tmp_path, capsys,
+                                                                  monkeypatch):
+    def propagate(*args, **kwargs):
+        raise AssertionError("propagated before the cross-check refused")
+
+    monkeypatch.setattr(ev, "propagate", propagate)
+    path = tmp_path / "e.csv"
+    assert run(["evolve", "--order-n", "0"], path) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: grid evolver requires n >= 1/2; use the spectral oracle")
+    assert not path.exists()
+
+
+# The per-value rule the table writers must reproduce byte for byte.
+def _row(*vals):
+    return ",".join(f"{float(v):.17g}" for v in vals)
+
+
+def _header(command, params, *lines):
+    units = (("hbar", params.hbar), ("m", params.m), ("omega", params.omega),
+             ("n", params.n), ("lambda", params.lam))
+    return [f"# sl2prop {command}",
+            "# units: " + " ".join(f"{k}={float(v):.17g}" for k, v in units), *lines]
+
+
+def _run_params(args):
+    kind = kn.kernel_kind(args.kernel.replace("-", "_"))
+    n = 0.5 if args.order_n is None else args.order_n
+    return kind, kind.hamiltonian(sr.PhysParams(n=n))
+
+
+PI = "3.141592653589793"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--order-n", "0.5"], ["--order-n", "1"], ["--order-n", "20"],
+    ["--kernel", "sho"], ["--kernel", "free"], ["--kernel", "radial-h0"],
+], ids=lambda f: "_".join(f))
+def test_kernel_table_matches_the_per_value_rule(flags, tmp_path):
+    # t runs over [-pi, pi] in nine steps: t = 0 and, for the oscillators,
+    # both caustics are skipped between the blocks.
+    x_min = "-1.5" if flags[-1] in ("sho", "free") else "0.5"
+    argv = ["kernel", *flags, "--x-min", x_min, "--x-steps", "7",
+            "--t-min", "-" + PI, "--t-max", PI, "--t-steps", "9"]
+    path = tmp_path / "k.csv"
+    assert run(argv, path) == 0
+
+    args = cli.build_parser().parse_args(argv)
+    kind, params = _run_params(args)
+    name = args.kernel.replace("-", "_")
+    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
+    lines = _header("kernel", params, f"# kernel: {args.kernel}", "x1,x2,t,re,im,abs")
+    for t in np.linspace(args.t_min, args.t_max, args.t_steps):
+        t = float(t)
+        if t == 0.0:
+            lines.append(f"# skip t={t:.17g} reason=delta-limit")
+            continue
+        try:
+            mat = kn.kernel_values(name, xs[:, None], xs[None, :], t, params)
+        except kn.CausticSingularity as e:
+            lines.append(f"# skip t={t:.17g} reason=caustic "
+                         f"nearest={e.nearest_caustic_time:.17g}")
+            continue
+        for i, x1 in enumerate(xs):
+            for j, x2 in enumerate(xs):
+                v = mat[i, j]
+                lines.append(_row(x1, x2, t, v.real, v.imag, abs(v)))
+    skips = sum(ln.startswith("# skip") for ln in lines)
+    assert skips == (3 if params.omega > 0 else 1)
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags", [["--order-n", "1"], ["--kernel", "free"]],
+                         ids=lambda f: "_".join(f))
+def test_evolve_table_matches_the_per_value_rule(flags, tmp_path, capsys):
+    argv = ["evolve", *flags, "--frames", "3", "--grid-points", "200"]
+    path = tmp_path / "e.csv"
+    assert run(argv, path) in (0, 1)
+    trailer = capsys.readouterr().out.splitlines()
+
+    args = cli.build_parser().parse_args(argv)
+    kind, params = _run_params(args)
+    grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
+                        x_min=0.0 if kind.halfline else -args.x_max)
+    packet = ev.TestFunction(center=args.center, width=args.width, momentum=args.momentum)
+    psi0 = ev.as_gridfunction(packet, params, grid, kind.halfline)
+    lines = _header(
+        "evolve", params,
+        f"# kernel: {args.kernel} packet: center={args.center:.17g} "
+        f"width={args.width:.17g} momentum={args.momentum:.17g}",
+        "t,x,re,im,abs2")
+    for t in np.linspace(0.0, args.t_max, args.frames):
+        t = float(t)
+        frame = psi0 if t == 0.0 else ev.propagate(
+            psi0, t, args.kernel.replace("-", "_"), params)
+        for x, v in zip(frame.x, frame.samples):
+            lines.append(_row(t, x, v.real, v.imag, abs(v) ** 2))
+    lines += [f"# {line}" for line in trailer]
+    assert path.read_text() == "\n".join(lines) + "\n"
