@@ -14,14 +14,19 @@ The dedicated routines are several times faster than the general ``jv``,
 and the packet evolver and the spectral oracle spend most of their time
 here.  At tiny arguments, where scipy returns 0 or NaN, the leading series
 term is used; any other non-finite result for a finite argument is refused
-rather than passed on.
+rather than passed on.  Above x = 1e6 J_0 and J_1 come from ``jv`` as well,
+and arguments above 1e15, where no routine keeps the phase, are refused.
 
 The oscillatory half-line integrals that arise as spectral representations
 of propagators are conditionally convergent for real time.  A small complex
 damping of the time variable multiplies such an integrand g(k) by a real
 envelope e^{-eps phi(k)}; ``integrate_oscillatory`` takes the undamped g and
 the rate phi once, applies the envelope at each strength of
-``QuadratureSpec.eps_schedule`` and extrapolates the strength to zero.
+``QuadratureSpec.eps_schedule`` and extrapolates the strength to zero.  The
+integrand may be a batch (leading axes of g) sharing one node set; the nodes
+are walked a fixed number of panels at a time, which bounds the memory a
+batch takes, and the quadrature, tail and extrapolation error terms are
+reported separately, elementwise over the batch.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ __all__ = [
 _GL_NODES = 24
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
+
+_BLOCK_PANELS = 256  # panels per integrand call: bounds a batch's memory only
+_JV_FROM = 1e6  # j0 and j1 hand over to jv above this argument
+_J_ARG_MAX = 1e15  # no routine keeps the phase of J_n beyond this argument
 
 
 def _validate_order(n: float) -> float:
@@ -86,7 +95,12 @@ def bessel_j(n: float, x) -> float | np.ndarray:
     The scipy routine is chosen by the order: ``j0`` and ``j1`` for n = 0
     and 1, sqrt(2x/pi) ``spherical_jn``(n - 1/2, x) for half-integer n, and
     AMOS ``jv`` otherwise; the first three are several times faster than
-    ``jv``.
+    ``jv``.  Above x = 1e6 the orders 0 and 1 also go to ``jv``: Cephes
+    reduces x - pi/4 in double precision, so ``j0`` and ``j1`` err by 3e-11
+    of the envelope sqrt(2/pi x) at 1e6 and by 2e-3 at 1e14, where ``jv``
+    stays within 2e-16.  Beyond x = 1e15 every routine loses the phase (by
+    1e16 the error is of the order of the envelope), so such arguments are
+    refused.
 
     Parameters
     ----------
@@ -99,16 +113,22 @@ def bessel_j(n: float, x) -> float | np.ndarray:
     -------
     float or ndarray
         J_n(x), elementwise for array input.  ``ValueError`` is raised for
-        n < 0, x < 0, or a non-finite value at a finite argument.
+        n < 0, x < 0, x > 1e15, or a non-finite value at a finite argument.
     """
     n = _validate_order(n)
     x, scalar = _as_array(x, float)
     if np.any(x < 0):
         raise ValueError("bessel_j requires x >= 0")
-    if n == 0.0:
-        out = special.j0(x)
-    elif n == 1.0:
-        out = special.j1(x)
+    top = np.max(x, initial=0.0)
+    if top > _J_ARG_MAX:
+        raise ValueError(f"bessel_j argument {top:.17g} exceeds {_J_ARG_MAX:g}: "
+                         "the phase of J_n is lost in double precision")
+    if n in (0.0, 1.0):
+        out = special.j0(x) if n == 0.0 else special.j1(x)
+        if top > _JV_FROM:
+            far = x > _JV_FROM
+            out = np.array(out)
+            out[far] = special.jv(n, x[far])
     elif n % 1.0 == 0.5:
         out = np.sqrt(2.0 * x / np.pi) * special.spherical_jn(int(n - 0.5), x)
     else:
@@ -205,8 +225,24 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
-    error_estimate: float
+    """Value and error terms of ``integrate_oscillatory``.
+
+    For a scalar integrand the value is complex and the terms are floats;
+    for a batch, each is an array of the batch shape.  ``quad_err`` is the
+    node-halving difference at the least-damped level, ``tail_err`` the
+    truncation heuristic from the last panel and ``extrap_err`` the last
+    correction of the extrapolation to zero damping.
+    """
+
+    value: complex | np.ndarray
+    quad_err: float | np.ndarray
+    tail_err: float | np.ndarray
+    extrap_err: float | np.ndarray
+
+    @property
+    def error_estimate(self) -> float | np.ndarray:
+        """The sum of the three terms."""
+        return self.quad_err + self.tail_err + self.extrap_err
 
 
 @lru_cache(maxsize=32)
@@ -228,19 +264,39 @@ def gauss_legendre_panels(
     return k, w
 
 
-def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[complex]) -> tuple[complex, float]:
+def _extrapolate_to_zero(xs: Sequence[float], ys: Sequence[np.ndarray]):
     """Neville evaluation at 0 of the polynomial through (xs, ys).
 
-    Returns the extrapolated value and the magnitude of the last correction,
-    which serves as the extrapolation error estimate.
+    Works elementwise when the ys are arrays of one shape.  Returns the
+    extrapolated value and the magnitude of the last correction, which
+    serves as the extrapolation error estimate.
     """
     m = len(xs)
-    t = [complex(y) for y in ys]
+    t = list(ys)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
             t[i] = t[i] + (t[i] - t[i - 1]) * xs[i] / (xs[i - j] - xs[i])
-    last_step = abs(t[-1] - t[-2]) if m > 1 else 0.0
+    last_step = np.abs(t[-1] - t[-2]) if m > 1 else np.zeros(np.shape(t[-1]))
     return t[-1], last_step
+
+
+def _level_sums(integrand, spec: QuadratureSpec, nodes_per_panel: int, levels):
+    """Sums of g w e^{-eps phi} over the nodes, one per damping in ``levels``.
+
+    The nodes are walked ``_BLOCK_PANELS`` panels at a time.  Returns the
+    sums (levels first, then the batch shape) and the last panel's g, phi
+    and weights.
+    """
+    k, w = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count, nodes_per_panel)
+    step = _BLOCK_PANELS * nodes_per_panel
+    sums = 0.0
+    for lo in range(0, k.size, step):
+        g, decay = integrand(k[lo : lo + step])
+        wb = w[lo : lo + step]
+        sums = sums + np.stack([np.sum(g * (wb * np.exp(-e * decay)), axis=-1)
+                                for e in levels])
+    last = slice(-nodes_per_panel, None)
+    return sums, g[..., last], decay[last], w[last]
 
 
 def integrate_oscillatory(
@@ -249,17 +305,25 @@ def integrate_oscillatory(
 ) -> QuadratureResult:
     """Regularized integral of an oscillatory integrand over k in (0, k_max].
 
-    ``integrand(k)`` returns ``(g, decay)``: the undamped values g(k) and a
-    real rate phi(k) >= 0.  Level eps of ``spec.eps_schedule`` integrates
+    ``integrand(k)`` returns ``(g, decay)``: the undamped values g(k), of
+    shape ``batch + k.shape`` for a batch of integrands that share their
+    nodes (``batch`` may be empty), and one real rate phi(k) >= 0 per node,
+    shared by the batch.  Level eps of ``spec.eps_schedule`` integrates
     g e^{-eps phi}, which is what the damping t -> t(1 - i eps sign t) of a
     chirp e^{-i c t k^2} gives with phi = c |t| k^2; the levels are
-    polynomially extrapolated to eps = 0.  ``integrand`` is called twice,
-    on the nodes and on the half-density nodes, and the arrays it returns
-    are the quadrature's to overwrite.
+    polynomially extrapolated to eps = 0, elementwise over the batch.
 
-    The reported error estimate combines the node-halving quadrature error,
-    a truncation-tail heuristic from the last panel, and the final
-    extrapolation step.
+    The nodes are walked ``_BLOCK_PANELS`` panels at a time, so
+    ``integrand`` never sees more than that many panels' nodes in one call:
+    once over the composite Gauss-Legendre nodes, and once more over the
+    half-density nodes for the error estimate.  The block size bounds the
+    memory of a batch and does not change the rule.
+
+    The error is reported as three terms, each of the batch shape: the
+    node-halving quadrature error at the least-damped level (``quad_err``),
+    a truncation-tail heuristic from the last panel (``tail_err``) and the
+    final extrapolation step (``extrap_err``); ``error_estimate`` is their
+    sum.
 
     Parameters
     ----------
@@ -271,25 +335,24 @@ def integrate_oscillatory(
     Returns
     -------
     QuadratureResult
+        Scalars for a scalar integrand, arrays of the batch shape otherwise.
     """
     eps = spec.eps_schedule
-    k, w = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count)
-    g, decay = integrand(k)
+    sums, g, decay, w = _level_sums(integrand, spec, _GL_NODES, eps)
 
     # Truncation heuristic: contribution and envelope of the last panel at
     # the least-damped level.
-    tail = g[-_GL_NODES:] * np.exp(-eps[-1] * decay[-_GL_NODES:])
+    tail = g * np.exp(-eps[-1] * decay)
     width = spec.k_max / spec.panel_count
-    tail_err = abs(np.sum(w[-_GL_NODES:] * tail)) + float(np.max(np.abs(tail))) * width
-
-    g *= w
-    values = [complex(np.sum(g * np.exp(-e * decay))) for e in eps]
+    tail_err = np.abs(np.sum(w * tail, axis=-1)) + np.max(np.abs(tail), axis=-1) * width
 
     # Node-halving estimate of the quadrature error at the least-damped
     # (hardest) level.
-    k, w = gauss_legendre_panels(0.0, spec.k_max, spec.panel_count, _GL_NODES // 2)
-    g, decay = integrand(k)
-    quad_err = abs(values[-1] - complex(np.sum(w * g * np.exp(-eps[-1] * decay))))
+    coarse = _level_sums(integrand, spec, _GL_NODES // 2, eps[-1:])[0]
+    quad_err = np.abs(sums[-1] - coarse[0])
 
-    value, extrap_err = _extrapolate_to_zero(eps, values)
-    return QuadratureResult(value=value, error_estimate=quad_err + tail_err + extrap_err)
+    value, extrap_err = _extrapolate_to_zero(eps, sums)
+    if np.ndim(value) == 0:
+        return QuadratureResult(complex(value), float(quad_err), float(tail_err),
+                                float(extrap_err))
+    return QuadratureResult(value, quad_err, tail_err, extrap_err)

@@ -6,6 +6,10 @@ oscillatory integral over ordinary Bessel functions, and a Crank-Nicolson
 finite-difference evolver for wavepackets on the half-line.  A
 finite-difference check of the eigenfunction relation and an orthogonality
 probe for the sqrt(kx) J_n(kx) continuum complete the toolbox.
+
+The spectral oracle integrates a batch of orders and point pairs at one
+time on one node set, so a comparison over many orders and points costs one
+quadrature per time.
 """
 
 from __future__ import annotations
@@ -144,7 +148,7 @@ def default_hankel_spec(
 
 def hankel_kernel_oracle(
     pt: KernelPoint,
-    order: float,
+    order,
     params: PhysParams,
     spec: QuadratureSpec | None = None,
 ) -> QuadratureResult:
@@ -157,25 +161,43 @@ def hankel_kernel_oracle(
     eps = 0.  This never evaluates a modified Bessel function, making it an
     independent check on the closed form.
 
+    ``order`` may be an array of orders and ``pt.x1``, ``pt.x2`` broadcast
+    arrays of positions at the one time ``pt.t``; the result then has shape
+    ``order.shape + broadcast(x1, x2).shape``, and scalars give a complex
+    value and float error terms.  The whole batch shares one node set: the
+    chirp and the envelopes are computed once per node, and J_n(k x) once
+    per order and distinct position.
+
     The damping schedule is ``spec.eps_schedule``; without ``spec``,
-    ``default_hankel_spec`` sizes one for the oracle's own schedule.
+    ``default_hankel_spec`` sizes one for the oracle's own schedule at the
+    batch's largest x1 and x2.
     """
-    x1 = float(pt.x1)
-    x2 = float(pt.x2)
-    t = pt.t
-    if x1 <= 0 or x2 <= 0:
+    orders = np.asarray(order, dtype=float)
+    x1, x2 = np.broadcast_arrays(np.asarray(pt.x1, dtype=float),
+                                 np.asarray(pt.x2, dtype=float))
+    if np.ndim(pt.t) != 0:
+        raise ValueError("the spectral oracle takes one time per call")
+    t = float(pt.t)
+    if np.any(x1 <= 0) or np.any(x2 <= 0):
         raise ValueError("spectral oracle requires x1, x2 > 0")
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
     if spec is None:
         spec = default_hankel_spec(pt, params)
     h, m = params.hbar, params.m
+    xs, where = np.unique(np.concatenate([x1.ravel(), x2.ravel()]), return_inverse=True)
+    at1, at2 = where[: x1.size], where[x1.size :]
+    root = np.sqrt(x1 * x2).reshape(-1, 1)
 
     def integrand(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The real Bessel product before the complex chirp, so that no
-        # complex array is alive while the Bessel values are computed.
-        g = k * math.sqrt(x1 * x2) * bessel_j(order, k * x1) * bessel_j(order, k * x2)
-        return g * np.exp(-1j * h * k**2 * t / (2.0 * m)), h * abs(t) * k**2 / (2.0 * m)
+        chirp = np.exp(-1j * h * k**2 * t / (2.0 * m))
+        g = np.empty(orders.shape + (x1.size, k.size), dtype=complex)
+        kroot = k * root
+        for idx in np.ndindex(orders.shape):
+            # One row of J_n(k x) per distinct x, shared by every pair holding it.
+            j = bessel_j(orders[idx], xs[:, None] * k)
+            np.multiply(kroot * j[at1] * j[at2], chirp, out=g[idx])
+        return g.reshape(orders.shape + x1.shape + k.shape), h * abs(t) * k**2 / (2.0 * m)
 
     return integrate_oscillatory(integrand, spec)
 

@@ -255,3 +255,38 @@ def test_evolve_table_matches_the_per_value_rule(flags, tmp_path, capsys):
             lines.append(_row(t, x, v.real, v.imag, abs(v) ** 2))
     lines += [f"# {line}" for line in trailer]
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("omega", ["1", "0"])
+def test_oracle_compare_keeps_the_row_layout(omega, tmp_path):
+    # Rows run n -> x1 -> x2 -> t whatever order the oracle is evaluated
+    # in; at w = 1, t = pi is a caustic and leaves a skip comment in the
+    # row's place.  The closed columns are kernel_values at that row.
+    path = tmp_path / "o.csv"
+    assert run(["oracle-compare", "--orders", "0.5,1", "--times", f"0.7,{PI}",
+                "--omega", omega], path) == 0
+    lines = path.read_text().splitlines()
+    assert lines[:4] == [
+        "# sl2prop oracle-compare", f"# units: hbar=1 m=1 omega={omega}",
+        "# tolerance: 9.9999999999999995e-07",
+        "x1,x2,t,n,closed_re,closed_im,oracle_re,oracle_im,rel_err,oracle_err_estimate,flag"]
+    name = "radial_sho" if omega == "1" else "radial_h0"
+    expected = []
+    for n in (0.5, 1.0):
+        params = sr.PhysParams(omega=float(omega), n=n)
+        for x1 in (0.7, 1.3):
+            for x2 in (0.9, 1.6):
+                for t in (0.7, float(PI)):
+                    if omega == "1" and t == float(PI):
+                        expected.append(f"# skip t={t:.17g} n={n:.17g} reason=caustic "
+                                        f"nearest={t:.17g}")
+                    else:
+                        closed = kn.kernel_values(name, x1, x2, t, params)
+                        expected.append(_row(x1, x2, t, n, closed.real, closed.imag))
+    body = lines[4:]
+    assert len(body) == len(expected) == 16
+    for got, want in zip(body, expected):
+        if want.startswith("#"):
+            assert got == want
+        else:
+            assert got.startswith(want + ",") and got.endswith(",ok")

@@ -175,6 +175,29 @@ class TestBesselAgainstMpmath:
         ref = float(mp.besselj(n, 12.0))
         assert nm.bessel_j(n, 12.0) == pytest.approx(ref, rel=1e-12)
 
+    # Both sides of the j0/j1 -> jv hand-over at 1e6 and of the refusal
+    # above 1e15, as a fraction of the envelope sqrt(2 / pi x).  Cephes j0
+    # and j1 err by 3e-11 of it just below 1e6 and by 2e-3 at 1e14; jv
+    # stays within 2e-16 up to 1e15 and is wrong by order one at 1e16.
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 1.3, 2.5])
+    @pytest.mark.parametrize("x,bound", [(9.9e5, 1e-10), (1.01e6, 1e-14), (1e8, 1e-14),
+                                         (1e14, 1e-14), (1e15, 1e-14)])
+    def test_large_arguments_keep_their_phase(self, n, x, bound):
+        with mp.workdps(40):
+            ref = float(mp.besselj(n, mp.mpf(x)))
+        envelope = math.sqrt(2.0 / (math.pi * x))
+        assert abs(nm.bessel_j(n, x) - ref) <= bound * envelope
+        assert abs(nm.bessel_j(n, np.array([1.0, x]))[1] - ref) <= bound * envelope
+
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 1.3, 2.5])
+    def test_arguments_beyond_1e15_are_refused(self, n):
+        with pytest.raises(ValueError, match="phase"):
+            nm.bessel_j(n, 1.01e15)
+        with pytest.raises(ValueError, match="phase"):
+            nm.bessel_j(n, np.array([1.0, 1e16]))
+        with pytest.raises(ValueError, match="phase"):
+            nm.bessel_i_complex(n, 2e15j)
+
     def test_non_finite_result_is_refused(self):
         # AMOS gives up on |z| beyond about 1e9 and returns NaN.
         with pytest.raises(ValueError, match="non-finite"):
@@ -243,6 +266,41 @@ class TestIntegrateOscillatory:
 
         nm.integrate_oscillatory(integrand, spec)
         assert calls == [4 * 24, 4 * 12]
+
+    def test_integrand_sees_at_most_one_block_of_nodes(self):
+        panels = 2 * nm._BLOCK_PANELS + 3
+        spec = nm.QuadratureSpec(panel_count=panels, k_max=6.0, eps_schedule=(0.1, 0.05))
+        calls = []
+
+        def integrand(k):
+            calls.append(k.size)
+            return np.exp(-(k**2)), k**2
+
+        nm.integrate_oscillatory(integrand, spec)
+        assert max(calls) == nm._BLOCK_PANELS * 24
+        assert sum(calls) == panels * (24 + 12)
+
+    def test_batch_matches_one_integrand_at_a_time(self):
+        # Every term of the result, elementwise over a (2, 3) batch, against
+        # the scalar integrals; the block walk spans three blocks.
+        spec = nm.QuadratureSpec(panel_count=2 * nm._BLOCK_PANELS + 5, k_max=40.0,
+                                 eps_schedule=(0.04, 0.02, 0.01))
+        a = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])[..., None]
+
+        def batch(k):
+            return np.cos(a * k) * np.exp(-1j * k**2 / 2.0), k**2 / 2.0
+
+        res = nm.integrate_oscillatory(batch, spec)
+        assert res.value.shape == res.error_estimate.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = nm.integrate_oscillatory(
+                lambda k: (np.cos(a[idx] * k) * np.exp(-1j * k**2 / 2.0), k**2 / 2.0), spec)
+            assert isinstance(one.value, complex) and isinstance(one.quad_err, float)
+            assert res.value[idx] == pytest.approx(one.value, rel=1e-13, abs=1e-15)
+            for term in ("quad_err", "tail_err", "extrap_err"):
+                assert getattr(res, term)[idx] == pytest.approx(getattr(one, term),
+                                                                rel=1e-6, abs=1e-15)
+        assert np.array_equal(res.error_estimate, res.quad_err + res.tail_err + res.extrap_err)
 
     def test_each_level_integrates_the_envelope(self):
         # With g = 1 and decay k on (0, 4], level eps integrates e^{-eps k}

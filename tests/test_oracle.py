@@ -86,9 +86,56 @@ class TestHankelOracle:
         res = orc.hankel_kernel_oracle(pt, 0.0, P_FREE, spec=bad)
         assert res.error_estimate > 1e-8
 
+    # Batch against scalar calls on one spec: orders with each scipy route
+    # (j0, spherical_jn, j1, AMOS jv at 1.3), the oscillator's effective
+    # time (negative at t = 3.5) and the free one, a non-halving schedule
+    # and m, hbar away from 1.  A coarse schedule keeps the node sets small
+    # (504-522 panels, two to three blocks).  Tolerances: 1e-13 relative on
+    # the values, 1e-6 on the error estimates (a difference of near-equal
+    # sums); the measured maximum of both is 0.
+    @pytest.mark.parametrize("omega,t", [(0.0, 0.7), (1.0, 0.7), (1.0, 3.5)])
+    def test_batch_matches_scalar_calls(self, omega, t):
+        params = PhysParams(hbar=0.7, m=2.0, omega=omega)
+        orders = np.array([0.0, 0.5, 1.0, 1.3, 2.5])
+        x1 = np.array([0.7, 1.3])[:, None]
+        x2 = np.array([0.9, 1.6, 2.2])
+        phase, te = kn.main_wrap(x1, x2, t, params)
+        assert (te < 0) == (t == 3.5)
+        pt = kn.KernelPoint(x1, x2, te)
+        spec = orc.default_hankel_spec(pt, params, eps_schedule=(0.08, 0.03, 0.01))
+        assert spec.panel_count > nm._BLOCK_PANELS
+        res = orc.hankel_kernel_oracle(pt, orders, params, spec=spec)
+        assert res.value.shape == res.extrap_err.shape == (5, 2, 3)
+        for a, n in enumerate(orders):
+            for i in range(2):
+                for j in range(3):
+                    one = orc.hankel_kernel_oracle(
+                        kn.KernelPoint(float(x1[i, 0]), float(x2[j]), te), n, params, spec)
+                    assert isinstance(one.value, complex)
+                    assert res.value[a, i, j] == pytest.approx(one.value, rel=1e-13)
+                    assert res.error_estimate[a, i, j] == pytest.approx(
+                        one.error_estimate, rel=1e-6)
+
+    def test_extrapolation_term_dominates_a_non_halving_schedule(self):
+        # n = 1, w = 1, t = 0.3 with levels ten apart: the last Neville
+        # correction is 1e-4 while the quadrature and tail terms are 1e-13.
+        params = PhysParams(omega=1.0, n=1.0)
+        x1, x2 = np.meshgrid((0.7, 1.3), (0.9, 1.6), indexing="ij")
+        _, te = kn.main_wrap(x1, x2, 0.3, params)
+        pt = kn.KernelPoint(x1, x2, te)
+        spec = orc.default_hankel_spec(pt, params, eps_schedule=(1e-2, 1e-3, 1e-4))
+        res = orc.hankel_kernel_oracle(pt, 1.0, params, spec=spec)
+        assert np.all(res.extrap_err > 1e6 * (res.quad_err + res.tail_err))
+        assert np.array_equal(res.error_estimate,
+                              res.quad_err + res.tail_err + res.extrap_err)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             orc.hankel_kernel_oracle(kn.KernelPoint(0.0, 1.0, 1.0), 0.5, P_FREE)
+        with pytest.raises(ValueError):
+            orc.hankel_kernel_oracle(kn.KernelPoint([1.0, 0.0], 1.0, 1.0), [0.5, 1.0], P_FREE)
+        with pytest.raises(ValueError):
+            orc.hankel_kernel_oracle(kn.KernelPoint(1.0, 1.0, [0.5, 1.0]), 0.5, P_FREE)
         with pytest.raises(ValueError):
             orc.hankel_kernel_oracle(kn.KernelPoint(1.0, 1.0, 0.0), 0.5, P_FREE)
 
