@@ -3,8 +3,9 @@
 Output is UTF-8 CSV with LF line endings, '#'-prefixed header comments, and
 17-significant-digit floats.  Identical configuration produces byte-identical
 output; run metadata lives only in header comments and carries no timestamps.
-Exit status is nonzero exactly when a declared tolerance is violated (or the
-configuration itself is invalid).
+Exit status 1 means a declared check failed.  Exit status 2 means a refused
+configuration: a subcommand raises ``ValueError`` and ``main`` alone reports
+it as ``error: ...`` on stderr, before any CSV is written.
 
 Every data row is one f-string with ``.17g`` fields.  The kernel and evolve
 tables are built a block at a time: the grid coordinates (and, for
@@ -72,33 +73,38 @@ def _units(params: sr.PhysParams) -> dict[str, float]:
             "n": params.n, "lambda": params.lam}
 
 
-class _Report:
-    """Accumulates '#' header lines and data rows, written once.
+def _kernel_run(args) -> tuple[str, kn.KernelKind, sr.PhysParams]:
+    """The kernel name, its kind, and the Hamiltonian the name fixes, which
+    the kernel, the grid evolver and the header all see."""
+    name = args.kernel.replace("-", "_")
+    kind = kn.kernel_kind(name)
+    return name, kind, kind.hamiltonian(_params(args))
 
-    An entry of ``rows`` is one line, or a block of lines joined by "\n"."""
 
-    def __init__(self, command: str, units: dict[str, float], columns: list[str]):
-        self.lines: list[str] = [f"# sl2prop {command}"]
-        self.lines.append("# units: " + " ".join(f"{k}={_fmt(v)}" for k, v in units.items()))
-        self.columns = columns
-        self.rows: list[str] = []
+def _tolerance(text: str) -> float:
+    """A --tolerance: a number >= 0.  NaN is refused too: every comparison
+    with it is false, so a check would pass or fail whatever it measured."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, not {text!r}")
+    return value
 
-    def note(self, text: str):
-        self.lines.append(f"# notice: {text}")
 
-    def comment(self, text: str):
-        self.rows.append(f"# {text}")
+def _header(command: str, units: dict[str, float], *lines: str) -> list[str]:
+    """A report's opening '#' lines, followed by ``lines``."""
+    return [f"# sl2prop {command}",
+            "# units: " + " ".join(f"{k}={_fmt(v)}" for k, v in units.items()), *lines]
 
-    def write(self, path: str | None, trailer: list[str] | None = None):
-        body = self.lines + [",".join(self.columns)] + self.rows
-        if trailer:
-            body += [f"# {t}" for t in trailer]
-        text = "\n".join(body) + "\n"
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+
+def _write(path: str | None, lines: list[str]):
+    """Write a report, one LF-terminated entry of ``lines`` (a line, or a
+    block of lines joined by "\n") after another, to ``path`` or stdout."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _identity_window_ok(identity_id: str, t: float, params: sr.PhysParams) -> bool:
@@ -124,10 +130,11 @@ def cmd_identities(args) -> int:
     t_max = default_span if args.t_max is None else args.t_max
     ts = np.linspace(t_min, t_max, args.t_steps)
 
-    rep = _Report("identities", _units(params), ["identity_id", "t", "residual"])
-    rep.lines.append(f"# t-range: [{_fmt(t_min)}, {_fmt(t_max)}] steps={args.t_steps}")
-    rep.lines.append(f"# tolerance: {_fmt(tol)}")
-
+    # The clip notices join the header after the sweep.
+    header = _header("identities", _units(params),
+                     f"# t-range: [{_fmt(t_min)}, {_fmt(t_max)}] steps={args.t_steps}",
+                     f"# tolerance: {_fmt(tol)}")
+    rows = []
     worst = 0.0
     checked = 0
     clipped = {ident: 0 for ident in sr.IDENTITY_IDS}
@@ -139,39 +146,32 @@ def cmd_identities(args) -> int:
             r = sr.identity_residual(ident, t, params)
             worst = max(worst, r)
             checked += 1
-            rep.rows.append(f"{ident},{t:.17g},{r:.17g}")
+            rows.append(f"{ident},{t:.17g},{r:.17g}")
     for ident, cnt in clipped.items():
         if cnt:
             msg = f"{ident}: {cnt} t-points outside validity window were clipped"
-            rep.note(msg)
+            header.append(f"# notice: {msg}")
             print(f"notice: {msg}", file=sys.stderr)
     if checked == 0:
-        print("error: no t-point was checked (none requested, or every one clipped)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("no t-point was checked (none requested, or every one clipped)")
 
     ok = worst <= tol
-    rep.write(args.output, trailer=[f"max_residual={_fmt(worst)}",
-                                    f"pass={'yes' if ok else 'no'}"])
+    _write(args.output, [*header, "identity_id,t,residual", *rows,
+                         f"# max_residual={_fmt(worst)}", f"# pass={'yes' if ok else 'no'}"])
     return 0 if ok else 1
 
 
 def cmd_kernel(args) -> int:
-    name = args.kernel.replace("-", "_")
-    kind = kn.kernel_kind(name)
-    run_params = kind.hamiltonian(_params(args))
+    name, kind, run_params = _kernel_run(args)
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     if kind.halfline and args.x_min <= 0:
-        print("error: radial kernels need --x-min > 0", file=sys.stderr)
-        return 2
+        raise ValueError("radial kernels need --x-min > 0")
     if xs.size == 0:
-        print("error: no grid point requested (--x-steps 0)", file=sys.stderr)
-        return 2
+        raise ValueError("no grid point requested (--x-steps 0)")
 
-    rep = _Report("kernel", _units(run_params),
-                  ["x1", "x2", "t", "re", "im", "abs"])
-    rep.lines.append(f"# kernel: {args.kernel}")
+    lines = _header("kernel", _units(run_params), f"# kernel: {args.kernel}",
+                    "x1,x2,t,re,im,abs")
 
     # Row-major over (x1, x2), as mat.ravel() is.
     xs_s = [_fmt(x) for x in xs]
@@ -180,23 +180,21 @@ def cmd_kernel(args) -> int:
     for t in ts.tolist():
         t_s = _fmt(t)
         if t == 0.0:
-            rep.comment(f"skip t={t_s} reason=delta-limit")
+            lines.append(f"# skip t={t_s} reason=delta-limit")
             continue
         try:
             mat = kn.kernel_values(name, xs[:, None], xs[None, :], t, run_params)
         except kn.CausticSingularity as e:
-            rep.comment(f"skip t={t_s} reason=caustic nearest={_fmt(e.nearest_caustic_time)}")
+            lines.append(f"# skip t={t_s} reason=caustic nearest={_fmt(e.nearest_caustic_time)}")
             continue
-        rep.rows.append("\n".join([
+        lines.append("\n".join([
             f"{prefix}{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
             for prefix, v in zip(prefixes, mat.ravel().tolist())
         ]))
         emitted += 1
     if emitted == 0:
-        print("error: every requested time was skipped (caustic or t=0)",
-              file=sys.stderr)
-        return 2
-    rep.write(args.output)
+        raise ValueError("every requested time was skipped (caustic or t=0)")
+    _write(args.output, lines)
     return 0
 
 
@@ -215,14 +213,12 @@ def cmd_oracle_compare(args) -> int:
     schedule = None if args.epsilon_schedule is None else _floats(args.epsilon_schedule)
 
     # Each row carries its order in the n column.
-    rep = _Report(
-        "oracle-compare", {"hbar": args.hbar, "m": args.mass, "omega": args.omega},
-        ["x1", "x2", "t", "n", "closed_re", "closed_im", "oracle_re", "oracle_im",
-         "rel_err", "oracle_err_estimate", "flag"],
-    )
-    rep.lines.append(f"# tolerance: {_fmt(tol)}")
+    lines = _header("oracle-compare", {"hbar": args.hbar, "m": args.mass, "omega": args.omega},
+                    f"# tolerance: {_fmt(tol)}")
     if schedule:
-        rep.lines.append("# epsilon-schedule: " + ",".join(_fmt(e) for e in schedule))
+        lines.append("# epsilon-schedule: " + ",".join(_fmt(e) for e in schedule))
+    lines.append("x1,x2,t,n,closed_re,closed_im,oracle_re,oracle_im,rel_err,"
+                 "oracle_err_estimate,flag")
 
     # One oracle call per time integrates every order and point pair on one
     # node set: the effective time and the nodes do not depend on the order
@@ -250,8 +246,8 @@ def cmd_oracle_compare(args) -> int:
                     try:
                         closed = kn.kernel_values(name, x1, x2, t, run)
                     except kn.CausticSingularity as e:
-                        rep.comment(
-                            f"skip t={_fmt(t)} n={_fmt(n)} reason=caustic "
+                        lines.append(
+                            f"# skip t={_fmt(t)} n={_fmt(n)} reason=caustic "
                             f"nearest={_fmt(e.nearest_caustic_time)}"
                         )
                         continue
@@ -261,50 +257,35 @@ def cmd_oracle_compare(args) -> int:
                     oracle_val = complex(values[a, i, j])
                     estimate = float(estimates[a, i, j])
                     rel = abs(oracle_val - closed) / abs(closed)
-                    flag = "ok"
-                    if rel > tol:
-                        flag = "fail"
-                        failed = True
-                    elif estimate > tol:
-                        flag = "nonconverged"
-                    rep.rows.append(
+                    flag = "fail" if rel > tol else "nonconverged" if estimate > tol else "ok"
+                    failed = failed or flag == "fail"
+                    lines.append(
                         f"{x1:.17g},{x2:.17g},{t:.17g},{n:.17g},"
                         f"{closed.real:.17g},{closed.imag:.17g},"
                         f"{oracle_val.real:.17g},{oracle_val.imag:.17g},"
                         f"{rel:.17g},{estimate:.17g},{flag}"
                     )
-    rep.write(args.output)
+    _write(args.output, lines)
     return 1 if failed else 0
 
 
 def cmd_evolve(args) -> int:
     tol = args.tolerance
-    name = args.kernel.replace("-", "_")
-    kind = kn.kernel_kind(name)
-    # The kernel, the grid evolver and the header all see the Hamiltonian
-    # the kernel name fixes.
-    run_params = kind.hamiltonian(_params(args))
+    name, kind, run_params = _kernel_run(args)
     x_min = 0.0 if kind.halfline else -args.x_max
     grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
                         x_min=x_min)
     packet = ev.TestFunction(center=args.center, width=args.width,
                              momentum=args.momentum)
-    try:
-        psi0 = ev.as_gridfunction(packet, run_params, grid, kind.halfline)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    psi0 = ev.as_gridfunction(packet, run_params, grid, kind.halfline)
 
     frame_times = np.linspace(0.0, args.t_max, args.frames)
     if not np.any(frame_times != 0.0):
-        print("error: no frame at t != 0 to propagate (--frames < 2 or --t-max 0)",
-              file=sys.stderr)
-        return 2
-    rep = _Report("evolve", _units(run_params), ["t", "x", "re", "im", "abs2"])
-    rep.lines.append(
-        f"# kernel: {args.kernel} packet: center={_fmt(args.center)} "
-        f"width={_fmt(args.width)} momentum={_fmt(args.momentum)}"
-    )
+        raise ValueError("no frame at t != 0 to propagate (--frames < 2 or --t-max 0)")
+    lines = _header("evolve", _units(run_params),
+                    f"# kernel: {args.kernel} packet: center={_fmt(args.center)} "
+                    f"width={_fmt(args.width)} momentum={_fmt(args.momentum)}",
+                    "t,x,re,im,abs2")
 
     # The grid evolver needs only psi0 and the final time (nonzero here, of
     # either sign), so it runs first and its refusals cost no propagation.
@@ -322,33 +303,29 @@ def cmd_evolve(args) -> int:
     xs_s = [_fmt(x) for x in psi0.x]
     norm0 = psi0.norm()
     worst_drift = 0.0
-    last = psi0
     for t in frame_times.tolist():
         frame = psi0 if t == 0.0 else ev.propagate(psi0, t, name, run_params)
         worst_drift = max(worst_drift, abs(frame.norm() - norm0))
         if orc.edge_contaminated(frame):
             contaminated = True
         t_s = _fmt(t)
-        rep.rows.append("\n".join([
+        lines.append("\n".join([
             f"{t_s},{x_s},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}"
             for x_s, v in zip(xs_s, frame.samples.tolist())
         ]))
-        last = frame
 
-    cross_l2 = None if cn is None else ev.l2_distance(last, cn)
-
-    ok = worst_drift <= tol and not contaminated
-    trailer = [f"norm_drift={_fmt(worst_drift)} pass={'yes' if worst_drift <= tol else 'no'}"]
-    if cross_l2 is not None:
-        cross_ok = cross_l2 <= 1e-3
-        ok = ok and cross_ok
-        trailer.append(f"cross_oracle_l2={_fmt(cross_l2)} pass={'yes' if cross_ok else 'no'}")
+    # Each check is decided once, here; the trailer and the exit code read it.
+    # The cross-check compares the final frame with the grid evolver's state.
+    checks = [(f"norm_drift={_fmt(worst_drift)}", worst_drift <= tol)]
+    if cn is not None:
+        cross_l2 = ev.l2_distance(frame, cn)
+        checks.append((f"cross_oracle_l2={_fmt(cross_l2)}", cross_l2 <= 1e-3))
     if contaminated:
-        trailer.append("boundary_contamination=yes pass=no")
-    rep.write(args.output, trailer=trailer)
-    for t in trailer:
-        print(t)
-    return 0 if ok else 1
+        checks.append(("boundary_contamination=yes", False))
+    trailer = [f"{text} pass={'yes' if ok else 'no'}" for text, ok in checks]
+    _write(args.output, lines + [f"# {t}" for t in trailer])
+    print("\n".join(trailer))
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def cmd_selftest(args) -> int:
@@ -408,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("identities", help="disentangling-identity residual sweep")
     _add_phys_args(pi)
     _add_order_args(pi)
-    pi.add_argument("--tolerance", type=float, default=1e-12)
+    pi.add_argument("--tolerance", type=_tolerance, default=1e-12)
     pi.add_argument("--t-min", type=float, default=None)
     pi.add_argument("--t-max", type=float, default=None)
     pi.add_argument("--t-steps", type=int, default=25)
@@ -429,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle-compare",
                         help="closed forms vs the spectral quadrature oracle")
     _add_phys_args(po)
-    po.add_argument("--tolerance", type=float, default=1e-6)
+    po.add_argument("--tolerance", type=_tolerance, default=1e-6)
     po.add_argument("--orders", type=str, default="0,0.5,1,2.5",
                     help="comma-separated Bessel orders (default 0,0.5,1,2.5)")
     po.add_argument("--times", type=str, default="0.3,0.7,1.2,2,3.5",
@@ -443,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_phys_args(pe)
     _add_order_args(pe)
     pe.add_argument("--kernel", choices=_KERNEL_CHOICES, default="radial-sho")
-    pe.add_argument("--tolerance", type=float, default=1e-6)
+    pe.add_argument("--tolerance", type=_tolerance, default=1e-6)
     pe.add_argument("--center", type=float, default=6.0)
     pe.add_argument("--width", type=float, default=0.6)
     pe.add_argument("--momentum", type=float, default=0.0)

@@ -178,14 +178,18 @@ _radial_sho_bessel_value = partial(_closed_form, oscillator=True, core="bessel")
 def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
                   core: str | None = None) -> str:
     """The core the named kernel is evaluated with at ``pt``, after refusing
-    what the kernel does not define: w <= 0 for an oscillator, t = 0, a
-    position <= 0 on the half line, and the caustic window of sin(w t)."""
+    what the kernel does not define: w <= 0 for an oscillator, a non-finite
+    t, x1 or x2, t = 0, a position <= 0 on the half line, and the caustic
+    window of sin(w t)."""
     kind = kernel_kind(name)
     if kind.oscillator and params.omega <= 0:
         limit = "radial_h0" if kind.halfline else "free"
         raise ValueError(
             f"{name}_kernel requires omega > 0; use {limit}_kernel at omega = 0"
         )
+    for label, v in (("t", pt.t), ("x1", pt.x1), ("x2", pt.x2)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"kernel argument {label} must be finite")
     if pt.t == 0:
         raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
     if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (pt.x1, pt.x2)):

@@ -3,7 +3,8 @@
 Two routes that never touch the closed forms they are checking: the
 spectral (Hankel) representation of the inverse-square kernel as a damped
 oscillatory integral over ordinary Bessel functions, and a Crank-Nicolson
-finite-difference evolver for wavepackets on the half-line.  A
+finite-difference evolver for wavepackets, on the half-line grid or, for
+the coupling-free kernels (sho, free), on a full-line window.  A
 finite-difference check of the eigenfunction relation and an orthogonality
 probe for the sqrt(kx) J_n(kx) continuum complete the toolbox.
 

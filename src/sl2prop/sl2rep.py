@@ -67,6 +67,11 @@ class PhysParams:
             raise ValueError("omega must be >= 0")
         if not self.n >= 0:
             raise ValueError("order n must be >= 0")
+        # An infinite constant passes the bounds above and gives NaN or
+        # all-zero kernels, or divides by zero, far from here.
+        for name in ("hbar", "m", "omega", "n"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def lam(self) -> float:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sl2prop
 from sl2prop import cli
 from sl2prop import evolve as ev
 from sl2prop import kernels as kn
@@ -290,3 +296,55 @@ def test_oracle_compare_keeps_the_row_layout(omega, tmp_path):
             assert got == want
         else:
             assert got.startswith(want + ",") and got.endswith(",ok")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("argv", [["identities"], ORACLE_SMALL, ["evolve", "--frames", "2"]],
+                         ids=lambda a: a[0])
+def test_tolerance_must_be_a_number_at_least_zero(argv, value, tmp_path, capsys):
+    # No value compares greater than NaN, so a NaN tolerance would let every
+    # row of oracle-compare through.
+    path = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--tolerance", value], path)
+    assert exc.value.code == 2
+    assert "--tolerance: must be a number >= 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--omega", "inf"], "omega must be finite"),
+    (["--hbar", "inf"], "hbar must be finite"),
+    (["--mass", "inf"], "m must be finite"),
+    (["--x-min", "nan"], "kernel argument x1 must be finite"),
+    (["--t-min", "nan", "--t-max", "nan"], "kernel argument t must be finite"),
+], ids=["omega", "hbar", "mass", "x-min", "t-range"])
+def test_kernel_refuses_non_finite_inputs(flags, message, tmp_path, capsys):
+    path = tmp_path / "k.csv"
+    assert run(["kernel", *flags], path) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not path.exists()
+
+
+def test_evolve_without_cross_check_runs_below_the_grid_evolver_order(tmp_path, capsys):
+    # n < 1/2 is refused by the grid evolver; without the cross-check the
+    # kernel frames are still checked for norm drift.
+    path = tmp_path / "e.csv"
+    assert run(["evolve", "--order-n", "0", "--no-cross-check", "--frames", "2",
+                "--grid-points", "300"], path) == 0
+    trailer = capsys.readouterr().out.splitlines()
+    assert len(trailer) == 1  # no cross_oracle_l2 line
+    assert trailer[0].startswith("norm_drift=") and trailer[0].endswith(" pass=yes")
+    assert path.read_text().endswith(f"\n# {trailer[0]}\n")
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # Only the dilation operator interpolates; the CLI must not pay for it.
+    src = str(Path(sl2prop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sl2prop.cli; print('scipy.interpolate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

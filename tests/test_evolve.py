@@ -141,6 +141,22 @@ class TestSchrodingerResidual:
         for coarse, fine in zip(res, res[1:]):
             assert 3.5 < coarse / fine < 4.5
 
+    def test_stencil_refusals(self):
+        params = PhysParams(n=2.5, omega=1.0)
+        # A point at the wall: the kernel refuses x1 - dx = 0.
+        with pytest.raises(ValueError, match="strictly positive"):
+            ev.schrodinger_residual("radial_sho", kn.KernelPoint(0.01, 0.8, 0.7),
+                                    params, 0.01, 1e-4)
+        # t - dt lies 5e-9 past the caustic at pi: no straddle, but the
+        # kernel refuses that point.
+        pt = kn.KernelPoint(1.2, 0.8, math.pi + 1e-3 + 5e-9)
+        with pytest.raises(kn.CausticSingularity):
+            ev.schrodinger_residual("radial_sho", pt, params, 0.01, 1e-3)
+        # Every point is valid, but the stencil spans the caustic at pi.
+        with pytest.raises(ValueError, match="straddles a caustic"):
+            ev.schrodinger_residual("radial_sho", kn.KernelPoint(1.2, 0.8, math.pi - 1e-4),
+                                    params, 0.01, 1e-3)
+
 
 class TestDeltaLimitCheck:
     TIMES = [0.04, 0.02, 0.01, 0.005]

@@ -41,6 +41,38 @@ class TestFreeKernel:
             kn.free_kernel(kn.KernelPoint(1.0, 1.0, 0.0), P_FREE)
 
 
+# Each entry point that goes through the kernel's checks refuses a NaN or
+# infinite argument rather than returning NaN values.
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteArguments:
+    @staticmethod
+    def point(which, bad):
+        args = {"x1": np.array([0.8, 1.2]), "x2": 1.1, "t": 0.7}
+        args[which] = np.array([0.8, bad]) if which == "x1" else bad
+        return kn.KernelPoint(**args)
+
+    @pytest.mark.parametrize("which", ["t", "x1", "x2"])
+    @pytest.mark.parametrize("name", kn.KERNEL_NAMES)
+    def test_kernel_values(self, name, which, bad):
+        pt = self.point(which, bad)
+        with pytest.raises(ValueError, match=f"{which} must be finite"):
+            kn.kernel_values(name, pt.x1, pt.x2, pt.t, PhysParams(n=1.5))
+
+    @pytest.mark.parametrize("which", ["t", "x1", "x2"])
+    def test_kernel_via_route(self, which, bad):
+        with pytest.raises(ValueError, match=f"{which} must be finite"):
+            kn.kernel_via_route("ELEMENT", self.point(which, bad), PhysParams(n=1.5))
+
+    @pytest.mark.parametrize("name", ["sho", "radial_sho"])
+    def test_kernel_apply(self, name, bad):
+        # The nodes x0 + j dx are both positions.
+        params = PhysParams(n=1.5)
+        with pytest.raises(ValueError, match="x1 must be finite"):
+            kn.kernel_apply(name, bad, 0.1, np.ones(8), 0.7, params)
+        with pytest.raises(ValueError, match="t must be finite"):
+            kn.kernel_apply(name, 0.5, 0.1, np.ones(8), bad, params)
+
+
 class TestShoKernel:
     def test_quarter_period_value(self):
         v = kn.sho_kernel(kn.KernelPoint(1.0, 1.0, math.pi / 2), P_LINE)

@@ -33,6 +33,17 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             sr.PhysParams(n=-0.5)
 
+    @pytest.mark.parametrize("field", ["hbar", "m", "omega", "n"])
+    def test_refuses_an_infinite_constant(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            sr.PhysParams(**{field: math.inf})
+
+    def test_from_coupling_refuses_an_infinite_input(self):
+        with pytest.raises(ValueError, match="n must be finite"):
+            sr.PhysParams.from_coupling(math.inf)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            sr.PhysParams.from_coupling(1.0, omega=math.inf)
+
 
 class TestGeneratorMatrices:
     def test_matrix_entries(self):
