@@ -128,6 +128,8 @@ def cmd_identities(args) -> int:
         default_span = 1.0
     t_min = -default_span if args.t_min is None else args.t_min
     t_max = default_span if args.t_max is None else args.t_max
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError("identities t-range must be finite")
     ts = np.linspace(t_min, t_max, args.t_steps)
 
     # The clip notices join the header after the sweep.

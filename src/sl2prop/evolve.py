@@ -102,7 +102,9 @@ def propagate(
     evaluated at every grid node x1.  The sum is D * (C @ (D * w)) for the
     trapezoid-weighted samples w, the kernel's quadratic phase D and its
     core C (``kernels.kernel_apply``): an FFT convolution for the line and
-    image cores, row blocks of Bessel values otherwise.  Half-line kernels
+    image cores; otherwise the symmetric Bessel core, with sqrt(x1 x2)
+    split into D, evaluated on square tiles on and above the diagonal, each
+    off-diagonal tile applied also transposed.  Half-line kernels
     pin the wall node to zero on both sides.  Caustic and t = 0 refusals
     propagate from the kernel.
 

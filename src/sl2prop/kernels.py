@@ -67,7 +67,8 @@ CAUSTIC_TOL = 1e-8
 
 ROUTE_IDS = ("DIRECT", "ELEMENT", "A1a", "A2a", "A3a")
 
-# Rows per Bessel-core block in ``kernel_apply`` (memory control only).
+# Edge of the square upper-triangle tiles of the Bessel core in
+# ``kernel_apply`` (memory control only).
 _CHUNK = 256
 
 
@@ -107,7 +108,9 @@ class CausticSingularity(ValueError):
     """Requested time is within CAUSTIC_TOL of a zero of sin(w t)."""
 
     def __init__(self, t: float, omega: float, caustic_tol: float):
-        k = round(omega * t / math.pi)
+        # A complex t lies in the window only near the real axis; the
+        # nearest caustic is taken from the real part of w t.
+        k = round(np.real(omega * t) / math.pi)
         self.t = t
         self.nearest_caustic_time = k * math.pi / omega
         super().__init__(
@@ -271,21 +274,28 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     matrix is never formed.  The line and image cores become a Toeplitz
     chirp e^{i (x1 - x2)^2/2 sigma} and a Hankel chirp e^{i (x1 + x2)^2/2
     sigma} in the node indices, applied by one zero-padded FFT convolution
-    in O(N log N); the Bessel core is evaluated in row blocks.  Refuses what
-    ``kernel_values`` refuses.
+    in O(N log N).  The Bessel core I_n(x1 x2 A) depends on the positions
+    only through their product, so it is symmetric: with sqrt(x1 x2) split
+    into sqrt(x1) sqrt(x2) and moved into D, it is evaluated on the square
+    tiles of edge ``_CHUNK`` on and above the diagonal, and each tile off
+    the diagonal is applied once as it stands and once transposed, which
+    halves the Bessel evaluations.  Refuses what ``kernel_values`` refuses.
     """
     v = np.asarray(v)
     x = x0 + dx * np.arange(v.size)
     core = _checked_core(name, KernelPoint(x1=x, x2=x, t=t), params)
     A, sigma, c = _factors(t, params, kernel_kind(name).oscillator, core)
     if core == "bessel":
-        d = np.exp(1j * x**2 * c / (2.0 * sigma))
+        d = np.sqrt(x) * np.exp(1j * x**2 * c / (2.0 * sigma))
         u = d * v
-        out = np.empty(v.size, dtype=complex)
-        for start in range(0, v.size, _CHUNK):
-            xb = x[start : start + _CHUNK, None]
-            core_rows = np.sqrt(xb * x) * bessel_i_complex(params.n, xb * x * A)
-            out[start : start + _CHUNK] = core_rows @ u
+        out = np.zeros(v.size, dtype=complex)
+        blocks = [slice(start, start + _CHUNK) for start in range(0, v.size, _CHUNK)]
+        for i, a in enumerate(blocks):
+            for b in blocks[i:]:
+                tile = bessel_i_complex(params.n, np.multiply.outer(x[a], x[b]) * A)
+                out[a] += tile @ u[b]
+                if b != a:
+                    out[b] += tile.T @ u[a]
         return A * d * out
     # c (x1^2 + x2^2) - 2 x1 x2 = (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and the
     # image term takes (x1 + x2)^2 with the opposite sign.

@@ -144,7 +144,11 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
     Purely imaginary arguments are routed through the connection
     I_n(iy) = e^{i n pi/2} J_n(y) to ``bessel_j`` and its order-chosen
     routines; that is where the propagator formulas live for real time.
-    Every other argument goes to AMOS through ``scipy.special.ive``.
+    Every other argument goes to AMOS through ``scipy.special.ive``.  An
+    array that lies wholly on one side of the imaginary axis (every Re z = 0
+    and every Im z > 0, or every Im z < 0) takes one phase for all its
+    elements and skips the masking; its values are bit-identical to those of
+    the masked path.
 
     Parameters
     ----------
@@ -165,6 +169,12 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
     """
     n = _validate_order(n)
     z, scalar = _as_array(z, complex)
+    if not scalar and np.all(z.real == 0):
+        # One side of the imaginary axis: one phase for the whole array.
+        if np.all(z.imag > 0):
+            return np.exp(1j * n * np.pi / 2) * bessel_j(n, z.imag)
+        if np.all(z.imag < 0):
+            return np.exp(-1j * n * np.pi / 2) * bessel_j(n, -z.imag)
     out = np.empty(z.shape, dtype=complex)
     imag_axis = (z.real == 0) & (z.imag != 0)
     y = z[imag_axis].imag

@@ -326,6 +326,16 @@ def test_kernel_refuses_non_finite_inputs(flags, message, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
+def test_identities_refuses_a_non_finite_t_range(bound, value, tmp_path, capsys):
+    # A NaN t-point would count as clipped and let the sweep pass on the rest.
+    path = tmp_path / "i.csv"
+    assert run(["identities", f"{bound}={value}"], path) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: identities t-range must be finite"
+    assert not path.exists()
+
+
 def test_evolve_without_cross_check_runs_below_the_grid_evolver_order(tmp_path, capsys):
     # n < 1/2 is refused by the grid evolver; without the cross-check the
     # kernel frames are still checked for norm drift.

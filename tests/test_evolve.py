@@ -109,6 +109,43 @@ class TestFactoredApply:
             ev.propagate(state, 0.0, kernel, P_LINE)
 
 
+class TestTiledBesselCore:
+    """The Bessel core on upper-triangle tiles: every tile layout against
+    the dense matrix, and half the Bessel evaluations of the full square."""
+
+    @staticmethod
+    def state(cols):
+        grid = orc.GridSpec(x_max=10.0, points=cols, dt=1e-3)
+        rng = np.random.default_rng(cols)
+        noise = rng.normal(size=(grid.points + 1, 2)) @ np.array([1.0, 1j])
+        return orc.GridWavefunction(noise, grid)
+
+    @pytest.mark.parametrize("cols", [kn._CHUNK - 1, kn._CHUNK, kn._CHUNK + 1,
+                                      2 * kn._CHUNK + 37])
+    @pytest.mark.parametrize("kernel,n", [("radial_sho", 1.0), ("radial_sho", 2.5),
+                                          ("radial_h0", 1.0)])
+    @pytest.mark.parametrize("t", [0.7, -0.4])
+    def test_matches_the_dense_kernel_matrix(self, kernel, n, t, cols):
+        params = kn.kernel_kind(kernel).hamiltonian(PhysParams(n=n, omega=1.0))
+        state = self.state(cols)
+        want = TestFactoredApply.dense(state, t, kernel, params)
+        got = ev.propagate(state, t, kernel, params).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cols", [2 * kn._CHUNK + 37, 3 * kn._CHUNK])
+    def test_evaluates_the_upper_triangle_only(self, cols, monkeypatch):
+        points = []
+        bessel_i_complex = kn.bessel_i_complex
+
+        def counting(n, z, scaled=False):
+            points.append(np.size(z))
+            return bessel_i_complex(n, z, scaled)
+
+        monkeypatch.setattr(kn, "bessel_i_complex", counting)
+        ev.propagate(self.state(cols), 0.7, "radial_sho", PhysParams(n=1.0, omega=1.0))
+        assert 0 < sum(points) <= cols * (cols + 1) // 2 + cols * kn._CHUNK // 2
+
+
 class TestL2Distance:
     def test_shifted_gaussians(self):
         grid = orc.GridSpec(x_max=8.0, points=1600, dt=1e-3, x_min=-8.0)

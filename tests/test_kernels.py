@@ -337,3 +337,16 @@ class TestSemigroup:
         )
         rhs = kn._free_value(1.3, 0.9, (t1 + t2) * (1 - 1j * eps), P_FREE)
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
+
+
+class TestComplexTimeCaustic:
+    # A complex t near the real axis falls in the caustic window; the
+    # refusal names the nearest caustic from the real part of w t.
+    @pytest.mark.parametrize("t,caustic", [(-1e-9j, 0.0), (math.pi - 1e-9j, math.pi),
+                                           (-math.pi + 2e-9 + 1e-9j, -math.pi)])
+    @pytest.mark.parametrize("name", ["sho", "radial_sho"])
+    def test_refused_as_a_caustic(self, name, t, caustic):
+        with pytest.raises(kn.CausticSingularity) as exc:
+            kn.kernel_values(name, 1.0, 1.0, t, PhysParams(n=1, omega=1))
+        assert exc.value.nearest_caustic_time == pytest.approx(caustic, abs=1e-15)
+        assert exc.value.t == t

@@ -113,6 +113,37 @@ class TestBesselI:
         vec = nm.bessel_i_complex(n, z, scaled=scaled)
         assert np.array_equal(vec, [nm.bessel_i_complex(n, v, scaled=scaled) for v in z])
 
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.3, 20.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_one_side_of_the_axis_equals_scalar_calls(self, n, sign, scaled, monkeypatch):
+        y = [1e-200, 3e-160, 1e-151, 0.3, 1.0, 2.5, 17.0, 99.5]
+        if n in (0.0, 1.0):
+            y += [2e6, 7.3e9]
+        z = sign * 1j * np.array(y)
+        want = [nm.bessel_i_complex(n, v, scaled=scaled) for v in z]
+
+        def no_amos(*args):
+            raise AssertionError("an array on one side of the axis reached ive")
+
+        monkeypatch.setattr(nm.special, "ive", no_amos)
+        vec = nm.bessel_i_complex(n, z, scaled=scaled)
+        assert vec.dtype == complex
+        assert np.array_equal(vec, want)
+
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.3, 20.0])
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("z", [
+        [2.5j, 1e-200j, -4.0j, 17.0j],  # both signs
+        [2.5j, 1e-200j, 4.0j, 0.5 + 17.0j],  # one point off the axis
+        [-2.5j, -4.0j, 1e-300 - 1.0j],  # one point just off the axis
+        [2.5j, 0.0, 4.0j],  # the origin
+    ], ids=["both-signs", "off-axis", "just-off-axis", "origin"])
+    def test_arrays_across_or_off_the_axis_equal_scalar_calls(self, n, scaled, z):
+        z = np.array(z)
+        vec = nm.bessel_i_complex(n, z, scaled=scaled)
+        assert np.array_equal(vec, [nm.bessel_i_complex(n, v, scaled=scaled) for v in z])
+
     def test_scaled_finite_where_unscaled_overflows(self):
         z = 800.0 + 3.0j
         with pytest.raises(OverflowError):
