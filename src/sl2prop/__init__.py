@@ -9,7 +9,6 @@ and a Crank-Nicolson grid evolver.
 from .evolve import (
     TestFunction,
     delta_limit_check,
-    dilation_apply,
     l2_distance,
     propagate,
     schrodinger_residual,
@@ -40,17 +39,14 @@ from .oracle import (
     GridSpec,
     GridWavefunction,
     default_hankel_spec,
-    eigenfunction_residual,
     grid_evolve,
     hankel_kernel_oracle,
-    orthogonality_check,
 )
 from .sl2rep import (
     GENERATOR_IDS,
     IDENTITY_IDS,
     FactorCoeffs,
     PhysParams,
-    adjoint_series_check,
     exp_traceless,
     factor_coeffs,
     generator_matrix,
@@ -76,14 +72,11 @@ __all__ = [
     "QuadratureSpec",
     "ROUTE_IDS",
     "TestFunction",
-    "adjoint_series_check",
     "bessel_i_complex",
     "bessel_j",
     "default_hankel_spec",
     "delta_limit_check",
-    "dilation_apply",
     "effective_time",
-    "eigenfunction_residual",
     "exp_traceless",
     "factor_coeffs",
     "free_kernel",
@@ -95,7 +88,6 @@ __all__ = [
     "kernel_values",
     "kernel_via_route",
     "l2_distance",
-    "orthogonality_check",
     "propagate",
     "radial_h0_kernel",
     "radial_sho_kernel",

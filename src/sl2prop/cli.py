@@ -273,6 +273,8 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_evolve(args) -> int:
     tol = args.tolerance
+    if not math.isfinite(args.t_max):
+        raise ValueError("evolve --t-max must be finite")
     name, kind, run_params = _kernel_run(args)
     x_min = 0.0 if kind.halfline else -args.x_max
     grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
@@ -280,6 +282,10 @@ def cmd_evolve(args) -> int:
     packet = ev.TestFunction(center=args.center, width=args.width,
                              momentum=args.momentum)
     psi0 = ev.as_gridfunction(packet, run_params, grid, kind.halfline)
+    # A zero state would pass every check vacuously.
+    if not np.any(psi0.samples):
+        raise ValueError("the packet is zero on every node of the grid "
+                         f"[{_fmt(grid.x_min)}, {_fmt(grid.x_max)}]")
 
     frame_times = np.linspace(0.0, args.t_max, args.frames)
     if not np.any(frame_times != 0.0):
@@ -331,6 +337,17 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    """One PASS/FAIL line per check, each against its stated bound:
+
+    - identity residual sweep (1e-12) and image-method exactness (1e-12);
+    - route equivalence (1e-10) and the spectral oracle at one point (1e-6);
+    - kernel PDE residual (2e-4): the worst ``evolve.schrodinger_residual``
+      at (1.2, 0.8, 0.7), dx = 0.01, dt = 1e-4, over radial_sho n = 2.5, sho
+      and radial_h0 n = 1 (the O(dx^2 + dt^2) defect reads 8.2e-5);
+    - delta limit (1e-4): |2 e(t) - e(2t)| / |f(x1)| at t = 0.005 from
+      ``evolve.delta_limit_check``, the smearing error with its linear term
+      extrapolated away, for sho and radial_sho n = 1/2 (reads 7.1e-6).
+    """
     params = sr.PhysParams(hbar=1.0, m=1.0, omega=1.0, n=0.5)
     failures = 0
 
@@ -371,6 +388,20 @@ def cmd_selftest(args) -> int:
     res = orc.hankel_kernel_oracle(pt, 0.0, p0)
     closed = kn.radial_h0_kernel(pt, p0)
     check("spectral oracle spot", abs(res.value - closed) / abs(closed), 1e-6)
+
+    pt = kn.KernelPoint(1.2, 0.8, 0.7)
+    worst = max(ev.schrodinger_residual(name, pt, p, 0.01, 1e-4) for name, p in (
+        ("radial_sho", p52), ("sho", params), ("radial_h0", sr.PhysParams(omega=0.0, n=1.0))))
+    check("kernel PDE residual", worst, 2e-4)
+
+    packet = ev.TestFunction(center=3.0, width=0.5, momentum=1.0)
+    f_x1 = abs(packet.evaluate(3.2, params))
+    worst = 0.0
+    for name, x_min in (("sho", -8.0), ("radial_sho", 0.0)):
+        grid = orc.GridSpec(x_max=8.0, points=4000, dt=1e-3, x_min=x_min)
+        e2t, et = ev.delta_limit_check(packet, 3.2, (0.01, 0.005), name, params, grid)
+        worst = max(worst, abs(2.0 * et - e2t) / f_x1)
+    check("delta limit (extrapolated)", worst, 1e-4)
 
     print(f"{'PASS' if failures == 0 else 'FAIL'} selftest")
     return 1 if failures else 0

@@ -6,7 +6,7 @@ both ends of the window, the rule converges super-algebraically once the
 kernel oscillation is resolved.  The quadrature goes through the kernel's
 factored form ``kernels.kernel_apply`` (quadratic phase x core x quadratic
 phase), so no kernel matrix is formed.  The output grid is always the input
-quadrature grid; interpolation happens only inside the dilation operator.
+quadrature grid.
 
 Phase conventions are never asserted by these checks: every phase-sensitive
 comparison is made through magnitudes or phase differences.
@@ -30,7 +30,6 @@ __all__ = [
     "propagate",
     "schrodinger_residual",
     "delta_limit_check",
-    "dilation_apply",
     "l2_distance",
 ]
 
@@ -44,8 +43,11 @@ class TestFunction:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
+        if not all(map(math.isfinite, (self.center, self.width, self.momentum))):
+            raise ValueError("packet center, width and momentum must be finite")
+        # The norm divides by width^2, so a square that underflows is refused too.
+        if not (self.width > 0 and self.width**2 > 0):
+            raise ValueError("width must be > 0, with a square that does not underflow to 0")
 
     def evaluate(self, x, params: PhysParams) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -216,47 +218,3 @@ def delta_limit_check(
         out[i] = abs(complex(row @ weighted) - target)
     return out
 
-
-def dilation_apply(
-    psi: GridWavefunction,
-    gamma: float,
-    params: PhysParams,
-) -> tuple[GridWavefunction, float]:
-    """Unitary dilation: psi'(x) = e^{-hbar gamma} psi(x e^{-2 hbar gamma}).
-
-    This is the scaling induced on wavefunctions by the exp(-i gamma (xp+px))
-    factor of the appendix identities, which stretches position eigenstates
-    by e^{2 hbar gamma} with amplitude factor e^{hbar gamma}.  The L2 norm is
-    preserved exactly in the continuum; on the grid the state is resampled
-    with a cubic spline and the difference from a linear resampling is
-    returned as the interpolation error estimate.
-
-    Composition holds by construction: applying gamma1 then gamma2 equals
-    applying gamma1 + gamma2 up to interpolation error.
-
-    Raises ``ValueError`` when the rescaled support would leave the grid.
-    """
-    g = psi.grid
-    x = psi.x
-    scale = math.exp(2.0 * params.hbar * gamma)
-    peak = float(np.max(np.abs(psi.samples)))
-    if peak > 0.0:
-        occupied = np.abs(psi.samples) > 1e-12 * peak
-        lo = float(np.min(x[occupied])) * scale
-        hi = float(np.max(x[occupied])) * scale
-        if hi > g.x_max or lo < g.x_min:
-            raise ValueError(
-                f"rescaled support [{lo:.3g}, {hi:.3g}] overflows the grid "
-                f"[{g.x_min:.3g}, {g.x_max:.3g}]"
-            )
-    # Imported here, its only use: scipy.interpolate is about half of the
-    # package's import time, and no CLI command dilates.
-    from scipy.interpolate import CubicSpline
-
-    u = x / scale
-    spline = CubicSpline(x, psi.samples)
-    resampled = spline(u)
-    linear = np.interp(u, x, psi.samples.real) + 1j * np.interp(u, x, psi.samples.imag)
-    interp_err = float(np.max(np.abs(resampled - linear)))
-    out = math.exp(-params.hbar * gamma) * resampled
-    return GridWavefunction(out, g), interp_err

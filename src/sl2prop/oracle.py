@@ -4,9 +4,7 @@ Two routes that never touch the closed forms they are checking: the
 spectral (Hankel) representation of the inverse-square kernel as a damped
 oscillatory integral over ordinary Bessel functions, and a Crank-Nicolson
 finite-difference evolver for wavepackets, on the half-line grid or, for
-the coupling-free kernels (sho, free), on a full-line window.  A
-finite-difference check of the eigenfunction relation and an orthogonality
-probe for the sqrt(kx) J_n(kx) continuum complete the toolbox.
+the coupling-free kernels (sho, free), on a full-line window.
 
 The spectral oracle integrates a batch of orders and point pairs at one
 time on one node set, so a comparison over many orders and points costs one
@@ -27,7 +25,6 @@ from .numerics import (
     QuadratureResult,
     QuadratureSpec,
     bessel_j,
-    gauss_legendre_panels,
     integrate_oscillatory,
 )
 from .sl2rep import PhysParams
@@ -39,8 +36,6 @@ __all__ = [
     "default_hankel_spec",
     "edge_contaminated",
     "hankel_kernel_oracle",
-    "orthogonality_check",
-    "eigenfunction_residual",
     "grid_evolve",
 ]
 
@@ -63,6 +58,8 @@ class GridSpec:
     x_min: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.dt))):
+            raise ValueError("grid x_min, x_max and dt must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.points < 16:
@@ -201,59 +198,6 @@ def hankel_kernel_oracle(
         return g.reshape(orders.shape + x1.shape + k.shape), h * abs(t) * k**2 / (2.0 * m)
 
     return integrate_oscillatory(integrand, spec)
-
-
-def orthogonality_check(k1: float, k2: float, order: float, x_max: float) -> complex:
-    """Truncated continuum overlap of two sqrt(kx) J_n(kx) states.
-
-    Returns the integral over x in (0, x_max].  For k1 != k2 the value
-    oscillates around zero with bounded amplitude (its running mean decays);
-    at k1 = k2 it grows linearly, and smearing against a narrow weight in k
-    recovers that weight's value, which is the usable normalization test.
-    """
-    if k1 <= 0 or k2 <= 0:
-        raise ValueError("wavenumbers must be positive")
-    panels = max(8, int(math.ceil((k1 + k2) * x_max / _PHASE_PER_PANEL)))
-    x, w = gauss_legendre_panels(0.0, x_max, panels)
-    f = np.sqrt(k1 * x) * bessel_j(order, k1 * x) * np.sqrt(k2 * x) * bessel_j(order, k2 * x)
-    return complex(np.sum(w * f))
-
-
-def eigenfunction_residual(
-    k: float,
-    order: float,
-    params: PhysParams,
-    grid: GridSpec,
-    skip_near_origin: int = 0,
-) -> float:
-    """Defect of the discretized eigenvalue relation for sqrt(kx) J_n(kx).
-
-    Applies the centered second-difference form of the inverse-square
-    Hamiltonian to exact samples and compares against (hbar^2 k^2 / 2m)
-    times the same samples; returns the largest interior deviation relative
-    to the peak of the right side.  Second-order accurate in dx away from
-    the origin; ``skip_near_origin`` interior nodes next to the wall can be
-    excluded, which matters for n < 1/2 where the x^{n+1/2} behavior defeats
-    the stencil.
-    """
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
-    if grid.x_min != 0.0:
-        raise ValueError("eigenfunction check lives on the half-line grid")
-    h, m = params.hbar, params.m
-    x = grid.nodes()
-    psi = np.zeros_like(x)
-    psi[1:] = np.sqrt(k * x[1:]) * bessel_j(order, k * x[1:])
-    dx = grid.dx
-    interior = slice(1, grid.points)
-    xin = x[interior]
-    lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx**2
-    lhs = h**2 / (2.0 * m) * (-lap + (order**2 - 0.25) / xin**2 * psi[interior])
-    rhs = h**2 * k**2 / (2.0 * m) * psi[interior]
-    resid = np.abs(lhs - rhs)
-    if skip_near_origin:
-        resid = resid[skip_near_origin:]
-    return float(np.max(resid) / np.max(np.abs(rhs)))
 
 
 # ---------------------------------------------------------------------------

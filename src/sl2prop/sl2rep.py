@@ -23,7 +23,6 @@ __all__ = [
     "exp_traceless",
     "factor_coeffs",
     "identity_residual",
-    "adjoint_series_check",
 ]
 
 GENERATOR_IDS = ("X2", "P2L", "D")
@@ -239,23 +238,3 @@ def identity_residual(identity_id: str, t: float, params: PhysParams) -> float:
     lhs = exp_traceless(-1j * t / params.hbar * _hamiltonian_matrix(params))
     scale = np.linalg.norm(lhs, 2)
     return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def adjoint_series_check(G: np.ndarray, O: np.ndarray, terms: int) -> float:
-    """Defect of the truncated nested-commutator expansion of e^G O e^-G.
-
-    Sums ad_G^k(O)/k! for k = 0..terms and returns the max-entry difference
-    from the directly computed conjugation.  For ||G|| < 1 the defect must
-    shrink as ``terms`` grows.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    G = np.asarray(G, dtype=complex)
-    O = np.asarray(O, dtype=complex)
-    direct = exp_traceless(G) @ O @ exp_traceless(-G)
-    acc = O.copy()
-    term = O.copy()
-    for k in range(1, terms + 1):
-        term = (G @ term - term @ G) / k
-        acc = acc + term
-    return float(np.max(np.abs(direct - acc)))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_default_runs_pass_and_repeat_byte_for_byte(argv, tmp_path):
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 5
+    assert len(out) == 7
     assert all(line.startswith("PASS") for line in out)
 
 
@@ -346,6 +347,74 @@ def test_evolve_without_cross_check_runs_below_the_grid_evolver_order(tmp_path, 
     assert len(trailer) == 1  # no cross_oracle_l2 line
     assert trailer[0].startswith("norm_drift=") and trailer[0].endswith(" pass=yes")
     assert path.read_text().endswith(f"\n# {trailer[0]}\n")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--t-max", "nan", "evolve --t-max must be finite"),
+    ("--t-max", "inf", "evolve --t-max must be finite"),
+    ("--x-max", "inf", "grid x_min, x_max and dt must be finite"),
+    ("--dt", "inf", "grid x_min, x_max and dt must be finite"),
+    ("--center", "nan", "packet center, width and momentum must be finite"),
+    ("--width", "inf", "packet center, width and momentum must be finite"),
+    ("--momentum", "-inf", "packet center, width and momentum must be finite"),
+    ("--width", "1e-300", "width must be > 0, with a square that does not underflow to 0"),
+])
+def test_evolve_refuses_non_finite_inputs_before_any_work(flag, value, message, tmp_path,
+                                                           capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evolve worked on a refused input")
+
+    monkeypatch.setattr(ev, "propagate", no_work)
+    monkeypatch.setattr(orc, "grid_evolve", no_work)
+    path = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["evolve", f"{flag}={value}"], path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags,window", [
+    (["--center", "100"], "[0, 14]"),
+    (["--kernel", "sho", "--center=-100"], "[-14, 14]"),
+], ids=["radial-sho", "sho"])
+def test_evolve_refuses_a_packet_that_is_zero_on_the_grid(flags, window, tmp_path, capsys):
+    # Every frame would be zero, and the norm and cross checks would pass on it.
+    path = tmp_path / "e.csv"
+    assert run(["evolve", *flags], path) == 2
+    assert capsys.readouterr().err == (
+        f"error: the packet is zero on every node of the grid {window}\n")
+    assert not path.exists()
+
+
+def test_evolve_packet_partly_off_the_grid_fails_the_edge_check(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    assert run(["evolve", "--kernel", "sho", "--center=-16", "--frames", "2",
+                "--grid-points", "300"], path) == 1
+    assert "boundary_contamination=yes pass=no" in capsys.readouterr().out.splitlines()
+
+
+def _conjugated(*args, **kwargs):
+    return np.conj(kn.kernel_values(*args, **kwargs))
+
+
+def _scaled(*args, **kwargs):
+    return 1.01 * kn.kernel_values(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kernel,label", [
+    (_conjugated, "kernel PDE residual"),
+    (_scaled, "delta limit (extrapolated)"),
+], ids=["conjugated", "scaled"])
+def test_selftest_kernel_lines_fail_on_a_wrong_kernel(kernel, label, monkeypatch, capsys):
+    # Only the evolve checkers see the wrong kernel, and each of the two
+    # wrong kernels fails exactly one of their lines.
+    monkeypatch.setattr(ev, "kernel_values", kernel)
+    assert cli.main(["selftest"]) == 1
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert len(fails) == 2
+    assert fails[0].startswith(f"FAIL {label}: ")
+    assert fails[1] == "FAIL selftest"
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

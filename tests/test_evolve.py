@@ -232,28 +232,3 @@ class TestGridEvolveFullLine:
             warnings.simplefilter("error")
             out = orc.grid_evolve(psi, 0.2, P_LINE)
         assert out.norm() == pytest.approx(psi.norm(), rel=1e-12)
-
-
-class TestDilationApply:
-    GRID = orc.GridSpec(x_max=20.0, points=2000, dt=1e-3)
-
-    def packet(self):
-        return ev.as_gridfunction(ev.TestFunction(center=5.0, width=0.5, momentum=1.0),
-                                  P_LINE, self.GRID, True)
-
-    def test_norm_kept_within_the_interpolation_error(self):
-        psi = self.packet()
-        out, err = ev.dilation_apply(psi, 0.1, P_LINE)
-        assert 0.0 < err < 1e-3
-        assert abs(out.norm() - psi.norm()) <= err
-
-    def test_composition_adds_the_parameters(self):
-        psi = self.packet()
-        one, e1 = ev.dilation_apply(psi, 0.05, P_LINE)
-        two, e2 = ev.dilation_apply(one, 0.07, P_LINE)
-        both, e12 = ev.dilation_apply(psi, 0.12, P_LINE)
-        assert np.max(np.abs(two.samples - both.samples)) <= e1 + e2 + e12
-
-    def test_support_pushed_off_the_grid_raises(self):
-        with pytest.raises(ValueError, match="overflows the grid"):
-            ev.dilation_apply(self.packet(), 0.5, P_LINE)

@@ -140,71 +140,6 @@ class TestHankelOracle:
             orc.hankel_kernel_oracle(kn.KernelPoint(1.0, 1.0, 0.0), 0.5, P_FREE)
 
 
-class TestOrthogonality:
-    def test_smeared_delta_recovers_weight(self):
-        # integrate the truncated overlap against a narrow Gaussian in k;
-        # completeness turns it into the weight's value at the probe point
-        k0, sigma, x_max, order = 2.0, 0.05, 150.0, 1.0
-        nodes, wts = np.polynomial.legendre.leggauss(48)
-        kk = k0 + 5.0 * sigma * nodes
-        ww = 5.0 * sigma * wts
-        weight = np.exp(-((kk - k0) ** 2) / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
-        smeared = sum(
-            w * g * orc.orthogonality_check(k0, float(k2), order, x_max).real
-            for w, g, k2 in zip(ww, weight, kk)
-        )
-        target = 1.0 / (sigma * np.sqrt(2 * np.pi))
-        assert abs(smeared - target) / target < 0.02
-
-    def test_distinct_wavenumbers_average_out(self):
-        vals = [orc.orthogonality_check(1.0, 3.0, 0.0, float(xm)).real
-                for xm in np.linspace(40.0, 200.0, 33)]
-        assert abs(np.mean(vals)) < 0.02
-        assert np.max(np.abs(vals)) > 0.05  # oscillation, not smallness
-
-    def test_half_order_reduces_to_sine_integral(self):
-        # (2/pi) sin(k1 x) sin(k2 x) integrates in closed form
-        k1, k2, x_max = 1.3, 2.1, 37.0
-        got = orc.orthogonality_check(k1, k2, 0.5, x_max).real
-        want = (1.0 / np.pi) * (
-            np.sin((k1 - k2) * x_max) / (k1 - k2)
-            - np.sin((k1 + k2) * x_max) / (k1 + k2)
-        )
-        assert got == pytest.approx(want, abs=1e-10)
-
-    def test_wavenumber_validation(self):
-        with pytest.raises(ValueError):
-            orc.orthogonality_check(0.0, 1.0, 0.5, 10.0)
-
-
-class TestEigenfunctionResidual:
-    def test_half_order_sine(self):
-        grid = orc.GridSpec(x_max=20.0, points=2000, dt=1e-3)
-        r = orc.eigenfunction_residual(1.0, 0.5, PhysParams(n=0.5), grid)
-        assert r < 1e-4
-
-    def test_second_order_convergence(self):
-        coarse = orc.GridSpec(x_max=20.0, points=2000, dt=1e-3)
-        fine = orc.GridSpec(x_max=20.0, points=4000, dt=1e-3)
-        p = PhysParams(n=0.5)
-        ratio = orc.eigenfunction_residual(1.0, 0.5, p, coarse) \
-            / orc.eigenfunction_residual(1.0, 0.5, p, fine)
-        assert 3.5 < ratio < 4.5
-
-    def test_order_zero_needs_wall_exclusion(self):
-        # the x^{1/2} behavior at the origin defeats the stencil; excluding
-        # the first ~0.3 length units restores the bulk accuracy
-        grid = orc.GridSpec(x_max=20.0, points=2000, dt=1e-3)
-        p = PhysParams(n=0.0)
-        assert orc.eigenfunction_residual(2.0, 0.0, p, grid, skip_near_origin=30) < 1e-3
-        assert orc.eigenfunction_residual(2.0, 0.0, p, grid, skip_near_origin=3) > 1e-2
-
-    def test_wavenumber_validation(self):
-        grid = orc.GridSpec(x_max=10.0, points=100, dt=1e-3)
-        with pytest.raises(ValueError):
-            orc.eigenfunction_residual(-1.0, 0.5, PhysParams(n=0.5), grid)
-
-
 class TestGridSpecAndWavefunction:
     def test_spacing(self):
         g = orc.GridSpec(x_max=10.0, points=100, dt=1e-3)

@@ -201,30 +201,3 @@ class TestIdentityResidual:
     def test_window_errors_propagate(self):
         with pytest.raises(ValueError):
             sr.identity_residual("A2a", 0.75 * math.pi, P)
-
-
-class TestAdjointSeries:
-    def test_zero_generator(self):
-        z = np.zeros((2, 2), dtype=complex)
-        o = sr.generator_matrix("X2", P)
-        assert sr.adjoint_series_check(z, o, 1) == 0.0
-
-    def test_dilation_on_x2(self):
-        # ad_D acts diagonally on X2, so 10 terms leave only the exponential
-        # tail ~ 0.4^11/11! * ||X2|| ~ 2e-12.
-        g = 0.1 * sr.generator_matrix("D", P)
-        o = sr.generator_matrix("X2", P)
-        assert sr.adjoint_series_check(g, o, 10) < 1e-11
-
-    def test_decreasing_in_terms(self):
-        g = 0.25j * np.array([[1.0, 1.0], [1.0, -1.0]])
-        o = sr.generator_matrix("X2", P)
-        r1 = sr.adjoint_series_check(g, o, 1)
-        r2 = sr.adjoint_series_check(g, o, 2)
-        r6 = sr.adjoint_series_check(g, o, 6)
-        assert r2 < r1
-        assert r6 < r2
-
-    def test_terms_validation(self):
-        with pytest.raises(ValueError):
-            sr.adjoint_series_check(np.zeros((2, 2)), np.zeros((2, 2)), 0)
