@@ -7,14 +7,18 @@ Exit status 1 means a declared check failed.  Exit status 2 means a refused
 configuration: a subcommand raises ``ValueError`` and ``main`` alone reports
 it as ``error: ...`` on stderr, before any CSV is written.
 
-Every data row is one f-string with ``.17g`` fields.  The kernel and evolve
-tables are built a block at a time: the grid coordinates (and, for
-``kernel``, the ``x1,x2,`` prefix of each grid pair) are formatted once per
-run, the time once per block, and each block is one ``"\n".join`` over the
-values as Python complex numbers (``ndarray.tolist``).  The magnitudes are
-the scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``:
+Every float field is written with ``.17g``.  The kernel and evolve tables
+are built a block at a time: the grid coordinates (and, for ``kernel``, the
+``x1,x2,`` prefix of each grid pair) are formatted once per run, the time
+once per block, and each block is one ``"\n".join`` over the values as
+Python complex numbers (``ndarray.tolist``).  The kernel is symmetric in x1
+and x2 bit for bit, so ``kernel`` evaluates and formats only the upper
+triangle of the grid, once per time, and assembles each row from its prefix
+and the triangle entry that ``mirror`` names for that pair.  The magnitudes
+are the scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``:
 numpy's vectorised complex magnitude and the product round differently in
-the last bit for some values, and the CSV must stay byte-stable.
+the last bit for some values, and the CSV must stay byte-stable.  A report
+goes to its stream an entry at a time, never joined into one string.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -97,14 +102,14 @@ def _header(command: str, units: dict[str, float], *lines: str) -> list[str]:
 
 
 def _write(path: str | None, lines: list[str]):
-    """Write a report, one LF-terminated entry of ``lines`` (a line, or a
-    block of lines joined by "\n") after another, to ``path`` or stdout."""
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write a report to ``path`` or stdout: each entry of ``lines`` (a
+    line, or a block of lines joined by "\n") and an LF go straight to the
+    stream, so the report is never joined into one string."""
+    with nullcontext(sys.stdout) if path is None else open(
+            path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _identity_window_ok(identity_id: str, t: float, params: sr.PhysParams) -> bool:
@@ -165,17 +170,30 @@ def cmd_identities(args) -> int:
 
 def cmd_kernel(args) -> int:
     name, kind, run_params = _kernel_run(args)
-    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     if kind.halfline and args.x_min <= 0:
         raise ValueError("radial kernels need --x-min > 0")
-    if xs.size == 0:
+    # Checked before linspace, which would warn on a non-finite bound.
+    if not all(map(math.isfinite, (args.t_min, args.t_max))):
+        raise ValueError("kernel argument t must be finite")
+    if not all(map(math.isfinite, (args.x_min, args.x_max))):
+        raise ValueError("kernel argument x1 must be finite")
+    if args.x_steps == 0:
         raise ValueError("no grid point requested (--x-steps 0)")
+    if args.t_steps == 0:
+        raise ValueError("no time requested (--t-steps 0)")
+    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
+    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
 
     lines = _header("kernel", _units(run_params), f"# kernel: {args.kernel}",
                     "x1,x2,t,re,im,abs")
 
-    # Row-major over (x1, x2), as mat.ravel() is.
+    # The kernel is symmetric in x1 and x2, bit for bit, so it is evaluated
+    # on the upper triangle of the grid only.  The rows run row-major over
+    # (x1, x2), as mat.ravel() does; mirror names the triangle entry of each.
+    iu, ju = np.triu_indices(xs.size)
+    tri = np.empty((xs.size, xs.size), dtype=np.intp)
+    tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
+    mirror = tri.ravel().tolist()
     xs_s = [_fmt(x) for x in xs]
     prefixes = [f"{x1},{x2}," for x1 in xs_s for x2 in xs_s]
     emitted = 0
@@ -185,14 +203,14 @@ def cmd_kernel(args) -> int:
             lines.append(f"# skip t={t_s} reason=delta-limit")
             continue
         try:
-            mat = kn.kernel_values(name, xs[:, None], xs[None, :], t, run_params)
+            upper = kn.kernel_values(name, xs[iu], xs[ju], t, run_params)
         except kn.CausticSingularity as e:
             lines.append(f"# skip t={t_s} reason=caustic nearest={_fmt(e.nearest_caustic_time)}")
             continue
-        lines.append("\n".join([
-            f"{prefix}{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
-            for prefix, v in zip(prefixes, mat.ravel().tolist())
-        ]))
+        entries = [f"{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
+                   for v in upper.tolist()]
+        lines.append("\n".join([prefix + entries[k]
+                                for prefix, k in zip(prefixes, mirror)]))
         emitted += 1
     if emitted == 0:
         raise ValueError("every requested time was skipped (caustic or t=0)")

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+_WIDTH_RANGE = (1e-150, 1e150)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Normalized Gaussian packet with a momentum boost e^{i p x / hbar}."""
@@ -46,8 +49,14 @@ class TestFunction:
         if not all(map(math.isfinite, (self.center, self.width, self.momentum))):
             raise ValueError("packet center, width and momentum must be finite")
         # The norm divides by width^2, so a square that underflows is refused too.
-        if not (self.width > 0 and self.width**2 > 0):
+        if not (self.width > 0 and self.width * self.width > 0):
             raise ValueError("width must be > 0, with a square that does not underflow to 0")
+        # Below this range 4 width^2, the exponent's divisor, nears the
+        # subnormals and the exponent overflows a few units off the centre;
+        # above it the square nears the largest float.
+        if not _WIDTH_RANGE[0] <= self.width <= _WIDTH_RANGE[1]:
+            raise ValueError(f"packet width {self.width:g} is outside "
+                             f"[{_WIDTH_RANGE[0]:g}, {_WIDTH_RANGE[1]:g}]")
 
     def evaluate(self, x, params: PhysParams) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -235,6 +235,66 @@ def test_kernel_table_matches_the_per_value_rule(flags, tmp_path):
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
+def _dense_kernel_table(argv):
+    """The kernel report of ``argv`` by the per-value rule: the whole kernel
+    matrix at each time, one formatted row per grid pair."""
+    args = cli.build_parser().parse_args(argv)
+    name = args.kernel.replace("-", "_")
+    n = 0.5 if args.order_n is None else args.order_n
+    params = kn.kernel_kind(name).hamiltonian(
+        sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n))
+    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
+    lines = _header("kernel", params, f"# kernel: {args.kernel}", "x1,x2,t,re,im,abs")
+    for t in np.linspace(args.t_min, args.t_max, args.t_steps).tolist():
+        mat = kn.kernel_values(name, xs[:, None], xs[None, :], t, params)
+        lines += [_row(x1, x2, t, v.real, v.imag, abs(v))
+                  for x1, row in zip(xs, mat) for x2, v in zip(xs, row)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--x-steps", "1"], ["--x-steps", "2"], ["--x-steps", "160"],
+    ["--x-min", "2.5", "--x-max", "0.5", "--x-steps", "9"],
+    ["--mass", "2", "--hbar", "0.7", "--x-steps", "9", "--order-n", "7.3"],
+    ["--kernel", "sho", "--x-min=-2", "--x-steps", "12", "--mass", "2", "--hbar", "0.7"],
+], ids=lambda f: "_".join(f))
+def test_kernel_table_mirrors_the_upper_triangle_byte_for_byte(flags, tmp_path):
+    argv = ["kernel", *flags]
+    path = tmp_path / "k.csv"
+    assert run(argv, path) == 0
+    assert path.read_bytes() == _dense_kernel_table(argv).encode()
+
+
+def test_kernel_table_evaluates_the_upper_triangle_only(tmp_path, monkeypatch):
+    sizes = []
+    kernel_values = kn.kernel_values
+
+    def counting(name, x1, x2, t, params, core=None):
+        sizes.append(np.broadcast(x1, x2).size)
+        return kernel_values(name, x1, x2, t, params, core)
+
+    monkeypatch.setattr(kn, "kernel_values", counting)
+    assert run(["kernel", "--x-steps", "160"], tmp_path / "k.csv") == 0
+    assert sizes == [160 * 161 // 2] * 7
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--x-min=-inf"], "kernel argument x1 must be finite"),
+    (["--x-max=inf"], "kernel argument x1 must be finite"),
+    (["--t-min=-inf"], "kernel argument t must be finite"),
+    (["--t-max=inf"], "kernel argument t must be finite"),
+    (["--t-steps", "0"], "no time requested (--t-steps 0)"),
+], ids=["x-min", "x-max", "t-min", "t-max", "t-steps"])
+def test_kernel_refuses_a_non_finite_bound_or_no_time_before_any_work(flags, message,
+                                                                      tmp_path, capsys):
+    path = tmp_path / "k.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["kernel", "--kernel", "sho", *flags], path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flags", [["--order-n", "1"], ["--kernel", "free"]],
                          ids=lambda f: "_".join(f))
 def test_evolve_table_matches_the_per_value_rule(flags, tmp_path, capsys):
@@ -374,6 +434,23 @@ def test_evolve_refuses_non_finite_inputs_before_any_work(flag, value, message, 
     assert not path.exists()
 
 
+@pytest.mark.parametrize("width", ["1e-160", "1e-200", "1e200", "1e300"])
+def test_evolve_refuses_an_extreme_width_plainly(width, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evolve worked on a refused width")
+
+    monkeypatch.setattr(ev, "propagate", no_work)
+    monkeypatch.setattr(orc, "grid_evolve", no_work)
+    path = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["evolve", "--width", width], path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "width" in err and err.count("\n") == 1
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flags,window", [
     (["--center", "100"], "[0, 14]"),
     (["--kernel", "sho", "--center=-100"], "[-14, 14]"),
@@ -418,7 +495,7 @@ def test_selftest_kernel_lines_fail_on_a_wrong_kernel(kernel, label, monkeypatch
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # Only the dilation operator interpolates; the CLI must not pay for it.
+    # Guards the CLI's import time against a heavy scipy submodule.
     src = str(Path(sl2prop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sl2prop import kernels as kn
 from sl2prop.sl2rep import PhysParams
@@ -350,3 +352,32 @@ class TestComplexTimeCaustic:
             kn.kernel_values(name, 1.0, 1.0, t, PhysParams(n=1, omega=1))
         assert exc.value.nearest_caustic_time == pytest.approx(caustic, abs=1e-15)
         assert exc.value.t == t
+
+
+# hbar and m away from 1, where they would drop out of the arithmetic.
+AWAY_FROM_ONE = st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 3.0))
+
+
+class TestSymmetry:
+    # K(x1, x2, t) = K(x2, x1, t) bit for bit on a shared grid (signed zeros
+    # included): the kernel table evaluates the upper triangle and mirrors it.
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(name=st.sampled_from(kn.KERNEL_NAMES),
+           n=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 50.0)),
+           omega=st.floats(0.0, 3.0, exclude_min=True), hbar=AWAY_FROM_ONE, m=AWAY_FROM_ONE,
+           t=st.floats(0.01, 3.0), backward=st.booleans(),
+           lo=st.floats(-6.0, 6.0), hi=st.floats(-6.0, 6.0), size=st.integers(1, 24))
+    def test_the_kernel_equals_its_transpose(self, name, n, omega, hbar, m, t, backward,
+                                             lo, hi, size):
+        kind = kn.kernel_kind(name)
+        if kind.halfline:
+            lo, hi = abs(lo) + 0.05, abs(hi) + 0.05
+        params = kind.hamiltonian(PhysParams(hbar=hbar, m=m, omega=omega, n=n))
+        xs = np.linspace(lo, hi, size)
+        try:
+            mat = kn.kernel_values(name, xs[:, None], xs[None, :], -t if backward else t,
+                                   params)
+        except kn.CausticSingularity:
+            assume(False)
+        bits = mat.view(np.uint64)
+        assert np.array_equal(bits, np.ascontiguousarray(mat.T).view(np.uint64))
