@@ -20,12 +20,8 @@ from .kernels import (
     CausticSingularity,
     KernelPoint,
     effective_time,
-    free_kernel,
     kernel_values,
     kernel_via_route,
-    radial_h0_kernel,
-    radial_sho_kernel,
-    sho_kernel,
 )
 from .numerics import (
     QuadratureResult,
@@ -79,7 +75,6 @@ __all__ = [
     "effective_time",
     "exp_traceless",
     "factor_coeffs",
-    "free_kernel",
     "generator_matrix",
     "grid_evolve",
     "hankel_kernel_oracle",
@@ -89,8 +84,5 @@ __all__ = [
     "kernel_via_route",
     "l2_distance",
     "propagate",
-    "radial_h0_kernel",
-    "radial_sho_kernel",
     "schrodinger_residual",
-    "sho_kernel",
 ]

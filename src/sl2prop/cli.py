@@ -78,7 +78,7 @@ def _units(params: sr.PhysParams) -> dict[str, float]:
             "n": params.n, "lambda": params.lam}
 
 
-def _kernel_run(args) -> tuple[str, kn.KernelKind, sr.PhysParams]:
+def _chosen_kernel(args) -> tuple[str, kn.KernelKind, sr.PhysParams]:
     """The kernel name, its kind, and the Hamiltonian the name fixes, which
     the kernel, the grid evolver and the header all see."""
     name = args.kernel.replace("-", "_")
@@ -169,7 +169,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    name, kind, run_params = _kernel_run(args)
+    name, kind, run_params = _chosen_kernel(args)
     if kind.halfline and args.x_min <= 0:
         raise ValueError("radial kernels need --x-min > 0")
     # Checked before linspace, which would warn on a non-finite bound.
@@ -293,7 +293,7 @@ def cmd_evolve(args) -> int:
     tol = args.tolerance
     if not math.isfinite(args.t_max):
         raise ValueError("evolve --t-max must be finite")
-    name, kind, run_params = _kernel_run(args)
+    name, kind, run_params = _chosen_kernel(args)
     x_min = 0.0 if kind.halfline else -args.x_max
     grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
                         x_min=x_min)
@@ -315,15 +315,14 @@ def cmd_evolve(args) -> int:
 
     # The grid evolver needs only psi0 and the final time (nonzero here, of
     # either sign), so it runs first and its refusals cost no propagation.
-    contaminated = False
+    # A state that reaches the grid edge is still cross-checked; the edge is
+    # judged by the frames' own test, not by the evolver's warning.
     cn = None
     if not args.no_cross_check:
         with warnings.catch_warnings():
-            warnings.simplefilter("error", orc.BoundaryContaminationWarning)
-            try:
-                cn = orc.grid_evolve(psi0, float(frame_times[-1]), run_params)
-            except orc.BoundaryContaminationWarning:
-                contaminated = True
+            warnings.simplefilter("ignore", orc.BoundaryContaminationWarning)
+            cn = orc.grid_evolve(psi0, float(frame_times[-1]), run_params)
+    contaminated = cn is not None and orc.edge_contaminated(cn)
 
     # Every frame lives on psi0's grid.
     xs_s = [_fmt(x) for x in psi0.x]
@@ -358,7 +357,9 @@ def cmd_selftest(args) -> int:
     """One PASS/FAIL line per check, each against its stated bound:
 
     - identity residual sweep (1e-12) and image-method exactness (1e-12);
-    - route equivalence (1e-10) and the spectral oracle at one point (1e-6);
+    - route equivalence (1e-10): each route of ``kernels.kernel_via_route``
+      against the closed form ``kernels.kernel_values``, and the spectral
+      oracle against it at one point (1e-6);
     - kernel PDE residual (2e-4): the worst ``evolve.schrodinger_residual``
       at (1.2, 0.8, 0.7), dx = 0.01, dt = 1e-4, over radial_sho n = 2.5, sho
       and radial_h0 n = 1 (the O(dx^2 + dt^2) defect reads 8.2e-5);
@@ -394,9 +395,9 @@ def cmd_selftest(args) -> int:
 
     p52 = sr.PhysParams(omega=1.0, n=2.5)
     worst = 0.0
-    for route in ("ELEMENT", "A1a", "A2a", "A3a"):
-        pt = kn.KernelPoint(1.2, 0.8, 0.9)
-        d = kn.radial_sho_kernel(pt, p52)
+    pt = kn.KernelPoint(1.2, 0.8, 0.9)
+    d = kn.kernel_values("radial_sho", pt.x1, pt.x2, pt.t, p52)
+    for route in kn.ROUTE_IDS:
         r = kn.kernel_via_route(route, pt, p52)
         worst = max(worst, abs(r - d) / abs(d))
     check("route equivalence spot", worst, 1e-10)
@@ -404,7 +405,7 @@ def cmd_selftest(args) -> int:
     p0 = sr.PhysParams(omega=0.0, n=0.0)
     pt = kn.KernelPoint(1.0, 1.0, 1.0)
     res = orc.hankel_kernel_oracle(pt, 0.0, p0)
-    closed = kn.radial_h0_kernel(pt, p0)
+    closed = kn.kernel_values("radial_h0", pt.x1, pt.x2, pt.t, p0)
     check("spectral oracle spot", abs(res.value - closed) / abs(closed), 1e-6)
 
     pt = kn.KernelPoint(1.2, 0.8, 0.7)

@@ -61,10 +61,15 @@ class TestFunction:
     def evaluate(self, x, params: PhysParams) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         norm = (2.0 * np.pi * self.width**2) ** -0.25
-        return norm * np.exp(
-            -((x - self.center) ** 2) / (4.0 * self.width**2)
-            + 1j * self.momentum * x / params.hbar
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Far from the centre the exponent may overflow to -inf, where
+            # exp(-inf) = 0 is the right value; a phase that overflows is not.
+            gauss = -((x - self.center) ** 2) / (4.0 * self.width**2)
+            phase = 1j * self.momentum * x / params.hbar
+        if not np.all(np.isfinite(phase)):
+            raise ValueError(f"momentum {self.momentum:g}: the phase p x / hbar "
+                             "overflows on the grid")
+        return norm * np.exp(gauss + phase)
 
     def require_halfline_support(self):
         if self.center - 4.0 * self.width <= 0:

@@ -16,13 +16,27 @@ only on the domain and the order:
 - ``image`` (radial kernels, n = 1/2): the Dirichlet image difference
   line(x1, x2) - line(x1, -x2), which the Bessel core equals at that order.
 
+Written out, with x1, x2 > 0 on the half line:
+
+- free: sqrt(m/(2 pi i hbar t)) e^{i m (x1 - x2)^2/(2 hbar t)}, of modulus
+  sqrt(m/(2 pi hbar |t|)) at every separation; t -> -t conjugates it;
+- sho: sqrt(m w/(2 pi i hbar sin wt))
+  exp{(i m w/2 hbar)[(x1^2 + x2^2) cot wt - 2 x1 x2 csc wt]}, which goes
+  over into the free kernel as w -> 0;
+- radial_h0: (m sqrt(x1 x2)/(i hbar t)) I_n(m x1 x2/(i hbar t))
+  e^{i m (x1^2 + x2^2)/(2 hbar t)};
+- radial_sho: (m w sqrt(x1 x2)/(i hbar sin wt)) I_n(m w x1 x2/(i hbar sin wt))
+  e^{(i m w/2 hbar)(x1^2 + x2^2) cot wt}, the quadratic phases wrapped
+  around radial_h0 at the effective time sin(wt)/w.
+
 Each kernel can also be assembled from a disentangling identity (quadratic
 phase factors around a re-timed w = 0 kernel, plus a dilation rescaling for
-the appendix routes); the assembled and direct values must agree, which is
-the core consistency check of the package.
+the appendix routes); the assembled and closed-form values must agree,
+which is the core consistency check of the package.
 
-Every kernel returns its value: a complex number at scalar positions, an
-ndarray broadcast from array positions.  A point it does not define raises.
+``kernel_values`` is the one evaluator of the closed forms: a complex
+number at scalar positions, an ndarray broadcast from array positions.  A
+point a kernel does not define raises.
 ``kernel_apply`` applies a kernel to a vector on a uniform grid through the
 factors A, the quadratic phase and the core, without forming the matrix.
 
@@ -36,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import fft
@@ -54,10 +67,6 @@ __all__ = [
     "effective_time",
     "kernel_kind",
     "main_wrap",
-    "free_kernel",
-    "sho_kernel",
-    "radial_h0_kernel",
-    "radial_sho_kernel",
     "kernel_values",
     "kernel_apply",
     "kernel_via_route",
@@ -65,7 +74,7 @@ __all__ = [
 
 CAUSTIC_TOL = 1e-8
 
-ROUTE_IDS = ("DIRECT", "ELEMENT", "A1a", "A2a", "A3a")
+ROUTE_IDS = ("ELEMENT", "A1a", "A2a", "A3a")
 
 # Edge of the square upper-triangle tiles of the Bessel core in
 # ``kernel_apply`` (memory control only).
@@ -170,14 +179,6 @@ def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, core: str):
             * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma)))
 
 
-# Fixed-core views of the evaluator for callers that go off the real time
-# axis (damped complex t), where the public kernels' checks do not apply.
-_free_value = partial(_closed_form, oscillator=False, core="line")
-_sho_value = partial(_closed_form, oscillator=True, core="line")
-_radial_h0_bessel_value = partial(_closed_form, oscillator=False, core="bessel")
-_radial_sho_bessel_value = partial(_closed_form, oscillator=True, core="bessel")
-
-
 def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
                   core: str | None = None) -> str:
     """The core the named kernel is evaluated with at ``pt``, after refusing
@@ -188,7 +189,7 @@ def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
     if kind.oscillator and params.omega <= 0:
         limit = "radial_h0" if kind.halfline else "free"
         raise ValueError(
-            f"{name}_kernel requires omega > 0; use {limit}_kernel at omega = 0"
+            f"kernel {name!r} requires omega > 0; use {limit!r} at omega = 0"
         )
     for label, v in (("t", pt.t), ("x1", pt.x1), ("x2", pt.x2)):
         if not np.all(np.isfinite(v)):
@@ -207,63 +208,18 @@ def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
     raise ValueError(f"core {core!r} does not apply here; the kernel's own is {own!r}")
 
 
-def _kernel(name: str, pt: KernelPoint, params: PhysParams, core: str | None = None):
-    core = _checked_core(name, pt, params, core)
-    v = _closed_form(pt.x1, pt.x2, pt.t, params, kernel_kind(name).oscillator, core)
-    return v if np.ndim(v) else complex(v)
-
-
-def free_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
-    """Free-particle kernel sqrt(m/(2 pi i hbar t)) e^{i m (x1-x2)^2 / 2 hbar t}.
-
-    Its modulus sqrt(m/(2 pi hbar |t|)) is independent of the positions, and
-    t -> -t conjugates the value.  Returns the complex value, an array for
-    array positions.
-    """
-    return _kernel("free", pt, params)
-
-
-def sho_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
-    """Full-line oscillator kernel (coupling-free case).
-
-    sqrt(m w/(2 pi i hbar sin wt)) exp{(i m w/2 hbar)[(x1^2+x2^2) cot wt
-    - 2 x1 x2 / sin wt]}.  Requires w > 0 and |sin wt| above the caustic
-    tolerance; as w -> 0 it goes over into the free kernel.  Returns the
-    complex value, an array for array positions.
-    """
-    return _kernel("sho", pt, params)
-
-
-def radial_h0_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
-    """Half-line kernel of the pure inverse-square Hamiltonian.
-
-    (m sqrt(x1 x2)/(i hbar t)) I_n(m x1 x2/(i hbar t))
-    e^{i m (x1^2+x2^2)/(2 hbar t)} on x1, x2 > 0.  Order 1/2 reduces to the
-    image-method difference of free kernels and is evaluated that way.
-    Returns the complex value, an array for array positions.
-    """
-    return _kernel("radial_h0", pt, params)
-
-
-def radial_sho_kernel(pt: KernelPoint, params: PhysParams) -> complex | np.ndarray:
-    """Half-line kernel with both the inverse-square and oscillator terms.
-
-    (m w sqrt(x1 x2)/(i hbar sin wt)) I_n(m w x1 x2/(i hbar sin wt))
-    e^{(i m w/2 hbar)(x1^2+x2^2) cot wt}; equals the quadratic phases wrapped
-    around the w = 0 kernel at effective time sin(wt)/w.  Order 1/2 is the
-    image-method difference of oscillator kernels and is evaluated that way.
-    Returns the complex value, an array for array positions.
-    """
-    return _kernel("radial_sho", pt, params)
-
-
 def kernel_values(name: str, x1, x2, t, params: PhysParams, core: str | None = None):
-    """The named kernel at (x1, x2, t), positions broadcast; used by propagation.
+    """The named kernel at (x1, x2, t), positions broadcast.
 
-    ``core="bessel"`` evaluates a half-line kernel through the Bessel core
-    even at n = 1/2, where it otherwise takes the image difference.
+    Returns a Python complex at scalar positions and an ndarray of the
+    broadcast shape at array positions.  ``core="bessel"`` evaluates a
+    half-line kernel through the Bessel core even at n = 1/2, where it
+    otherwise takes the image difference.  t may be complex, as in the
+    damped-time checks; the refusals are the same for every t.
     """
-    return _kernel(name, KernelPoint(x1=x1, x2=x2, t=t), params, core)
+    core = _checked_core(name, KernelPoint(x1=x1, x2=x2, t=t), params, core)
+    v = _closed_form(x1, x2, t, params, kernel_kind(name).oscillator, core)
+    return v if np.ndim(v) else complex(v)
 
 
 def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParams):
@@ -336,19 +292,20 @@ def kernel_via_route(
 ) -> complex | np.ndarray:
     """Kernel value assembled along one factorization route.
 
-    ``DIRECT`` evaluates the closed form.  ``ELEMENT`` wraps the w = 0
-    kernel at the effective time sin(wt)/w in the quadratic phase factors of
-    the symmetric factorization.  The appendix routes additionally carry a
-    dilation factor e^{+-hbar gamma} and a rescaled position argument
-    (position eigenstates pick up e^{hbar gamma} and a stretch e^{2 hbar
-    gamma} under the dilation).  The inverse-square factor is the w = 0
-    kernel at effective time 2 m hbar beta.
+    ``ELEMENT`` wraps the w = 0 kernel at the effective time sin(wt)/w in
+    the quadratic phase factors of the symmetric factorization.  The
+    appendix routes additionally carry a dilation factor e^{+-hbar gamma}
+    and a rescaled position argument (position eigenstates pick up
+    e^{hbar gamma} and a stretch e^{2 hbar gamma} under the dilation).  The
+    inverse-square factor is the w = 0 kernel at effective time
+    2 m hbar beta.
 
     ``halfline=False`` selects the coupling-free full-line assembly (order
-    pinned to 1/2, i.e. lam = 0) whose direct form is ``sho_kernel``.
+    pinned to 1/2, i.e. lam = 0), whose closed form is the ``sho`` kernel.
 
-    All routes must agree with DIRECT; the appendix routes require
-    cos(wt) > 0 on top of the caustic window.
+    Every route is checked against the closed form ``kernel_values`` of
+    ``radial_sho`` (or ``sho``); the appendix routes require cos(wt) > 0 on
+    top of the caustic window.
     """
     if route not in ROUTE_IDS:
         raise ValueError(f"unknown route {route!r}; choose from {ROUTE_IDS}")
@@ -359,14 +316,9 @@ def kernel_via_route(
     x1 = np.asarray(pt.x1)
     x2 = np.asarray(pt.x2)
 
-    def base(y1, y2, te):
-        return _closed_form(y1, y2, te, params, False, core)
-
-    if route == "DIRECT":
-        v = _closed_form(x1, x2, pt.t, params, True, core)
-    elif route == "ELEMENT":
+    if route == "ELEMENT":
         phase, te = main_wrap(x1, x2, pt.t, params)
-        v = phase * base(x1, x2, te)
+        y1, y2 = x1, x2
     else:
         coeffs = factor_coeffs(route, pt.t, params)
         te = 2.0 * params.m * h * coeffs.beta
@@ -378,5 +330,6 @@ def kernel_via_route(
         d = math.exp((-h if left else h) * coeffs.gamma)
         y1, y2 = (x1 * d**2, x2) if left else (x1, x2 * d**2)
         xa = y1 if route == "A2a" else x1
-        v = d * np.exp(-1j * coeffs.alpha * xa**2) * base(y1, y2, te)
+        phase = d * np.exp(-1j * coeffs.alpha * xa**2)
+    v = phase * _closed_form(y1, y2, te, params, False, core)
     return v if np.ndim(v) else complex(v)

@@ -10,7 +10,7 @@ arithmetic, which is what this module does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,11 +99,8 @@ class FactorCoeffs:
     alpha: float
     beta: float
     gamma: float
-    identity_id: str = field(default="MAIN")
 
     def __post_init__(self):
-        if self.identity_id not in IDENTITY_IDS:
-            raise ValueError(f"unknown identity {self.identity_id!r}")
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite")
@@ -181,8 +178,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     h, m, w = params.hbar, params.m, params.omega
 
     if w == 0.0:
-        return FactorCoeffs(alpha=0.0, beta=t / (2.0 * m * h), gamma=0.0,
-                            identity_id=identity_id)
+        return FactorCoeffs(alpha=0.0, beta=t / (2.0 * m * h), gamma=0.0)
 
     wt = w * t
     if identity_id == "MAIN":
@@ -192,7 +188,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
             )
         alpha = 0.5 * m * w / h * math.tan(wt / 2.0)
         beta = math.sin(wt) / (2.0 * m * w * h)
-        return FactorCoeffs(alpha=alpha, beta=beta, gamma=0.0, identity_id="MAIN")
+        return FactorCoeffs(alpha=alpha, beta=beta, gamma=0.0)
 
     c = math.cos(wt)
     if c <= 1e-12:
@@ -215,7 +211,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     else:  # A3a / A3b
         alpha = 0.5 * m * w / h * tanwt
         beta = sincos / (2.0 * h * m * w)
-    return FactorCoeffs(alpha=alpha, beta=beta, gamma=gamma, identity_id=identity_id)
+    return FactorCoeffs(alpha=alpha, beta=beta, gamma=gamma)
 
 
 def _coeff_for(gen_id: str, coeffs: FactorCoeffs) -> float:

@@ -163,6 +163,21 @@ def test_evolve_cross_checks_a_negative_final_time(tmp_path):
         _cross_l2(forward.read_text()), rel=1e-9)
 
 
+@pytest.mark.parametrize("kernel", ["free", "radial-h0"])
+def test_evolve_cross_checks_a_state_that_reaches_the_edge(kernel, tmp_path, capsys):
+    # At the defaults these packets spread into the outer 5% of the grid: the
+    # edge check fails, and the grid evolver's state is still compared
+    # (4.0e-5 for free, 1.0e-5 for radial-h0).
+    path = tmp_path / "e.csv"
+    assert run(["evolve", "--kernel", kernel], path) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("cross_oracle_l2=") and out[1].endswith(" pass=yes")
+    assert out[2:] == ["boundary_contamination=yes pass=no"]
+    text = path.read_text()
+    assert text.endswith("".join(f"# {line}\n" for line in out))
+    assert _cross_l2(text) < 1e-4
+
+
 def test_evolve_refuses_the_grid_evolver_order_before_propagating(tmp_path, capsys,
                                                                   monkeypatch):
     def propagate(*args, **kwargs):
@@ -448,6 +463,24 @@ def test_evolve_refuses_an_extreme_width_plainly(width, tmp_path, capsys, monkey
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "width" in err and err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--kernel", "sho", "--width", "1e-150", "--x-max", "1e5"],
+     "the packet is zero on every node of the grid [-100000, 100000]"),
+    (["--momentum", "1e300", "--x-max", "1e10"],
+     "momentum 1e+300: the phase p x / hbar overflows on the grid"),
+], ids=["exponent", "phase"])
+def test_evolve_refuses_an_overflowing_packet_without_a_warning(flags, message, tmp_path,
+                                                                capsys):
+    # The Gaussian exponent overflows to -inf far from the centre, which is
+    # exact; a momentum phase that overflows is refused by name.
+    path = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["evolve", *flags], path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not path.exists()
 
 

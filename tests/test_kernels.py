@@ -18,13 +18,13 @@ FREE_COINCIDENT = 0.28209479177387814 - 0.28209479177387814j
 H0_N0_REF = 0.64389165088065622 - 0.41343807449223535j
 
 
-def kv(name, x1, x2, t, params):
-    return kn.kernel_values(name, x1, x2, t, params)
+# The one evaluator of the closed forms, under a short name.
+kv = kn.kernel_values
 
 
 class TestFreeKernel:
     def test_coincident_point(self):
-        v = kn.free_kernel(kn.KernelPoint(1.3, 1.3, 1.0), P_FREE)
+        v = kv("free", 1.3, 1.3, 1.0, P_FREE)
         assert v == pytest.approx(FREE_COINCIDENT, rel=1e-14)
 
     def test_modulus_independent_of_separation(self):
@@ -40,7 +40,25 @@ class TestFreeKernel:
 
     def test_rejects_zero_time(self):
         with pytest.raises(ValueError):
-            kn.free_kernel(kn.KernelPoint(1.0, 1.0, 0.0), P_FREE)
+            kv("free", 1.0, 1.0, 0.0, P_FREE)
+
+
+class TestReturnContract:
+    # A Python complex at scalar positions, an ndarray of the broadcast shape
+    # at array positions, for every kernel at real t.
+    @pytest.mark.parametrize("t", [0.7, -0.7])
+    @pytest.mark.parametrize("n", [0.5, 1.5])
+    @pytest.mark.parametrize("name", kn.KERNEL_NAMES)
+    def test_scalar_and_array_positions(self, name, n, t):
+        params = PhysParams(n=n)
+        assert type(kv(name, 1.1, 0.8, t, params)) is complex
+        assert type(kv(name, np.float64(1.1), np.array(0.8), t, params)) is complex
+        x1 = np.linspace(0.5, 2.0, 4)[:, None]
+        x2 = np.array([0.6, 1.3, 2.1])
+        for a, b, shape in ((x1, x2, (4, 3)), (1.1, x2, (3,)), (x1, 0.8, (4, 1))):
+            v = kv(name, a, b, t, params)
+            assert isinstance(v, np.ndarray)
+            assert v.shape == shape and v.dtype == complex
 
 
 # Each entry point that goes through the kernel's checks refuses a NaN or
@@ -77,24 +95,24 @@ class TestNonFiniteArguments:
 
 class TestShoKernel:
     def test_quarter_period_value(self):
-        v = kn.sho_kernel(kn.KernelPoint(1.0, 1.0, math.pi / 2), P_LINE)
+        v = kv("sho", 1.0, 1.0, math.pi / 2, P_LINE)
         assert abs(v) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-13)
         assert np.angle(v) == pytest.approx(-math.pi / 4 - 1.0, abs=1e-13)
 
     def test_small_frequency_approaches_free(self):
         p = PhysParams(hbar=1.0, m=1.0, omega=1e-4, n=0.5)
-        a = kn.sho_kernel(kn.KernelPoint(1.0, 0.5, 1.0), p)
-        b = kn.free_kernel(kn.KernelPoint(1.0, 0.5, 1.0), p)
+        a = kv("sho", 1.0, 0.5, 1.0, p)
+        b = kv("free", 1.0, 0.5, 1.0, p)
         assert abs(a - b) / abs(b) < 1e-8
 
     def test_caustic_refusal_reports_nearest(self):
         with pytest.raises(kn.CausticSingularity) as exc:
-            kn.sho_kernel(kn.KernelPoint(1.0, 1.0, math.pi - 1e-12), P_LINE)
+            kv("sho", 1.0, 1.0, math.pi - 1e-12, P_LINE)
         assert exc.value.nearest_caustic_time == pytest.approx(math.pi)
 
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
-            kn.sho_kernel(kn.KernelPoint(1.0, 1.0, 0.5), P_FREE)
+            kv("sho", 1.0, 1.0, 0.5, P_FREE)
 
     def test_symmetry_and_time_reversal(self):
         a = kv("sho", 0.3, 1.7, 0.9, P_LINE)
@@ -106,7 +124,7 @@ class TestRadialH0Kernel:
     def test_image_combination_is_bit_exact_at_half_order(self):
         for x1, x2, t in [(1.1, 0.8, 0.6), (0.5, 2.0, 1.3), (1.7, 1.7, -0.4)]:
             pub = kv("radial_h0", x1, x2, t, P_FREE)
-            img = kn._free_value(x1, x2, t, P_FREE) - kn._free_value(x1, -x2, t, P_FREE)
+            img = kv("free", x1, x2, t, P_FREE) - kv("free", x1, -x2, t, P_FREE)
             assert pub == complex(img)
 
     def test_bessel_route_reproduces_image_formula(self):
@@ -117,9 +135,9 @@ class TestRadialH0Kernel:
         for x1 in x1s:
             for x2 in x2s:
                 for t in (0.7, 1.9):
-                    gen = kn._radial_h0_bessel_value(x1, x2, t, P_FREE)
-                    img = kn._free_value(x1, x2, t, P_FREE) \
-                        - kn._free_value(x1, -x2, t, P_FREE)
+                    gen = kv("radial_h0", x1, x2, t, P_FREE, core="bessel")
+                    img = kv("free", x1, x2, t, P_FREE) \
+                        - kv("free", x1, -x2, t, P_FREE)
                     assert abs(gen - img) / abs(img) < 1e-12
 
     def test_order_zero_value(self):
@@ -135,11 +153,11 @@ class TestRadialH0Kernel:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            kn.radial_h0_kernel(kn.KernelPoint(0.0, 1.0, 0.5), P_FREE)
+            kv("radial_h0", 0.0, 1.0, 0.5, P_FREE)
         with pytest.raises(ValueError):
-            kn.radial_h0_kernel(kn.KernelPoint(1.0, -1.0, 0.5), P_FREE)
+            kv("radial_h0", 1.0, -1.0, 0.5, P_FREE)
         with pytest.raises(ValueError):
-            kn.radial_h0_kernel(kn.KernelPoint(1.0, 1.0, 0.0), P_FREE)
+            kv("radial_h0", 1.0, 1.0, 0.0, P_FREE)
 
 
 class TestRadialShoKernel:
@@ -158,8 +176,8 @@ class TestRadialShoKernel:
         devs = []
         for t in [0.2 / 2**j for j in range(5)]:
             tc = t * (1.0 - 1j * eps)
-            ratio = kn._radial_sho_bessel_value(1.5, 1.5, tc, p) \
-                / kn._free_value(1.5, 1.5, tc, p)
+            ratio = kv("radial_sho", 1.5, 1.5, tc, p) \
+                / kv("free", 1.5, 1.5, tc, p)
             devs.append(abs(ratio - 1.0))
         for a, b in zip(devs, devs[1:]):
             assert 1.5 < a / b < 2.5
@@ -169,8 +187,8 @@ class TestRadialShoKernel:
         # oscillator image combination
         t = math.pi / 4
         for x1, x2 in [(1.0, 1.0), (0.7, 1.6), (2.1, 0.9)]:
-            gen = kn._radial_sho_bessel_value(x1, x2, t, P_LINE)
-            img = kn._sho_value(x1, x2, t, P_LINE) - kn._sho_value(x1, -x2, t, P_LINE)
+            gen = kv("radial_sho", x1, x2, t, P_LINE, core="bessel")
+            img = kv("sho", x1, x2, t, P_LINE) - kv("sho", x1, -x2, t, P_LINE)
             assert abs(gen - img) / abs(img) < 1e-12
 
     def test_effective_time_wrapping(self):
@@ -184,18 +202,18 @@ class TestRadialShoKernel:
         for x1, x2 in [(0.8, 1.1), (1.9, 0.6)]:
             wrapped = (
                 np.exp(-1j * alpha * x1**2)
-                * kn._radial_h0_bessel_value(x1, x2, te, p)
+                * kv("radial_h0", x1, x2, te, p)
                 * np.exp(-1j * alpha * x2**2)
             )
-            direct = kn._radial_sho_bessel_value(x1, x2, t, p)
+            direct = kv("radial_sho", x1, x2, t, p)
             assert abs(wrapped - direct) / abs(direct) < 1e-13
 
     def test_caustic_and_domain(self):
         p = PhysParams(n=1.5, omega=1.0)
         with pytest.raises(kn.CausticSingularity):
-            kn.radial_sho_kernel(kn.KernelPoint(1.0, 1.0, math.pi), p)
+            kv("radial_sho", 1.0, 1.0, math.pi, p)
         with pytest.raises(ValueError):
-            kn.radial_sho_kernel(kn.KernelPoint(-1.0, 1.0, 0.5), p)
+            kv("radial_sho", -1.0, 1.0, 0.5, p)
 
     def test_symmetry_and_time_reversal(self):
         p = PhysParams(n=2.5, omega=1.0)
@@ -242,20 +260,20 @@ class TestRoutes:
         for x1, x2, wt in [(1.0, 1.0, 0.8), (-0.7, 1.4, 0.45), (2.0, -1.1, 1.2)]:
             pt = kn.KernelPoint(x1, x2, wt)
             r = kn.kernel_via_route("ELEMENT", pt, P_LINE, halfline=False)
-            d = kn.sho_kernel(pt, P_LINE)
+            d = kv("sho", pt.x1, pt.x2, pt.t, P_LINE)
             assert abs(r - d) / abs(d) < 1e-12
 
     def test_a1a_coupling_free(self):
         pt = kn.KernelPoint(1.1, 0.6, 0.4)
         r = kn.kernel_via_route("A1a", pt, P_LINE, halfline=False)
-        d = kn.sho_kernel(pt, P_LINE)
+        d = kv("sho", pt.x1, pt.x2, pt.t, P_LINE)
         assert abs(r - d) / abs(d) < 1e-12
 
     def test_element_halfline_order_three_halves(self):
         p = PhysParams(n=1.5, omega=1.0)
         pt = kn.KernelPoint(1.3, 0.9, 0.6)
         r = kn.kernel_via_route("ELEMENT", pt, p)
-        d = kn.radial_sho_kernel(pt, p)
+        d = kv("radial_sho", pt.x1, pt.x2, pt.t, p)
         assert abs(r - d) / abs(d) < 1e-10
 
     @pytest.mark.parametrize("route", ["ELEMENT", "A1a", "A2a", "A3a"])
@@ -270,7 +288,7 @@ class TestRoutes:
                 continue  # t = 0 is the delta limit, not a kernel value
             pt = kn.KernelPoint(x1s[:, None], x2s[None, :], float(wt))
             r = kn.kernel_via_route(route, pt, p)
-            d = kn.radial_sho_kernel(pt, p)
+            d = kv("radial_sho", pt.x1, pt.x2, pt.t, p)
             assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10
 
     @pytest.mark.parametrize("route", ["ELEMENT", "A1a", "A2a", "A3a"])
@@ -283,14 +301,8 @@ class TestRoutes:
                 continue
             pt = kn.KernelPoint(x1s[:, None], x2s[None, :], float(wt))
             r = kn.kernel_via_route(route, pt, P_LINE, halfline=False)
-            d = kn.sho_kernel(pt, P_LINE)
+            d = kv("sho", pt.x1, pt.x2, pt.t, P_LINE)
             assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10
-
-    def test_direct_route_is_the_closed_form(self):
-        p = PhysParams(n=2.5, omega=1.0)
-        pt = kn.KernelPoint(1.2, 0.8, 0.7)
-        assert kn.kernel_via_route("DIRECT", pt, p) == \
-            kn.radial_sho_kernel(pt, p)
 
     def test_route_validity_windows(self):
         p = PhysParams(n=2.5, omega=1.0)
@@ -319,10 +331,10 @@ class TestSemigroup:
         w[-1] *= 0.5
         lhs = np.sum(
             w
-            * kn._radial_sho_bessel_value(1.3, y, t1 * (1 - 1j * eps), p)
-            * kn._radial_sho_bessel_value(y, 0.9, t2 * (1 - 1j * eps), p)
+            * kv("radial_sho", 1.3, y, t1 * (1 - 1j * eps), p)
+            * kv("radial_sho", y, 0.9, t2 * (1 - 1j * eps), p)
         )
-        rhs = kn._radial_sho_bessel_value(1.3, 0.9, (t1 + t2) * (1 - 1j * eps), p)
+        rhs = kv("radial_sho", 1.3, 0.9, (t1 + t2) * (1 - 1j * eps), p)
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
 
     def test_free_full_line(self):
@@ -334,10 +346,10 @@ class TestSemigroup:
         w[-1] *= 0.5
         lhs = np.sum(
             w
-            * kn._free_value(1.3, y, t1 * (1 - 1j * eps), P_FREE)
-            * kn._free_value(y, 0.9, t2 * (1 - 1j * eps), P_FREE)
+            * kv("free", 1.3, y, t1 * (1 - 1j * eps), P_FREE)
+            * kv("free", y, 0.9, t2 * (1 - 1j * eps), P_FREE)
         )
-        rhs = kn._free_value(1.3, 0.9, (t1 + t2) * (1 - 1j * eps), P_FREE)
+        rhs = kv("free", 1.3, 0.9, (t1 + t2) * (1 - 1j * eps), P_FREE)
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
 
 

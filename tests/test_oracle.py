@@ -31,15 +31,15 @@ class TestHankelOracle:
     def test_half_order_matches_image_formula(self):
         pt = kn.KernelPoint(1.0, 2.0, 0.5)
         res = orc.hankel_kernel_oracle(pt, 0.5, P_FREE)
-        img = kn._free_value(1.0, 2.0, 0.5, P_FREE) \
-            - kn._free_value(1.0, -2.0, 0.5, P_FREE)
+        img = kn.kernel_values("free", 1.0, 2.0, 0.5, P_FREE) \
+            - kn.kernel_values("free", 1.0, -2.0, 0.5, P_FREE)
         assert abs(res.value - img) / abs(img) < 1e-6
 
     def test_order_zero_closed_form(self):
         p = PhysParams(omega=0.0, n=0.0)
         pt = kn.KernelPoint(1.0, 1.0, 1.0)
         res = orc.hankel_kernel_oracle(pt, 0.0, p)
-        closed = kn.radial_h0_kernel(pt, p)
+        closed = kn.kernel_values("radial_h0", pt.x1, pt.x2, pt.t, p)
         assert abs(res.value - closed) / abs(closed) < 1e-6
         assert abs(res.value - closed) < max(1e-6, 10.0 * res.error_estimate)
 
@@ -58,14 +58,14 @@ class TestHankelOracle:
         for (x1, x2, t) in [(0.7, 1.6, 0.7), (1.3, 0.9, 2.0)]:
             pt = kn.KernelPoint(x1, x2, t)
             res = orc.hankel_kernel_oracle(pt, n, p)
-            closed = kn._radial_h0_bessel_value(x1, x2, t, p)
+            closed = kn.kernel_values("radial_h0", x1, x2, t, p, core="bessel")
             assert abs(res.value - closed) / abs(closed) < 1e-6
 
     def test_negative_time(self):
         p = PhysParams(omega=0.0, n=1.0)
         pt = kn.KernelPoint(1.0, 1.2, -0.8)
         res = orc.hankel_kernel_oracle(pt, 1.0, p)
-        closed = kn._radial_h0_bessel_value(1.0, 1.2, -0.8, p)
+        closed = kn.kernel_values("radial_h0", 1.0, 1.2, -0.8, p)
         assert abs(res.value - closed) / abs(closed) < 1e-6
 
     def test_truncation_follows_the_schedule(self):
@@ -76,7 +76,7 @@ class TestHankelOracle:
         schedule = [1e-2, 1e-3, 1e-4]
         spec = orc.default_hankel_spec(pt, p, eps_schedule=schedule)
         res = orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec)
-        closed = kn._radial_h0_bessel_value(0.7, 0.9, 0.7, p)
+        closed = kn.kernel_values("radial_h0", 0.7, 0.9, 0.7, p)
         assert abs(res.value - closed) / abs(closed) < 1e-7
 
     def test_nonconvergence_surfaces_estimate(self):

@@ -9,13 +9,13 @@ P_HALF = PhysParams(n=0.5, omega=1.0)
 
 @pytest.mark.parametrize("route", ["ELEMENT", "A1a", "A2a", "A3a"])
 def test_half_order_routes_agree_with_direct(route):
-    # At n = 1/2 DIRECT is the image difference of oscillator kernels, while
-    # the routes wrap the image difference of free kernels at the re-timed
-    # argument: two different evaluations that must agree.
+    # At n = 1/2 the closed form is the image difference of oscillator
+    # kernels, while the routes wrap the image difference of free kernels at
+    # the re-timed argument: two different evaluations that must agree.
     x = np.linspace(0.3, 2.7, 9)
     for wt in np.linspace(-1.4, 1.4, 8):
         pt = kn.KernelPoint(x[:, None], x[None, :], float(wt))
-        d = kn.kernel_via_route("DIRECT", pt, P_HALF)
+        d = kn.kernel_values("radial_sho", pt.x1, pt.x2, pt.t, P_HALF)
         r = kn.kernel_via_route(route, pt, P_HALF)
         assert np.max(np.abs(r - d) / np.abs(d)) < 1e-12
         assert not np.array_equal(r, d)
