@@ -18,8 +18,6 @@ from .kernels import (
     KERNEL_NAMES,
     ROUTE_IDS,
     CausticSingularity,
-    KernelPoint,
-    effective_time,
     kernel_values,
     kernel_via_route,
 )
@@ -31,7 +29,6 @@ from .numerics import (
     integrate_oscillatory,
 )
 from .oracle import (
-    BoundaryContaminationWarning,
     GridSpec,
     GridWavefunction,
     default_hankel_spec,
@@ -53,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BoundaryContaminationWarning",
     "CAUSTIC_TOL",
     "CausticSingularity",
     "FactorCoeffs",
@@ -62,7 +58,6 @@ __all__ = [
     "GridWavefunction",
     "IDENTITY_IDS",
     "KERNEL_NAMES",
-    "KernelPoint",
     "PhysParams",
     "QuadratureResult",
     "QuadratureSpec",
@@ -72,7 +67,6 @@ __all__ = [
     "bessel_j",
     "default_hankel_spec",
     "delta_limit_check",
-    "effective_time",
     "exp_traceless",
     "factor_coeffs",
     "generator_matrix",

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -251,9 +250,9 @@ def cmd_oracle_compare(args) -> int:
         # The oracle gives the w = 0 kernel; MAIN's phases and effective
         # time carry it to the oscillator.
         phase, te = kn.main_wrap(x1s, x2s, t, params)
-        pt = kn.KernelPoint(x1s, x2s, te)
-        spec = None if schedule is None else orc.default_hankel_spec(pt, params, schedule)
-        res = orc.hankel_kernel_oracle(pt, np.array(orders), params, spec=spec)
+        spec = (None if schedule is None
+                else orc.default_hankel_spec(x1s, x2s, te, params, schedule))
+        res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), params, spec=spec)
         return phase * res.value, res.error_estimate
 
     failed = False
@@ -299,7 +298,7 @@ def cmd_evolve(args) -> int:
                         x_min=x_min)
     packet = ev.TestFunction(center=args.center, width=args.width,
                              momentum=args.momentum)
-    psi0 = ev.as_gridfunction(packet, run_params, grid, kind.halfline)
+    psi0 = packet.sample(grid, run_params, kind.halfline)
     # A zero state would pass every check vacuously.
     if not np.any(psi0.samples):
         raise ValueError("the packet is zero on every node of the grid "
@@ -316,12 +315,10 @@ def cmd_evolve(args) -> int:
     # The grid evolver needs only psi0 and the final time (nonzero here, of
     # either sign), so it runs first and its refusals cost no propagation.
     # A state that reaches the grid edge is still cross-checked; the edge is
-    # judged by the frames' own test, not by the evolver's warning.
+    # judged by ``edge_contaminated``, for it as for the frames.
     cn = None
     if not args.no_cross_check:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", orc.BoundaryContaminationWarning)
-            cn = orc.grid_evolve(psi0, float(frame_times[-1]), run_params)
+        cn = orc.grid_evolve(psi0, float(frame_times[-1]), run_params)
     contaminated = cn is not None and orc.edge_contaminated(cn)
 
     # Every frame lives on psi0's grid.
@@ -395,21 +392,18 @@ def cmd_selftest(args) -> int:
 
     p52 = sr.PhysParams(omega=1.0, n=2.5)
     worst = 0.0
-    pt = kn.KernelPoint(1.2, 0.8, 0.9)
-    d = kn.kernel_values("radial_sho", pt.x1, pt.x2, pt.t, p52)
+    d = kn.kernel_values("radial_sho", 1.2, 0.8, 0.9, p52)
     for route in kn.ROUTE_IDS:
-        r = kn.kernel_via_route(route, pt, p52)
+        r = kn.kernel_via_route(route, 1.2, 0.8, 0.9, p52)
         worst = max(worst, abs(r - d) / abs(d))
     check("route equivalence spot", worst, 1e-10)
 
     p0 = sr.PhysParams(omega=0.0, n=0.0)
-    pt = kn.KernelPoint(1.0, 1.0, 1.0)
-    res = orc.hankel_kernel_oracle(pt, 0.0, p0)
-    closed = kn.kernel_values("radial_h0", pt.x1, pt.x2, pt.t, p0)
+    res = orc.hankel_kernel_oracle(1.0, 1.0, 1.0, 0.0, p0)
+    closed = kn.kernel_values("radial_h0", 1.0, 1.0, 1.0, p0)
     check("spectral oracle spot", abs(res.value - closed) / abs(closed), 1e-6)
 
-    pt = kn.KernelPoint(1.2, 0.8, 0.7)
-    worst = max(ev.schrodinger_residual(name, pt, p, 0.01, 1e-4) for name, p in (
+    worst = max(ev.schrodinger_residual(name, 1.2, 0.8, 0.7, p, 0.01, 1e-4) for name, p in (
         ("radial_sho", p52), ("sho", params), ("radial_h0", sr.PhysParams(omega=0.0, n=1.0))))
     check("kernel PDE residual", worst, 2e-4)
 

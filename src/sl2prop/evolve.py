@@ -1,12 +1,14 @@
 """Wavepacket propagation by kernel quadrature, and the kernel PDE checks.
 
-Propagation integrates the kernel against the packet on the packet's own
-grid with trapezoid weights; since the integrand is smooth and vanishes at
-both ends of the window, the rule converges super-algebraically once the
-kernel oscillation is resolved.  The quadrature goes through the kernel's
-factored form ``kernels.kernel_apply`` (quadratic phase x core x quadratic
-phase), so no kernel matrix is formed.  The output grid is always the input
-quadrature grid.
+``propagate`` takes grid samples, a ``GridWavefunction``, and
+``TestFunction.sample`` puts a Gaussian packet on a grid; the kernel PDE
+checks take plain positions and time.  Propagation integrates the kernel
+against the samples on their own grid with trapezoid weights; since the
+integrand is smooth and vanishes at both ends of the window, the rule
+converges super-algebraically once the kernel oscillation is resolved.  The
+quadrature goes through the kernel's factored form ``kernels.kernel_apply``
+(quadratic phase x core x quadratic phase), so no kernel matrix is formed.
+The output grid is always the input grid.
 
 Phase conventions are never asserted by these checks: every phase-sensitive
 comparison is made through magnitudes or phase differences.
@@ -16,17 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .kernels import KernelPoint, kernel_apply, kernel_kind, kernel_values
+from .kernels import kernel_apply, kernel_kind, kernel_values
 from .oracle import GridSpec, GridWavefunction
 from .sl2rep import PhysParams
 
 __all__ = [
     "TestFunction",
-    "as_gridfunction",
     "propagate",
     "schrodinger_residual",
     "delta_limit_check",
@@ -71,11 +71,14 @@ class TestFunction:
                              "overflows on the grid")
         return norm * np.exp(gauss + phase)
 
-    def require_halfline_support(self):
-        if self.center - 4.0 * self.width <= 0:
+    def sample(self, grid: GridSpec, params: PhysParams, halfline: bool) -> GridWavefunction:
+        """The packet on the nodes of ``grid``, after checking, for a
+        half-line kernel, that its support stays off the wall."""
+        if halfline and self.center - 4.0 * self.width <= 0:
             raise ValueError(
                 "half-line packets need center - 4 width > 0 (support off the wall)"
             )
+        return GridWavefunction(self.evaluate(grid.nodes(), params), grid)
 
 
 def _columns(samples: np.ndarray, grid: GridSpec, halfline: bool):
@@ -90,27 +93,11 @@ def _columns(samples: np.ndarray, grid: GridSpec, halfline: bool):
     return grid.nodes()[skip:], (w * samples)[skip:]
 
 
-def as_gridfunction(psi0, params: PhysParams, grid: GridSpec | None,
-                    halfline: bool) -> GridWavefunction:
-    """The state as grid samples; a TestFunction is sampled on ``grid``,
-    after checking its support stays off the wall for half-line kernels."""
-    if isinstance(psi0, GridWavefunction):
-        return psi0
-    if isinstance(psi0, TestFunction):
-        if grid is None:
-            raise ValueError("a GridSpec is required when propagating a TestFunction")
-        if halfline:
-            psi0.require_halfline_support()
-        return GridWavefunction(psi0.evaluate(grid.nodes(), params), grid)
-    raise TypeError("psi0 must be a TestFunction or GridWavefunction")
-
-
 def propagate(
-    psi0,
+    psi0: GridWavefunction,
     t: float,
     kernel: str,
     params: PhysParams,
-    grid: GridSpec | None = None,
 ) -> GridWavefunction:
     """Evolve a packet by quadrature against the selected kernel.
 
@@ -126,20 +113,17 @@ def propagate(
 
     Parameters
     ----------
-    psi0 : TestFunction or GridWavefunction
-        Initial state; a TestFunction needs ``grid``.
+    psi0 : GridWavefunction
+        Initial state; its grid is the quadrature and output grid
+        (``TestFunction.sample`` puts a packet on one).
     t : float
         Evolution time (nonzero, non-caustic for oscillator kernels).
     kernel : str
         One of {"free", "sho", "radial_h0", "radial_sho"}.
     params : PhysParams
-    grid : GridSpec, optional
-        Quadrature and output grid when psi0 is a TestFunction.
     """
-    halfline = kernel_kind(kernel).halfline
-    state = as_gridfunction(psi0, params, grid, halfline)
-    g = state.grid
-    cols, weighted = _columns(state.samples, g, halfline)
+    g = psi0.grid
+    cols, weighted = _columns(psi0.samples, g, kernel_kind(kernel).halfline)
 
     # The output rows are the quadrature columns; a dropped wall node stays 0.
     out = np.zeros(g.points + 1, dtype=complex)
@@ -158,7 +142,9 @@ def l2_distance(a: GridWavefunction, b: GridWavefunction) -> float:
 
 def schrodinger_residual(
     kernel: str,
-    pt: KernelPoint,
+    x1: float,
+    x2: float,
+    t: float,
     params: PhysParams,
     dx: float,
     dt: float,
@@ -172,11 +158,8 @@ def schrodinger_residual(
     kernel; a stencil that straddles a caustic is refused here, where its
     three times are seen together.
     """
-    kind = kernel_kind(kernel)
-    x1 = float(pt.x1)
-    x2 = float(pt.x2)
-    t = float(pt.t)
-    ham = kind.hamiltonian(params)
+    x1, x2, t = float(x1), float(x2), float(t)
+    ham = kernel_kind(kernel).hamiltonian(params)
     n, omega = ham.n, ham.omega
     if omega > 0 and (math.floor(omega * (t - dt) / math.pi)
                       != math.floor(omega * (t + dt) / math.pi)):
@@ -202,7 +185,7 @@ def schrodinger_residual(
 
 
 def delta_limit_check(
-    f,
+    f: TestFunction,
     x1: float,
     t_sequence,
     kernel: str,
@@ -212,20 +195,15 @@ def delta_limit_check(
     """Smearing error |(K_t * f)(x1) - f(x1)| for each time in the sequence.
 
     As the kernel collapses to a delta the sequence must decay linearly in
-    t.  ``f`` is a TestFunction or any callable of x.  The grid must resolve
-    the kernel oscillation at the smallest time, and start at the wall for
-    half-line kernels.
+    t.  The grid must resolve the kernel oscillation at the smallest time,
+    and start at the wall for half-line kernels.
     """
     ts = np.asarray(list(t_sequence), dtype=float)
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("t_sequence must be positive and strictly decreasing")
     halfline = kernel_kind(kernel).halfline
-    if isinstance(f, TestFunction):
-        if halfline:
-            f.require_halfline_support()
-        f = partial(f.evaluate, params=params)
-    cols, weighted = _columns(np.asarray(f(grid.nodes()), dtype=complex), grid, halfline)
-    target = complex(np.asarray(f(np.array([x1])), dtype=complex)[0])
+    cols, weighted = _columns(f.sample(grid, params, halfline).samples, grid, halfline)
+    target = complex(f.evaluate(np.array([x1]), params)[0])
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
         row = kernel_values(kernel, x1, cols, t, params)

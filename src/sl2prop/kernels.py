@@ -42,8 +42,10 @@ factors A, the quadratic phase and the core, without forming the matrix.
 
 All square roots are principal-branch; the i in 1/sqrt(i t) carries the
 phase e^{-i pi/4} for t > 0.  Evaluation refuses within ``CAUSTIC_TOL`` of a
-zero of sin(w t), where the oscillator kernels are distributional; no
-continuation phase beyond the first caustic is asserted anywhere.
+zero of sin(w t), where the oscillator kernels are distributional.  Past the
+first caustic, |w t| > pi, the principal branch misses the propagator's
+phase: ``sho`` repeats with period 2 pi/w instead of changing sign, and
+``radial_sho`` gains e^{+i pi (n+1)} per half period, not e^{-i pi (n+1)}.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ __all__ = [
     "KERNEL_NAMES",
     "CausticSingularity",
     "KernelKind",
-    "KernelPoint",
-    "effective_time",
     "kernel_kind",
     "main_wrap",
     "kernel_values",
@@ -128,28 +128,11 @@ class CausticSingularity(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """Evaluation point (x1, x2, t); x1 and x2 may be broadcastable arrays."""
-
-    x1: object
-    x2: object
-    t: float
-
-
-def effective_time(t, omega: float):
-    """The re-parameterized time sin(w t)/w that maps the oscillator kernels
-    onto the w = 0 ones; reduces to t itself as w -> 0."""
-    if omega == 0.0:
-        return t
-    return np.sin(omega * t) / omega
-
-
 def _factors(t, params: PhysParams, oscillator: bool, core: str):
     """The closed form's scalars at time t, which may be complex: the
     prefactor A(T), sigma = hbar T/m (the chirp rate is a = 1/sigma) and
-    c = cos(w t)."""
-    T = effective_time(t, params.omega) if oscillator else t
+    c = cos(w t), with T = sin(w t)/w (w > 0) for an oscillator."""
+    T = np.sin(params.omega * t) / params.omega if oscillator else t
     c = np.cos(params.omega * t) if oscillator else 1.0
     sigma = params.hbar * T / params.m
     if core == "bessel":
@@ -179,9 +162,9 @@ def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, core: str):
             * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma)))
 
 
-def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
+def _checked_core(name: str, x1, x2, t, params: PhysParams,
                   core: str | None = None) -> str:
-    """The core the named kernel is evaluated with at ``pt``, after refusing
+    """The core the named kernel is evaluated with at (x1, x2, t), after refusing
     what the kernel does not define: w <= 0 for an oscillator, a non-finite
     t, x1 or x2, t = 0, a position <= 0 on the half line, and the caustic
     window of sin(w t)."""
@@ -191,15 +174,15 @@ def _checked_core(name: str, pt: KernelPoint, params: PhysParams,
         raise ValueError(
             f"kernel {name!r} requires omega > 0; use {limit!r} at omega = 0"
         )
-    for label, v in (("t", pt.t), ("x1", pt.x1), ("x2", pt.x2)):
+    for label, v in (("t", t), ("x1", x1), ("x2", x2)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"kernel argument {label} must be finite")
-    if pt.t == 0:
+    if t == 0:
         raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
-    if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (pt.x1, pt.x2)):
+    if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (x1, x2)):
         raise ValueError("half-line kernels require strictly positive positions")
-    if kind.oscillator and abs(np.sin(params.omega * pt.t)) <= CAUSTIC_TOL:
-        raise CausticSingularity(pt.t, params.omega, CAUSTIC_TOL)
+    if kind.oscillator and abs(np.sin(params.omega * t)) <= CAUSTIC_TOL:
+        raise CausticSingularity(t, params.omega, CAUSTIC_TOL)
     own = "line" if not kind.halfline else "image" if params.n == 0.5 else "bessel"
     if core is None or core == own:
         return own
@@ -217,7 +200,7 @@ def kernel_values(name: str, x1, x2, t, params: PhysParams, core: str | None = N
     otherwise takes the image difference.  t may be complex, as in the
     damped-time checks; the refusals are the same for every t.
     """
-    core = _checked_core(name, KernelPoint(x1=x1, x2=x2, t=t), params, core)
+    core = _checked_core(name, x1, x2, t, params, core)
     v = _closed_form(x1, x2, t, params, kernel_kind(name).oscillator, core)
     return v if np.ndim(v) else complex(v)
 
@@ -239,7 +222,7 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     """
     v = np.asarray(v)
     x = x0 + dx * np.arange(v.size)
-    core = _checked_core(name, KernelPoint(x1=x, x2=x, t=t), params)
+    core = _checked_core(name, x, x, t, params)
     A, sigma, c = _factors(t, params, kernel_kind(name).oscillator, core)
     if core == "bessel":
         d = np.sqrt(x) * np.exp(1j * x**2 * c / (2.0 * sigma))
@@ -284,12 +267,8 @@ def main_wrap(x1, x2, t, params: PhysParams):
     return np.exp(-1j * alpha * (x1**2 + x2**2)), te
 
 
-def kernel_via_route(
-    route: str,
-    pt: KernelPoint,
-    params: PhysParams,
-    halfline: bool = True,
-) -> complex | np.ndarray:
+def kernel_via_route(route: str, x1, x2, t: float, params: PhysParams,
+                     halfline: bool = True) -> complex | np.ndarray:
     """Kernel value assembled along one factorization route.
 
     ``ELEMENT`` wraps the w = 0 kernel at the effective time sin(wt)/w in
@@ -311,16 +290,16 @@ def kernel_via_route(
         raise ValueError(f"unknown route {route!r}; choose from {ROUTE_IDS}")
     if not halfline and params.n != 0.5:
         raise ValueError("full-line routes require lam = 0, i.e. n = 1/2")
-    core = _checked_core("radial_sho" if halfline else "sho", pt, params)
+    core = _checked_core("radial_sho" if halfline else "sho", x1, x2, t, params)
     h = params.hbar
-    x1 = np.asarray(pt.x1)
-    x2 = np.asarray(pt.x2)
+    x1 = np.asarray(x1)
+    x2 = np.asarray(x2)
 
     if route == "ELEMENT":
-        phase, te = main_wrap(x1, x2, pt.t, params)
+        phase, te = main_wrap(x1, x2, t, params)
         y1, y2 = x1, x2
     else:
-        coeffs = factor_coeffs(route, pt.t, params)
+        coeffs = factor_coeffs(route, t, params)
         te = 2.0 * params.m * h * coeffs.beta
         # The dilation stretches the position on its side of the P2L factor
         # by d^2 and scales the amplitude by d: x1 for A1a and A2a, whose

@@ -39,7 +39,6 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "DEFAULT_EPS_SCHEDULE",
     "QuadratureSpec",
     "QuadratureResult",
     "bessel_j",
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 _GL_NODES = 24
-
-DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 
 _BLOCK_PANELS = 256  # panels per integrand call: bounds a batch's memory only
 _JV_FROM = 1e6  # j0 and j1 hand over to jv above this argument
@@ -216,9 +213,9 @@ class QuadratureSpec:
     as it stands; ``(0.0,)`` is the undamped integral.
     """
 
-    panel_count: int = 64
-    k_max: float = 30.0
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
+    panel_count: int
+    k_max: float
+    eps_schedule: tuple[float, ...]
 
     def __post_init__(self):
         if self.panel_count < 1:

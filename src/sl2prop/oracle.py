@@ -6,21 +6,21 @@ oscillatory integral over ordinary Bessel functions, and a Crank-Nicolson
 finite-difference evolver for wavepackets, on the half-line grid or, for
 the coupling-free kernels (sho, free), on a full-line window.
 
-The spectral oracle integrates a batch of orders and point pairs at one
-time on one node set, so a comparison over many orders and points costs one
-quadrature per time.
+Both take positions and time as plain arguments and import nothing from
+``kernels``.  The spectral oracle integrates a batch of orders and point
+pairs at one time on one node set, so a comparison over many orders and
+points costs one quadrature per time.  ``edge_contaminated`` is the one
+test of whether an evolved state has reached the edge of its grid.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import KernelPoint
 from .numerics import (
     QuadratureResult,
     QuadratureSpec,
@@ -32,16 +32,11 @@ from .sl2rep import PhysParams
 __all__ = [
     "GridSpec",
     "GridWavefunction",
-    "BoundaryContaminationWarning",
     "default_hankel_spec",
     "edge_contaminated",
     "hankel_kernel_oracle",
     "grid_evolve",
 ]
-
-
-class BoundaryContaminationWarning(UserWarning):
-    """The evolved packet has reached the outer edge of the grid."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,9 @@ _ORACLE_SCHEDULE = tuple(1e-2 * 0.5**j for j in range(5))  # the oracle's own: 1
 
 
 def default_hankel_spec(
-    pt: KernelPoint,
+    x1,
+    x2,
+    t: float,
     params: PhysParams,
     eps_schedule=_ORACLE_SCHEDULE,
 ) -> QuadratureSpec:
@@ -133,19 +130,21 @@ def default_hankel_spec(
     eps_min = min(eps_schedule, default=1.0)  # QuadratureSpec refuses an empty one
     if not eps_min > 0:
         raise ValueError(f"spectral oracle needs every damping > 0, got {eps_min}")
-    h, m, t = params.hbar, params.m, abs(pt.t)
+    h, m, t = params.hbar, params.m, abs(t)
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
     k_max = math.sqrt(2.0 * m * _TAIL_LOG / (h * t * eps_min))
-    x1 = float(np.max(np.asarray(pt.x1)))
-    x2 = float(np.max(np.asarray(pt.x2)))
+    x1 = float(np.max(np.asarray(x1)))
+    x2 = float(np.max(np.asarray(x2)))
     max_freq = h * t / m * k_max + (x1 + x2)
     panels = max(8, int(math.ceil(max_freq * k_max / _PHASE_PER_PANEL)))
     return QuadratureSpec(panel_count=panels, k_max=k_max, eps_schedule=eps_schedule)
 
 
 def hankel_kernel_oracle(
-    pt: KernelPoint,
+    x1,
+    x2,
+    t: float,
     order,
     params: PhysParams,
     spec: QuadratureSpec | None = None,
@@ -159,8 +158,8 @@ def hankel_kernel_oracle(
     eps = 0.  This never evaluates a modified Bessel function, making it an
     independent check on the closed form.
 
-    ``order`` may be an array of orders and ``pt.x1``, ``pt.x2`` broadcast
-    arrays of positions at the one time ``pt.t``; the result then has shape
+    ``order`` may be an array of orders and ``x1``, ``x2`` broadcast
+    arrays of positions at the one time ``t``; the result then has shape
     ``order.shape + broadcast(x1, x2).shape``, and scalars give a complex
     value and float error terms.  The whole batch shares one node set: the
     chirp and the envelopes are computed once per node, and J_n(k x) once
@@ -171,17 +170,17 @@ def hankel_kernel_oracle(
     batch's largest x1 and x2.
     """
     orders = np.asarray(order, dtype=float)
-    x1, x2 = np.broadcast_arrays(np.asarray(pt.x1, dtype=float),
-                                 np.asarray(pt.x2, dtype=float))
-    if np.ndim(pt.t) != 0:
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                 np.asarray(x2, dtype=float))
+    if np.ndim(t) != 0:
         raise ValueError("the spectral oracle takes one time per call")
-    t = float(pt.t)
+    t = float(t)
     if np.any(x1 <= 0) or np.any(x2 <= 0):
         raise ValueError("spectral oracle requires x1, x2 > 0")
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
     if spec is None:
-        spec = default_hankel_spec(pt, params)
+        spec = default_hankel_spec(x1, x2, t, params)
     h, m = params.hbar, params.m
     xs, where = np.unique(np.concatenate([x1.ravel(), x2.ravel()]), return_inverse=True)
     at1, at2 = where[: x1.size], where[x1.size :]
@@ -221,8 +220,7 @@ def grid_evolve(
     solutions makes a Dirichlet stencil dishonest, and the spectral oracle
     is the right tool instead.  The inverse-square term is evaluated at the
     nodes with no regularization, so packets must stay away from the wall.
-    Emits ``BoundaryContaminationWarning`` if the result is
-    ``edge_contaminated``.
+    The caller judges the grid edge, with ``edge_contaminated``.
     """
     if params.n < 0.5:
         raise ValueError("grid evolver requires n >= 1/2; use the spectral oracle")
@@ -265,15 +263,7 @@ def grid_evolve(
 
     out = np.zeros_like(psi0.samples)
     out[1:-1] = psi
-    result = GridWavefunction(out, grid)
-    if edge_contaminated(result):
-        warnings.warn(
-            "packet amplitude above 1e-8 of its peak at the outer 5% of the grid; "
-            "enlarge the grid",
-            BoundaryContaminationWarning,
-            stacklevel=2,
-        )
-    return result
+    return GridWavefunction(out, grid)
 
 
 def edge_contaminated(psi: GridWavefunction) -> bool:

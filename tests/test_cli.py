@@ -323,7 +323,7 @@ def test_evolve_table_matches_the_per_value_rule(flags, tmp_path, capsys):
     grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
                         x_min=0.0 if kind.halfline else -args.x_max)
     packet = ev.TestFunction(center=args.center, width=args.width, momentum=args.momentum)
-    psi0 = ev.as_gridfunction(packet, params, grid, kind.halfline)
+    psi0 = packet.sample(grid, params, kind.halfline)
     lines = _header(
         "evolve", params,
         f"# kernel: {args.kernel} packet: center={args.center:.17g} "

@@ -51,3 +51,16 @@ def test_module_uses_every_name_it_imports(path):
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def test_the_oracle_imports_nothing_from_the_kernels():
+    # The oracles check the closed forms, so they must not share their code.
+    tree = ast.parse((Path(sl2prop.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    assert [m for m in sorted(imported) if "kernels" in m.split(".")] == []

@@ -271,15 +271,11 @@ class TestIntegrateOscillatory:
         res = nm.integrate_oscillatory(lambda k: (1.0 / (1.0 + k**2), np.zeros_like(k)), spec)
         assert res.error_estimate > 1e-6
 
-    def test_default_schedule(self):
-        spec = nm.QuadratureSpec(panel_count=4, k_max=1.0)
-        assert spec.eps_schedule == (1e-2, 5e-3, 2.5e-3)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            nm.QuadratureSpec(panel_count=0, k_max=1.0)
+            nm.QuadratureSpec(panel_count=0, k_max=1.0, eps_schedule=(0.0,))
         with pytest.raises(ValueError):
-            nm.QuadratureSpec(panel_count=4, k_max=-1.0)
+            nm.QuadratureSpec(panel_count=4, k_max=-1.0, eps_schedule=(0.0,))
         with pytest.raises(ValueError):
             nm.QuadratureSpec(panel_count=4, k_max=1.0, eps_schedule=(1.5,))
         for bad in [(1e-2, 1e-2), (1e-3, 1e-2), ()]:  # duplicate, increasing, empty

@@ -29,26 +29,23 @@ def analytic_free_gaussian(x, t, center, width, momentum, params):
 
 class TestHankelOracle:
     def test_half_order_matches_image_formula(self):
-        pt = kn.KernelPoint(1.0, 2.0, 0.5)
-        res = orc.hankel_kernel_oracle(pt, 0.5, P_FREE)
+        res = orc.hankel_kernel_oracle(1.0, 2.0, 0.5, 0.5, P_FREE)
         img = kn.kernel_values("free", 1.0, 2.0, 0.5, P_FREE) \
             - kn.kernel_values("free", 1.0, -2.0, 0.5, P_FREE)
         assert abs(res.value - img) / abs(img) < 1e-6
 
     def test_order_zero_closed_form(self):
         p = PhysParams(omega=0.0, n=0.0)
-        pt = kn.KernelPoint(1.0, 1.0, 1.0)
-        res = orc.hankel_kernel_oracle(pt, 0.0, p)
-        closed = kn.kernel_values("radial_h0", pt.x1, pt.x2, pt.t, p)
+        res = orc.hankel_kernel_oracle(1.0, 1.0, 1.0, 0.0, p)
+        closed = kn.kernel_values("radial_h0", 1.0, 1.0, 1.0, p)
         assert abs(res.value - closed) / abs(closed) < 1e-6
         assert abs(res.value - closed) < max(1e-6, 10.0 * res.error_estimate)
 
     def test_fixed_damping_is_smooth(self):
         # single damping level, no extrapolation: absolutely convergent tail
-        pt = kn.KernelPoint(1.0, 1.5, 0.8)
         p = PhysParams(omega=0.0, n=1.0)
-        spec = orc.default_hankel_spec(pt, p, eps_schedule=(0.01,))
-        res = orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec)
+        spec = orc.default_hankel_spec(1.0, 1.5, 0.8, p, eps_schedule=(0.01,))
+        res = orc.hankel_kernel_oracle(1.0, 1.5, 0.8, 1.0, p, spec=spec)
         assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
         assert res.error_estimate < 1e-8
 
@@ -56,15 +53,13 @@ class TestHankelOracle:
     def test_contract_against_closed_form(self, n):
         p = PhysParams(omega=0.0, n=max(n, 0.0))
         for (x1, x2, t) in [(0.7, 1.6, 0.7), (1.3, 0.9, 2.0)]:
-            pt = kn.KernelPoint(x1, x2, t)
-            res = orc.hankel_kernel_oracle(pt, n, p)
+            res = orc.hankel_kernel_oracle(x1, x2, t, n, p)
             closed = kn.kernel_values("radial_h0", x1, x2, t, p, core="bessel")
             assert abs(res.value - closed) / abs(closed) < 1e-6
 
     def test_negative_time(self):
         p = PhysParams(omega=0.0, n=1.0)
-        pt = kn.KernelPoint(1.0, 1.2, -0.8)
-        res = orc.hankel_kernel_oracle(pt, 1.0, p)
+        res = orc.hankel_kernel_oracle(1.0, 1.2, -0.8, 1.0, p)
         closed = kn.kernel_values("radial_h0", 1.0, 1.2, -0.8, p)
         assert abs(res.value - closed) / abs(closed) < 1e-6
 
@@ -72,18 +67,16 @@ class TestHankelOracle:
         # The truncation point must follow the weakest damping of the
         # schedule actually used, not that of the default one.
         p = PhysParams(omega=0.0, n=1.0)
-        pt = kn.KernelPoint(0.7, 0.9, 0.7)
         schedule = [1e-2, 1e-3, 1e-4]
-        spec = orc.default_hankel_spec(pt, p, eps_schedule=schedule)
-        res = orc.hankel_kernel_oracle(pt, 1.0, p, spec=spec)
+        spec = orc.default_hankel_spec(0.7, 0.9, 0.7, p, eps_schedule=schedule)
+        res = orc.hankel_kernel_oracle(0.7, 0.9, 0.7, 1.0, p, spec=spec)
         closed = kn.kernel_values("radial_h0", 0.7, 0.9, 0.7, p)
         assert abs(res.value - closed) / abs(closed) < 1e-7
 
     def test_nonconvergence_surfaces_estimate(self):
-        pt = kn.KernelPoint(1.0, 1.0, 1.0)
         bad = nm.QuadratureSpec(panel_count=16, k_max=8.0,
                                 eps_schedule=(1e-2, 5e-3, 2.5e-3))
-        res = orc.hankel_kernel_oracle(pt, 0.0, P_FREE, spec=bad)
+        res = orc.hankel_kernel_oracle(1.0, 1.0, 1.0, 0.0, P_FREE, spec=bad)
         assert res.error_estimate > 1e-8
 
     # Batch against scalar calls on one spec: orders with each scipy route
@@ -101,16 +94,15 @@ class TestHankelOracle:
         x2 = np.array([0.9, 1.6, 2.2])
         phase, te = kn.main_wrap(x1, x2, t, params)
         assert (te < 0) == (t == 3.5)
-        pt = kn.KernelPoint(x1, x2, te)
-        spec = orc.default_hankel_spec(pt, params, eps_schedule=(0.08, 0.03, 0.01))
+        spec = orc.default_hankel_spec(x1, x2, te, params, eps_schedule=(0.08, 0.03, 0.01))
         assert spec.panel_count > nm._BLOCK_PANELS
-        res = orc.hankel_kernel_oracle(pt, orders, params, spec=spec)
+        res = orc.hankel_kernel_oracle(x1, x2, te, orders, params, spec=spec)
         assert res.value.shape == res.extrap_err.shape == (5, 2, 3)
         for a, n in enumerate(orders):
             for i in range(2):
                 for j in range(3):
                     one = orc.hankel_kernel_oracle(
-                        kn.KernelPoint(float(x1[i, 0]), float(x2[j]), te), n, params, spec)
+                        float(x1[i, 0]), float(x2[j]), te, n, params, spec)
                     assert isinstance(one.value, complex)
                     assert res.value[a, i, j] == pytest.approx(one.value, rel=1e-13)
                     assert res.error_estimate[a, i, j] == pytest.approx(
@@ -122,22 +114,21 @@ class TestHankelOracle:
         params = PhysParams(omega=1.0, n=1.0)
         x1, x2 = np.meshgrid((0.7, 1.3), (0.9, 1.6), indexing="ij")
         _, te = kn.main_wrap(x1, x2, 0.3, params)
-        pt = kn.KernelPoint(x1, x2, te)
-        spec = orc.default_hankel_spec(pt, params, eps_schedule=(1e-2, 1e-3, 1e-4))
-        res = orc.hankel_kernel_oracle(pt, 1.0, params, spec=spec)
+        spec = orc.default_hankel_spec(x1, x2, te, params, eps_schedule=(1e-2, 1e-3, 1e-4))
+        res = orc.hankel_kernel_oracle(x1, x2, te, 1.0, params, spec=spec)
         assert np.all(res.extrap_err > 1e6 * (res.quad_err + res.tail_err))
         assert np.array_equal(res.error_estimate,
                               res.quad_err + res.tail_err + res.extrap_err)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            orc.hankel_kernel_oracle(kn.KernelPoint(0.0, 1.0, 1.0), 0.5, P_FREE)
+            orc.hankel_kernel_oracle(0.0, 1.0, 1.0, 0.5, P_FREE)
         with pytest.raises(ValueError):
-            orc.hankel_kernel_oracle(kn.KernelPoint([1.0, 0.0], 1.0, 1.0), [0.5, 1.0], P_FREE)
+            orc.hankel_kernel_oracle([1.0, 0.0], 1.0, 1.0, [0.5, 1.0], P_FREE)
         with pytest.raises(ValueError):
-            orc.hankel_kernel_oracle(kn.KernelPoint(1.0, 1.0, [0.5, 1.0]), 0.5, P_FREE)
+            orc.hankel_kernel_oracle(1.0, 1.0, [0.5, 1.0], 0.5, P_FREE)
         with pytest.raises(ValueError):
-            orc.hankel_kernel_oracle(kn.KernelPoint(1.0, 1.0, 0.0), 0.5, P_FREE)
+            orc.hankel_kernel_oracle(1.0, 1.0, 0.0, 0.5, P_FREE)
 
 
 class TestGridSpecAndWavefunction:
@@ -179,6 +170,7 @@ class TestGridEvolve:
         psi = orc.GridWavefunction(np.zeros(201, dtype=complex), g)
         out = orc.grid_evolve(psi, 0.1, PhysParams(n=1.5))
         assert np.all(out.samples == 0.0)
+        assert not orc.edge_contaminated(out)
 
     def test_norm_preserved_over_thousand_steps(self):
         g = orc.GridSpec(x_max=16.0, points=800, dt=1e-3)
@@ -188,6 +180,7 @@ class TestGridEvolve:
         n0 = psi.norm()
         out = orc.grid_evolve(psi, 1.0, PhysParams(n=1.5, omega=1.0))
         assert abs(out.norm() - n0) < 1e-8
+        assert not orc.edge_contaminated(out)
 
     def test_matches_analytic_image_evolution(self):
         # free half-line packet vs the image-method closed form
@@ -204,14 +197,18 @@ class TestGridEvolve:
             - analytic_free_gaussian(-x, 0.5, center, width, momentum, p)
         err = np.sqrt(np.trapezoid(np.abs(out.samples - ref) ** 2, dx=g.dx))
         assert err < 1e-3
+        assert not orc.edge_contaminated(out)
 
-    def test_boundary_contamination_warns(self):
+    def test_boundary_contamination_is_detected_without_a_warning(self):
+        # The evolver does not warn; edge_contaminated is the one test.
         g = orc.GridSpec(x_max=10.0, points=400, dt=1e-3)
         x = g.nodes()
         packet = np.exp(-((x - 8.5) ** 2))
         psi = orc.GridWavefunction(packet, g)
-        with pytest.warns(orc.BoundaryContaminationWarning):
-            orc.grid_evolve(psi, 0.3, PhysParams(n=1.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = orc.grid_evolve(psi, 0.3, PhysParams(n=1.5))
+        assert orc.edge_contaminated(out)
 
     def test_requires_wall_regular_order(self):
         g = orc.GridSpec(x_max=10.0, points=200, dt=1e-3)

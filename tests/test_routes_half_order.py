@@ -14,9 +14,9 @@ def test_half_order_routes_agree_with_direct(route):
     # the re-timed argument: two different evaluations that must agree.
     x = np.linspace(0.3, 2.7, 9)
     for wt in np.linspace(-1.4, 1.4, 8):
-        pt = kn.KernelPoint(x[:, None], x[None, :], float(wt))
-        d = kn.kernel_values("radial_sho", pt.x1, pt.x2, pt.t, P_HALF)
-        r = kn.kernel_via_route(route, pt, P_HALF)
+        pt = (x[:, None], x[None, :], float(wt))
+        d = kn.kernel_values("radial_sho", *pt, P_HALF)
+        r = kn.kernel_via_route(route, *pt, P_HALF)
         assert np.max(np.abs(r - d) / np.abs(d)) < 1e-12
         assert not np.array_equal(r, d)
 
