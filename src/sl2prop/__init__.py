@@ -3,7 +3,7 @@
 Closed-form kernels for H = p^2/2m + lam/(2m x^2) + m w^2 x^2/2 and the
 group-theoretic factorizations that generate them, verified against a 2x2
 matrix realization of the underlying algebra, a spectral quadrature oracle,
-and a Crank-Nicolson grid evolver.
+and exact wavepacket evolution in the Hamiltonian's own eigenbasis.
 """
 
 from .evolve import (
@@ -32,7 +32,7 @@ from .oracle import (
     GridSpec,
     GridWavefunction,
     default_hankel_spec,
-    grid_evolve,
+    eigen_evolve,
     hankel_kernel_oracle,
 )
 from .sl2rep import (
@@ -67,10 +67,10 @@ __all__ = [
     "bessel_j",
     "default_hankel_spec",
     "delta_limit_check",
+    "eigen_evolve",
     "exp_traceless",
     "factor_coeffs",
     "generator_matrix",
-    "grid_evolve",
     "hankel_kernel_oracle",
     "identity_residual",
     "integrate_oscillatory",

@@ -72,13 +72,18 @@ class TestFunction:
         return norm * np.exp(gauss + phase)
 
     def sample(self, grid: GridSpec, params: PhysParams, halfline: bool) -> GridWavefunction:
-        """The packet on the nodes of ``grid``, after checking, for a
-        half-line kernel, that its support stays off the wall."""
+        """The packet on the nodes of ``grid``.  For a half-line kernel the
+        grid starts at the wall, the support stays off it, and psi(0) = 0."""
         if halfline and self.center - 4.0 * self.width <= 0:
             raise ValueError(
                 "half-line packets need center - 4 width > 0 (support off the wall)"
             )
-        return GridWavefunction(self.evaluate(grid.nodes(), params), grid)
+        if halfline and grid.x_min != 0.0:
+            raise ValueError("half-line kernels need the half-line grid (x_min = 0)")
+        samples = self.evaluate(grid.nodes(), params)
+        if halfline:
+            samples[0] = 0.0
+        return GridWavefunction(samples, grid)
 
 
 def _columns(samples: np.ndarray, grid: GridSpec, halfline: bool):
@@ -107,20 +112,10 @@ def propagate(
     core C (``kernels.kernel_apply``): an FFT convolution for the line and
     image cores; otherwise the symmetric Bessel core, with sqrt(x1 x2)
     split into D, evaluated on square tiles on and above the diagonal, each
-    off-diagonal tile applied also transposed.  Half-line kernels
-    pin the wall node to zero on both sides.  Caustic and t = 0 refusals
-    propagate from the kernel.
-
-    Parameters
-    ----------
-    psi0 : GridWavefunction
-        Initial state; its grid is the quadrature and output grid
-        (``TestFunction.sample`` puts a packet on one).
-    t : float
-        Evolution time (nonzero, non-caustic for oscillator kernels).
-    kernel : str
-        One of {"free", "sho", "radial_h0", "radial_sho"}.
-    params : PhysParams
+    off-diagonal tile applied also transposed.  ``psi0``'s grid is the
+    quadrature and output grid.  A half-line kernel drops the wall node from
+    the quadrature and returns psi(0) = 0, whatever psi0 holds there; the
+    kernel refuses t = 0 and the caustics.
     """
     g = psi0.grid
     cols, weighted = _columns(psi0.samples, g, kernel_kind(kernel).halfline)

@@ -2,9 +2,9 @@
 
 Two routes that never touch the closed forms they are checking: the
 spectral (Hankel) representation of the inverse-square kernel as a damped
-oscillatory integral over ordinary Bessel functions, and a Crank-Nicolson
-finite-difference evolver for wavepackets, on the half-line grid or, for
-the coupling-free kernels (sho, free), on a full-line window.
+oscillatory integral over ordinary Bessel functions, and exact wavepacket
+evolution in the Hamiltonian's Hermite or Laguerre eigenbasis, through the
+lens transform for the w = 0 kernels.
 
 Both take positions and time as plain arguments and import nothing from
 ``kernels``.  The spectral oracle integrates a batch of orders and point
@@ -15,11 +15,11 @@ test of whether an evolved state has reached the edge of its grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .numerics import (
     QuadratureResult,
@@ -34,33 +34,27 @@ __all__ = [
     "GridWavefunction",
     "default_hankel_spec",
     "edge_contaminated",
+    "eigen_evolve",
     "hankel_kernel_oracle",
-    "grid_evolve",
 ]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform spatial grid plus the evolver time step.
-
-    The default x_min = 0 gives the half-line grid; the coupling-free
-    full-line checks use a symmetric window by setting x_min < 0.
-    """
+    """Uniform spatial grid: the default x_min = 0 gives the half-line grid,
+    and the full-line kernels use a symmetric window, x_min < 0."""
 
     x_max: float
     points: int
-    dt: float
     x_min: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.dt))):
-            raise ValueError("grid x_min, x_max and dt must be finite")
+        if not all(map(math.isfinite, (self.x_min, self.x_max))):
+            raise ValueError("grid x_min and x_max must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.points < 16:
             raise ValueError("points must be >= 16")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
 
     @property
     def dx(self) -> float:
@@ -72,11 +66,8 @@ class GridSpec:
 
 @dataclass
 class GridWavefunction:
-    """Complex samples of psi on the nodes of a GridSpec.
-
-    The samples are copied on construction; for half-line grids the wall
-    value psi(0) of the copy is pinned to zero.
-    """
+    """Complex samples of psi on the nodes of a GridSpec, copied; the grid
+    pins no wall value (half-line kernels and their samples do)."""
 
     samples: np.ndarray
     grid: GridSpec
@@ -89,8 +80,6 @@ class GridWavefunction:
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
-        if self.grid.x_min == 0.0:
-            self.samples[0] = 0.0
 
     @property
     def x(self) -> np.ndarray:
@@ -98,9 +87,6 @@ class GridWavefunction:
 
     def norm(self) -> float:
         return float(np.sqrt(np.trapezoid(np.abs(self.samples) ** 2, dx=self.grid.dx)))
-
-    def copy(self) -> "GridWavefunction":
-        return GridWavefunction(self.samples, self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -200,70 +186,82 @@ def hankel_kernel_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Crank-Nicolson grid evolver
+# Eigenbasis oracle
 # ---------------------------------------------------------------------------
 
 
-def grid_evolve(
-    psi0: GridWavefunction,
-    t_final: float,
-    params: PhysParams,
-) -> GridWavefunction:
-    """Crank-Nicolson evolution under the full Hamiltonian.
+def _eigenfunctions(x: np.ndarray, beta: float, n: float, halfline: bool):
+    """Orthonormal oscillator eigenfunctions at ``x``, k = 0, 1, ..., for
+    beta = m w / hbar, by normalised three-term recurrences (DLMF 18.9):
+    Hermite functions, or x^{n+1/2} e^{-beta x^2/2} L_k^{(n)}(beta x^2)."""
+    with np.errstate(divide="ignore"):  # the first from its log: 0 at the wall
+        if halfline:
+            y = beta * x * x
+            log0 = ((n + 0.5) * np.log(x) - 0.5 * y
+                    + 0.5 * (math.log(2.0) + (n + 1.0) * math.log(beta) - math.lgamma(n + 1.0)))
+        else:
+            y = math.sqrt(beta) * x
+            log0 = 0.25 * math.log(beta / math.pi) - 0.5 * y * y
+    prev, cur = np.zeros_like(x), np.exp(log0)
+    for k in itertools.count():
+        yield cur
+        if halfline:
+            nxt = ((2 * k + n + 1.0 - y) * cur - math.sqrt(k * (k + n)) * prev) \
+                / math.sqrt((k + 1) * (k + n + 1.0))
+        else:
+            nxt = (math.sqrt(2.0) * y * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        prev, cur = cur, nxt
 
-    Unconditionally stable and exactly norm-preserving in the discrete l2
-    sense (the step is a Cayley transform of a Hermitian tridiagonal
-    matrix); Dirichlet conditions at both ends of the grid.  The step is
-    ``grid.dt``, rounded so the final time is hit exactly.
 
-    Requires n >= 1/2: below that the near-origin behavior of the true
-    solutions makes a Dirichlet stencil dishonest, and the spectral oracle
-    is the right tool instead.  The inverse-square term is evaluated at the
-    nodes with no regularization, so packets must stay away from the wall.
-    The caller judges the grid edge, with ``edge_contaminated``.
+def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
+                 halfline: bool) -> GridWavefunction:
+    """Exact evolution of grid samples in the Hamiltonian's eigenbasis: project
+    with trapezoid weights, multiply by e^{-i E_k t/hbar}, sum at the nodes.
+    E_k = hbar w (k + 1/2) on the full line (n = 1/2) and hbar w (2k + n + 1)
+    on the half line, whose grid starts at the wall.
+
+    For w = 0 the lens transform (MAIN at an auxiliary w') gives U_0(T) =
+    e^{i a x^2} U_w'(t') e^{i a x^2}, t' = arcsin(w' T)/w', a = (m w'/2 hbar)
+    tan(w' t'/2), with w' = min(0.9/|T|, hbar N/(2 m L^2)) for N intervals
+    and the grid's largest |x| = L: w'|T| < 1, near 1 where the basis is
+    tightest (long times and large n need that), and the first N + 1 modes
+    stay below the grid's Nyquist wavenumber.  The basis size K ends after
+    16 successive |c_k| below 1e-12 of the norm, once the c_k hold half the
+    squared norm (a packet far out has tiny first ones), or at N + 1.  Each
+    eigenfunction is made once to project and once to sum: no K x N array.
     """
-    if params.n < 0.5:
-        raise ValueError("grid evolver requires n >= 1/2; use the spectral oracle")
     grid = psi0.grid
-    if t_final == 0:
-        return psi0.copy()
-    steps = max(1, round(abs(t_final) / grid.dt))
-    dt_eff = t_final / steps
-
+    if halfline and grid.x_min != 0.0:
+        raise ValueError("the half-line eigenbasis needs the half-line grid (x_min = 0)")
+    if not halfline and params.n != 0.5:
+        raise ValueError("the full-line eigenbasis has no inverse-square term: n must be 1/2")
+    if t == 0:
+        return GridWavefunction(psi0.samples, grid)
     h, m, w = params.hbar, params.m, params.omega
     x = grid.nodes()
-    xin = x[1:-1]
-    if np.any(xin == 0.0) and params.lam != 0.0:
-        raise ValueError("interior node at x = 0 with a nonzero inverse-square term")
-    dx = grid.dx
-
-    # An x = 0 node (full-line grids, lam = 0) carries no inverse-square term.
-    centrifugal = np.divide(params.n**2 - 0.25, xin**2, out=np.zeros_like(xin),
-                            where=xin != 0.0)
-    pot = h**2 / (2.0 * m) * centrifugal + 0.5 * m * w**2 * xin**2
-    diag = h**2 / (m * dx**2) + pot
-    off = -(h**2) / (2.0 * m * dx**2)
-
-    r = 1j * dt_eff / (2.0 * h)
-    n_in = xin.size
-    # The left-hand matrix 1 + r H is the same on every step: factor it once.
-    band = np.full(n_in - 1, r * off)
-    lu = lapack.zgttrf(band, 1.0 + r * diag, band)
-    if lu[-1] != 0:
-        raise ValueError(f"Crank-Nicolson matrix is singular (zgttrf info={lu[-1]})")
-
-    psi = psi0.samples[1:-1].copy()
-    for _ in range(steps):
-        rhs = (1.0 - r * diag) * psi
-        rhs[1:] -= r * off * psi[:-1]
-        rhs[:-1] -= r * off * psi[1:]
-        psi, info = lapack.zgttrs(*lu[:-1], rhs)
-        if info != 0:
-            raise ValueError(f"Crank-Nicolson solve failed (zgttrs info={info})")
-
-    out = np.zeros_like(psi0.samples)
-    out[1:-1] = psi
-    return GridWavefunction(out, grid)
+    chirp = np.ones(1)
+    if w == 0.0:
+        w = min(0.9 / abs(t), h * grid.points / (2.0 * m * max(-grid.x_min, grid.x_max) ** 2))
+        t = math.asin(w * t) / w
+        chirp = np.exp(1j * (m * w / (2.0 * h)) * math.tan(w * t / 2.0) * x * x)
+    weights = np.full(x.size, grid.dx)
+    weights[[0, -1]] *= 0.5
+    weighted = weights * chirp * psi0.samples
+    norm2 = float(weights @ np.abs(psi0.samples) ** 2)
+    coeffs, held, run = [], 0.0, 0
+    for phi in _eigenfunctions(x, m * w / h, params.n, halfline):
+        coeffs.append(complex(phi @ weighted))
+        held += abs(coeffs[-1]) ** 2
+        run = run + 1 if abs(coeffs[-1]) ** 2 < 1e-24 * norm2 else 0
+        if (run >= 16 and 2.0 * held > norm2) or len(coeffs) == x.size:
+            break
+    k = np.arange(len(coeffs))
+    phases = np.exp(-1j * w * t * (2.0 * k + params.n + 1.0 if halfline else k + 0.5))
+    out = np.zeros(x.size, dtype=complex)
+    for c, phi in zip((np.array(coeffs) * phases).tolist(),
+                      _eigenfunctions(x, m * w / h, params.n, halfline)):
+        out += c * phi
+    return GridWavefunction(chirp * out, grid)
 
 
 def edge_contaminated(psi: GridWavefunction) -> bool:

@@ -154,8 +154,8 @@ def _cross_l2(text):
 
 
 def test_evolve_cross_checks_a_negative_final_time(tmp_path):
-    # A real packet at -t is the conjugate of the packet at t, so the grid
-    # evolver's distance from the kernel frames is the same on both sides.
+    # A real packet at -t is the conjugate of the packet at t, so the
+    # oracle's distance from the kernel frames is the same on both sides.
     forward, backward = tmp_path / "f.csv", tmp_path / "b.csv"
     assert run(["evolve", "--frames", "2", "--t-max", "1"], forward) == 0
     assert run(["evolve", "--frames", "2", "--t-max", "-1"], backward) == 0
@@ -166,8 +166,8 @@ def test_evolve_cross_checks_a_negative_final_time(tmp_path):
 @pytest.mark.parametrize("kernel", ["free", "radial-h0"])
 def test_evolve_cross_checks_a_state_that_reaches_the_edge(kernel, tmp_path, capsys):
     # At the defaults these packets spread into the outer 5% of the grid: the
-    # edge check fails, and the grid evolver's state is still compared
-    # (4.0e-5 for free, 1.0e-5 for radial-h0).
+    # edge check fails, and the oracle's state is still compared (6.8e-15
+    # for free, 8.2e-14 for radial-h0).
     path = tmp_path / "e.csv"
     assert run(["evolve", "--kernel", kernel], path) == 1
     out = capsys.readouterr().out.splitlines()
@@ -178,17 +178,14 @@ def test_evolve_cross_checks_a_state_that_reaches_the_edge(kernel, tmp_path, cap
     assert _cross_l2(text) < 1e-4
 
 
-def test_evolve_refuses_the_grid_evolver_order_before_propagating(tmp_path, capsys,
-                                                                  monkeypatch):
-    def propagate(*args, **kwargs):
-        raise AssertionError("propagated before the cross-check refused")
-
-    monkeypatch.setattr(ev, "propagate", propagate)
+def test_evolve_cross_checks_order_zero(tmp_path, capsys):
+    # The eigenbasis holds for every n >= 0.
     path = tmp_path / "e.csv"
-    assert run(["evolve", "--order-n", "0"], path) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "error: grid evolver requires n >= 1/2; use the spectral oracle")
-    assert not path.exists()
+    assert run(["evolve", "--order-n", "0"], path) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[1].startswith("cross_oracle_l2=") and out[1].endswith(" pass=yes")
+    assert _cross_l2(path.read_text()) < 1e-9
 
 
 # The per-value rule the table writers must reproduce byte for byte.
@@ -295,11 +292,13 @@ def test_kernel_table_evaluates_the_upper_triangle_only(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flags,message", [
     (["--x-min=-inf"], "kernel argument x1 must be finite"),
+    (["--x-min", "-inf"], "kernel argument x1 must be finite"),
     (["--x-max=inf"], "kernel argument x1 must be finite"),
     (["--t-min=-inf"], "kernel argument t must be finite"),
+    (["--t-min", "-inf"], "kernel argument t must be finite"),
     (["--t-max=inf"], "kernel argument t must be finite"),
     (["--t-steps", "0"], "no time requested (--t-steps 0)"),
-], ids=["x-min", "x-max", "t-min", "t-max", "t-steps"])
+], ids=["x-min", "x-min-spaced", "x-max", "t-min", "t-min-spaced", "t-max", "t-steps"])
 def test_kernel_refuses_a_non_finite_bound_or_no_time_before_any_work(flags, message,
                                                                       tmp_path, capsys):
     path = tmp_path / "k.csv"
@@ -320,7 +319,7 @@ def test_evolve_table_matches_the_per_value_rule(flags, tmp_path, capsys):
 
     args = cli.build_parser().parse_args(argv)
     kind, params = _run_params(args)
-    grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, dt=args.dt,
+    grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points,
                         x_min=0.0 if kind.halfline else -args.x_max)
     packet = ev.TestFunction(center=args.center, width=args.width, momentum=args.momentum)
     psi0 = packet.sample(grid, params, kind.halfline)
@@ -402,49 +401,40 @@ def test_kernel_refuses_non_finite_inputs(flags, message, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("spaced", [False, True], ids=["joined", "spaced"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
-def test_identities_refuses_a_non_finite_t_range(bound, value, tmp_path, capsys):
+def test_identities_refuses_a_non_finite_t_range(bound, value, spaced, tmp_path, capsys):
     # A NaN t-point would count as clipped and let the sweep pass on the rest.
+    # Spaced, -inf must reach the check as a value, not as an unknown option.
     path = tmp_path / "i.csv"
-    assert run(["identities", f"{bound}={value}"], path) == 2
+    flags = [bound, value] if spaced else [f"{bound}={value}"]
+    assert run(["identities", *flags], path) == 2
     assert capsys.readouterr().err.splitlines()[-1] == "error: identities t-range must be finite"
     assert not path.exists()
-
-
-def test_evolve_without_cross_check_runs_below_the_grid_evolver_order(tmp_path, capsys):
-    # n < 1/2 is refused by the grid evolver; without the cross-check the
-    # kernel frames are still checked for norm drift.
-    path = tmp_path / "e.csv"
-    assert run(["evolve", "--order-n", "0", "--no-cross-check", "--frames", "2",
-                "--grid-points", "300"], path) == 0
-    trailer = capsys.readouterr().out.splitlines()
-    assert len(trailer) == 1  # no cross_oracle_l2 line
-    assert trailer[0].startswith("norm_drift=") and trailer[0].endswith(" pass=yes")
-    assert path.read_text().endswith(f"\n# {trailer[0]}\n")
 
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--t-max", "nan", "evolve --t-max must be finite"),
     ("--t-max", "inf", "evolve --t-max must be finite"),
-    ("--x-max", "inf", "grid x_min, x_max and dt must be finite"),
-    ("--dt", "inf", "grid x_min, x_max and dt must be finite"),
+    ("--x-max", "inf", "grid x_min and x_max must be finite"),
     ("--center", "nan", "packet center, width and momentum must be finite"),
     ("--width", "inf", "packet center, width and momentum must be finite"),
     ("--momentum", "-inf", "packet center, width and momentum must be finite"),
     ("--width", "1e-300", "width must be > 0, with a square that does not underflow to 0"),
 ])
-def test_evolve_refuses_non_finite_inputs_before_any_work(flag, value, message, tmp_path,
-                                                           capsys, monkeypatch):
+@pytest.mark.parametrize("spaced", [False, True], ids=["joined", "spaced"])
+def test_evolve_refuses_non_finite_inputs_before_any_work(flag, value, message, spaced,
+                                                           tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("evolve worked on a refused input")
 
     monkeypatch.setattr(ev, "propagate", no_work)
-    monkeypatch.setattr(orc, "grid_evolve", no_work)
+    monkeypatch.setattr(orc, "eigen_evolve", no_work)
     path = tmp_path / "e.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
-        assert run(["evolve", f"{flag}={value}"], path) == 2
+        assert run(["evolve", *([flag, value] if spaced else [f"{flag}={value}"])], path) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not path.exists()
 
@@ -455,7 +445,7 @@ def test_evolve_refuses_an_extreme_width_plainly(width, tmp_path, capsys, monkey
         raise AssertionError("evolve worked on a refused width")
 
     monkeypatch.setattr(ev, "propagate", no_work)
-    monkeypatch.setattr(orc, "grid_evolve", no_work)
+    monkeypatch.setattr(orc, "eigen_evolve", no_work)
     path = tmp_path / "e.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise

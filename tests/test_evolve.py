@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ def analytic_gaussian(x, t, center, width, momentum, params):
 
 class TestPropagate:
     def test_sho_matches_analytic_gaussian(self):
-        grid = orc.GridSpec(x_max=10.0, points=1000, dt=1e-3, x_min=-10.0)
+        grid = orc.GridSpec(x_max=10.0, points=1000, x_min=-10.0)
         packet = ev.TestFunction(center=2.0, width=0.5, momentum=1.5)
         out = ev.propagate(packet.sample(grid, P_LINE, False), 0.9, "sho", P_LINE)
         want = analytic_gaussian(grid.nodes(), 0.9, 2.0, 0.5, 1.5, P_LINE)
@@ -40,7 +39,7 @@ class TestPropagate:
     def test_half_order_halfline_matches_gaussian_and_its_image(self):
         # The packet runs into the wall, so the mirror packet (centre and
         # momentum reflected) carries a large share of the state.
-        grid = orc.GridSpec(x_max=10.0, points=1000, dt=1e-3)
+        grid = orc.GridSpec(x_max=10.0, points=1000)
         packet = ev.TestFunction(center=3.0, width=0.3, momentum=-4.0)
         out = ev.propagate(packet.sample(grid, P_LINE, True), 0.5, "radial_sho", P_LINE)
         x = grid.nodes()
@@ -53,10 +52,21 @@ class TestPropagate:
         # the packet is cut off at the wall, where it is ~2e-11 of its peak
         assert np.max(np.abs(out.samples - want)) < 1e-11 * peak
 
+    def test_half_line_kernels_pin_the_wall(self):
+        # The grid does not pin psi(0); a half-line kernel drops the wall
+        # sample from its quadrature and returns 0 there.
+        grid = orc.GridSpec(x_max=10.0, points=200)
+        state = orc.GridWavefunction(np.ones(201), grid)
+        assert state.samples[0] == 1.0
+        for kernel in ("radial_sho", "radial_h0"):
+            params = kn.kernel_kind(kernel).hamiltonian(P_LINE)
+            out = ev.propagate(state, 0.5, kernel, params)
+            assert out.samples[0] == 0.0 and np.all(out.samples[1:] != 0.0)
+
     def test_rejects_unknown_kernel_and_full_line_grid(self):
         packet = ev.TestFunction(center=3.0, width=0.3)
-        half = packet.sample(orc.GridSpec(x_max=8.0, points=400, dt=1e-3), P_LINE, True)
-        line = packet.sample(orc.GridSpec(x_max=8.0, points=400, dt=1e-3, x_min=-8.0),
+        half = packet.sample(orc.GridSpec(x_max=8.0, points=400), P_LINE, True)
+        line = packet.sample(orc.GridSpec(x_max=8.0, points=400, x_min=-8.0),
                              P_LINE, False)
         with pytest.raises(ValueError):
             ev.propagate(half, 0.5, "coulomb", P_LINE)
@@ -68,8 +78,8 @@ class TestFactoredApply:
     """``propagate`` against the dense reference: the kernel matrix on the
     quadrature columns times the trapezoid-weighted samples."""
 
-    HALF = orc.GridSpec(x_max=10.0, points=301, dt=1e-3)
-    LINE = orc.GridSpec(x_max=17.0, points=400, dt=1e-3, x_min=-3.0)
+    HALF = orc.GridSpec(x_max=10.0, points=301)
+    LINE = orc.GridSpec(x_max=17.0, points=400, x_min=-3.0)
 
     @staticmethod
     def dense(state, t, kernel, params):
@@ -116,7 +126,7 @@ class TestTiledBesselCore:
 
     @staticmethod
     def state(cols):
-        grid = orc.GridSpec(x_max=10.0, points=cols, dt=1e-3)
+        grid = orc.GridSpec(x_max=10.0, points=cols)
         rng = np.random.default_rng(cols)
         noise = rng.normal(size=(grid.points + 1, 2)) @ np.array([1.0, 1j])
         return orc.GridWavefunction(noise, grid)
@@ -149,7 +159,7 @@ class TestTiledBesselCore:
 
 class TestL2Distance:
     def test_shifted_gaussians(self):
-        grid = orc.GridSpec(x_max=8.0, points=1600, dt=1e-3, x_min=-8.0)
+        grid = orc.GridSpec(x_max=8.0, points=1600, x_min=-8.0)
         a = ev.TestFunction(center=1.0, width=0.5).sample(grid, P_LINE, False)
         b = ev.TestFunction(center=1.5, width=0.5).sample(grid, P_LINE, False)
         # overlap of two unit Gaussians a distance d apart: e^{-d^2 / 8 w^2}
@@ -158,8 +168,8 @@ class TestL2Distance:
         assert ev.l2_distance(a, a) == 0.0
 
     def test_rejects_different_grids(self):
-        g1 = orc.GridSpec(x_max=8.0, points=400, dt=1e-3)
-        g2 = orc.GridSpec(x_max=8.0, points=401, dt=1e-3)
+        g1 = orc.GridSpec(x_max=8.0, points=400)
+        g2 = orc.GridSpec(x_max=8.0, points=401)
         packet = ev.TestFunction(center=4.0, width=0.5)
         with pytest.raises(ValueError):
             ev.l2_distance(packet.sample(g1, P_LINE, True), packet.sample(g2, P_LINE, True))
@@ -199,26 +209,14 @@ class TestDeltaLimitCheck:
     def test_smearing_error_is_linear_in_t(self, kernel):
         # At n = 1/2 radial_sho is the half-line (image) kernel.
         x_min = 0.0 if kernel == "radial_sho" else -8.0
-        grid = orc.GridSpec(x_max=8.0, points=4000, dt=1e-3, x_min=x_min)
+        grid = orc.GridSpec(x_max=8.0, points=4000, x_min=x_min)
         packet = ev.TestFunction(center=3.0, width=0.5, momentum=1.0)
         err = ev.delta_limit_check(packet, 3.2, self.TIMES, kernel, P_LINE, grid)
         assert np.all(np.abs(err[:-1] / err[1:] - 2.0) < 0.1)
 
     @pytest.mark.parametrize("times", [[0.01, 0.02], [0.02, 0.02], [0.02, 0.0]])
     def test_refuses_a_sequence_that_is_not_decreasing_and_positive(self, times):
-        grid = orc.GridSpec(x_max=8.0, points=400, dt=1e-3, x_min=-8.0)
+        grid = orc.GridSpec(x_max=8.0, points=400, x_min=-8.0)
         packet = ev.TestFunction(center=1.0, width=0.5)
         with pytest.raises(ValueError, match="strictly decreasing"):
             ev.delta_limit_check(packet, 1.0, times, "sho", P_LINE, grid)
-
-
-class TestGridEvolveFullLine:
-    def test_node_at_origin_raises_no_warning(self):
-        grid = orc.GridSpec(x_max=8.0, points=800, dt=1e-3, x_min=-8.0)
-        assert np.any(grid.nodes() == 0.0)
-        psi = ev.TestFunction(center=0.5, width=0.5).sample(grid, P_LINE, False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = orc.grid_evolve(psi, 0.2, P_LINE)
-        assert out.norm() == pytest.approx(psi.norm(), rel=1e-12)
-        assert not orc.edge_contaminated(out)

@@ -53,14 +53,29 @@ def test_every_exported_name_resolves(module):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
-def test_the_oracle_imports_nothing_from_the_kernels():
-    # The oracles check the closed forms, so they must not share their code.
-    tree = ast.parse((Path(sl2prop.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, and every ``module.name`` it
+    imports from one."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    return imported
+
+
+def test_the_oracle_imports_nothing_from_the_kernels():
+    # The oracles check the closed forms, so they must not share their code.
+    imported = _imported_modules(Path(sl2prop.__file__).parent / "oracle.py")
     assert [m for m in sorted(imported) if "kernels" in m.split(".")] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(sl2prop.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    # Nothing needs LAPACK since the eigenbasis oracle replaced the
+    # Crank-Nicolson evolver, and its import slows every start of the CLI.
+    imported = _imported_modules(path)
+    assert [m for m in sorted(imported) if m.split(".")[:2] == ["scipy", "linalg"]] == []

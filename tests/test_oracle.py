@@ -1,9 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
+from test_evolve import analytic_gaussian
 
+from sl2prop import evolve as ev
 from sl2prop import kernels as kn
 from sl2prop import numerics as nm
 from sl2prop import oracle as orc
@@ -133,95 +134,144 @@ class TestHankelOracle:
 
 class TestGridSpecAndWavefunction:
     def test_spacing(self):
-        g = orc.GridSpec(x_max=10.0, points=100, dt=1e-3)
+        g = orc.GridSpec(x_max=10.0, points=100)
         assert g.dx == pytest.approx(0.1)
         assert g.nodes()[0] == 0.0 and g.nodes()[-1] == 10.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            orc.GridSpec(x_max=0.0, points=100, dt=1e-3)
+            orc.GridSpec(x_max=0.0, points=100)
         with pytest.raises(ValueError):
-            orc.GridSpec(x_max=1.0, points=4, dt=1e-3)
-        with pytest.raises(ValueError):
-            orc.GridSpec(x_max=1.0, points=100, dt=0.0)
+            orc.GridSpec(x_max=1.0, points=4)
+        with pytest.raises(ValueError, match="must be finite"):
+            orc.GridSpec(x_max=math.inf, points=100)
 
-    def test_wall_value_pinned(self):
-        g = orc.GridSpec(x_max=5.0, points=50, dt=1e-3)
-        psi = orc.GridWavefunction(np.ones(51, dtype=complex), g)
-        assert psi.samples[0] == 0.0
+    def test_half_line_sample_pins_the_wall(self):
+        g = orc.GridSpec(x_max=5.0, points=50)
+        packet = ev.TestFunction(center=2.5, width=0.6)
+        assert packet.evaluate(0.0, P_FREE) > 1e-3
+        assert packet.sample(g, P_FREE, halfline=True).samples[0] == 0.0
+        with pytest.raises(ValueError, match="half-line grid"):
+            packet.sample(orc.GridSpec(x_max=5.0, points=50, x_min=-5.0), P_FREE, True)
 
     def test_caller_array_is_not_modified(self):
-        g = orc.GridSpec(x_max=5.0, points=16, dt=1e-3)
+        g = orc.GridSpec(x_max=5.0, points=16)
         a = np.ones(17, dtype=complex)
         psi = orc.GridWavefunction(a, g)
-        assert psi.samples[0] == 0.0
+        psi.samples[0] = 0.0
         assert np.all(a == 1.0)
-        assert psi.copy().samples is not psi.samples
 
-    def test_full_line_not_pinned(self):
-        g = orc.GridSpec(x_max=5.0, points=50, dt=1e-3, x_min=-5.0)
-        psi = orc.GridWavefunction(np.ones(51, dtype=complex), g)
-        assert psi.samples[0] == 1.0
+    def test_no_grid_pins_the_wall(self):
+        for x_min in (0.0, -5.0):
+            g = orc.GridSpec(x_max=5.0, points=50, x_min=x_min)
+            assert orc.GridWavefunction(np.ones(51, dtype=complex), g).samples[0] == 1.0
+
+    def test_full_line_packet_keeps_its_value_at_the_origin(self):
+        # The wall belongs to the half-line kernels: a full-line packet on a
+        # grid that starts at 0 keeps psi(0).
+        g = orc.GridSpec(x_max=8.0, points=800)
+        psi = ev.TestFunction(center=0.5, width=0.5).sample(g, P_FREE, halfline=False)
+        assert psi.samples[0] == pytest.approx(0.696, abs=5e-4)
+        assert psi.samples[0] == pytest.approx((0.5 * math.pi) ** -0.25 * math.exp(-0.25),
+                                               rel=1e-15)
 
 
-class TestGridEvolve:
-    def test_zero_state_stays_zero(self):
-        g = orc.GridSpec(x_max=10.0, points=200, dt=1e-3)
-        psi = orc.GridWavefunction(np.zeros(201, dtype=complex), g)
-        out = orc.grid_evolve(psi, 0.1, PhysParams(n=1.5))
-        assert np.all(out.samples == 0.0)
-        assert not orc.edge_contaminated(out)
+# The default evolve grid, 2000 intervals on [0, 14] mirrored for the full
+# line, and the default packet.
+HALF = orc.GridSpec(x_max=14.0, points=2000)
+LINE = orc.GridSpec(x_max=14.0, points=2000, x_min=-14.0)
+PACKET = ev.TestFunction(center=6.0, width=0.6)
+# A coarser grid for the kernel frames, whose n = 20 Bessel core costs
+# seconds per frame on the default one; it still resolves the kernel at
+# t = 0.25, and the packet is 2e-9 of its peak at x = 1.
+FRAME_GRIDS = (orc.GridSpec(x_max=10.0, points=700),
+               orc.GridSpec(x_max=10.0, points=1400, x_min=-10.0))
 
-    def test_norm_preserved_over_thousand_steps(self):
-        g = orc.GridSpec(x_max=16.0, points=800, dt=1e-3)
-        x = g.nodes()
-        packet = np.exp(-((x - 5.0) ** 2)) * np.exp(2j * x)
-        psi = orc.GridWavefunction(packet, g)
-        n0 = psi.norm()
-        out = orc.grid_evolve(psi, 1.0, PhysParams(n=1.5, omega=1.0))
-        assert abs(out.norm() - n0) < 1e-8
-        assert not orc.edge_contaminated(out)
 
-    def test_matches_analytic_image_evolution(self):
-        # free half-line packet vs the image-method closed form
-        p = PhysParams(n=0.5, omega=0.0)
-        g = orc.GridSpec(x_max=16.0, points=3200, dt=2.5e-4)
-        x = g.nodes()
-        center, width, momentum = 6.0, 0.6, 0.5
-        norm = (2.0 * np.pi * width**2) ** -0.25
-        packet = norm * np.exp(-((x - center) ** 2) / (4 * width**2)
-                               + 1j * momentum * x)
-        psi = orc.GridWavefunction(packet, g)
-        out = orc.grid_evolve(psi, 0.5, p)
-        ref = analytic_free_gaussian(x, 0.5, center, width, momentum, p) \
-            - analytic_free_gaussian(-x, 0.5, center, width, momentum, p)
-        err = np.sqrt(np.trapezoid(np.abs(out.samples - ref) ** 2, dx=g.dx))
-        assert err < 1e-3
-        assert not orc.edge_contaminated(out)
+def _state(kernel, n, packet=PACKET, grids=(HALF, LINE)):
+    kind = kn.kernel_kind(kernel)
+    params = kind.hamiltonian(PhysParams(n=n, omega=1.0))
+    grid = grids[0] if kind.halfline else grids[1]
+    return packet.sample(grid, params, kind.halfline), params, kind.halfline
 
-    def test_boundary_contamination_is_detected_without_a_warning(self):
-        # The evolver does not warn; edge_contaminated is the one test.
-        g = orc.GridSpec(x_max=10.0, points=400, dt=1e-3)
-        x = g.nodes()
-        packet = np.exp(-((x - 8.5) ** 2))
-        psi = orc.GridWavefunction(packet, g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = orc.grid_evolve(psi, 0.3, PhysParams(n=1.5))
-        assert orc.edge_contaminated(out)
 
-    def test_requires_wall_regular_order(self):
-        g = orc.GridSpec(x_max=10.0, points=200, dt=1e-3)
-        psi = orc.GridWavefunction(np.zeros(201, dtype=complex), g)
-        with pytest.raises(ValueError):
-            orc.grid_evolve(psi, 0.1, PhysParams(n=0.4))
+class TestEigenEvolve:
+    """The eigenbasis oracle on its own: against the closed-form Gaussian
+    packets, against the kernel frames, and under time reversal."""
 
-    def test_zero_time_is_identity(self):
-        g = orc.GridSpec(x_max=10.0, points=200, dt=1e-3)
-        x = g.nodes()
-        psi = orc.GridWavefunction(np.exp(-((x - 5.0) ** 2)), g)
-        out = orc.grid_evolve(psi, 0.0, PhysParams(n=1.5))
-        assert np.array_equal(out.samples, psi.samples)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            orc.grid_evolve(psi, 0.0, PhysParams(n=1.5))
+    @pytest.mark.parametrize("t", [0.9, -0.6, 3.0])
+    @pytest.mark.parametrize("momentum", [0.0, 2.0])
+    def test_sho_matches_the_analytic_packet(self, t, momentum):
+        packet = ev.TestFunction(center=2.0, width=0.5, momentum=momentum)
+        psi, params, _ = _state("sho", 0.5, packet=packet)
+        out = orc.eigen_evolve(psi, t, params, halfline=False)
+        want = analytic_gaussian(LINE.nodes(), t, 2.0, 0.5, momentum, params)
+        assert np.max(np.abs(out.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # t = 0.05 takes the lens frequency from the grid, not from 1/(2|t|).
+    @pytest.mark.parametrize("t", [1.0, -1.0, 0.25, 0.05, 3.0])
+    def test_free_matches_the_analytic_packet(self, t):
+        packet = ev.TestFunction(center=2.0, width=0.5, momentum=1.5)
+        psi, params, _ = _state("free", 0.5, packet=packet)
+        out = orc.eigen_evolve(psi, t, params, halfline=False)
+        want = analytic_free_gaussian(LINE.nodes(), t, 2.0, 0.5, 1.5, params)
+        assert np.max(np.abs(out.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("omega,gauss", [(1.3, analytic_gaussian),
+                                             (0.0, analytic_free_gaussian)])
+    def test_hbar_and_mass_enter_the_basis_and_the_energies(self, omega, gauss):
+        params = PhysParams(hbar=0.7, m=2.0, omega=omega)
+        psi = ev.TestFunction(center=2.0, width=0.5, momentum=1.5).sample(LINE, params, False)
+        for t in (0.9, -0.4):
+            out = orc.eigen_evolve(psi, t, params, halfline=False)
+            want = gauss(LINE.nodes(), t, 2.0, 0.5, 1.5, params)
+            assert np.max(np.abs(out.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kernel,t", [("radial_sho", 0.5), ("radial_sho", 2.0),
+                                          ("radial_h0", 0.5), ("radial_h0", 0.8)])
+    def test_half_order_matches_the_image_pair(self, kernel, t):
+        # The packet runs into the wall, so its mirror image carries a
+        # large share of the state; at the wall it is 1e-11 of its peak.
+        packet = ev.TestFunction(center=3.0, width=0.3, momentum=-4.0)
+        psi, params, halfline = _state(kernel, 0.5, packet=packet)
+        out = orc.eigen_evolve(psi, t, params, halfline)
+        gauss = analytic_gaussian if params.omega > 0 else analytic_free_gaussian
+        x = HALF.nodes()
+        want = gauss(x, t, 3.0, 0.3, -4.0, params) - gauss(-x, t, 3.0, 0.3, -4.0, params)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(gauss(-x, t, 3.0, 0.3, -4.0, params))) > 0.1 * peak
+        assert out.samples[0] == 0.0
+        assert np.max(np.abs(out.samples - want)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("t", [1.0, -1.0, 0.25, 3.0])
+    @pytest.mark.parametrize("kernel,n", [
+        *[(k, n) for k in ("radial_sho", "radial_h0")
+          for n in (0.0, 0.3, 0.5, 1.0, 2.5, 7.3, 20.0)],
+        ("sho", 0.5), ("free", 0.5),
+    ])
+    def test_matches_the_kernel_frames(self, kernel, n, t):
+        # The bound of the evolve cross-check; the worst reading is 5.5e-11.
+        psi, params, halfline = _state(kernel, n, ev.TestFunction(center=5.5, width=0.5),
+                                       FRAME_GRIDS)
+        frame = ev.propagate(psi, t, kernel, params)
+        assert ev.l2_distance(frame, orc.eigen_evolve(psi, t, params, halfline)) <= 1e-9
+
+    @pytest.mark.parametrize("kernel,n", [("sho", 0.5), ("free", 0.5), ("radial_sho", 0.0),
+                                          ("radial_sho", 2.5), ("radial_h0", 1.0)])
+    def test_a_real_packet_runs_back_as_its_conjugate(self, kernel, n):
+        psi, params, halfline = _state(kernel, n)
+        forward = orc.eigen_evolve(psi, 0.7, params, halfline).samples
+        backward = orc.eigen_evolve(psi, -0.7, params, halfline).samples
+        assert np.array_equal(backward, forward.conj())
+
+    def test_zero_time_is_the_identity(self):
+        psi, params, halfline = _state("radial_sho", 1.0)
+        out = orc.eigen_evolve(psi, 0.0, params, halfline)
+        assert np.array_equal(out.samples, psi.samples) and out.samples is not psi.samples
+
+    def test_refusals(self):
+        psi, params, _ = _state("sho", 0.5)
+        with pytest.raises(ValueError, match="half-line grid"):
+            orc.eigen_evolve(psi, 0.5, params, halfline=True)
+        with pytest.raises(ValueError, match="n must be 1/2"):
+            orc.eigen_evolve(psi, 0.5, PhysParams(n=1.0), halfline=False)
