@@ -2,8 +2,10 @@
 
 Closed-form kernels for H = p^2/2m + lam/(2m x^2) + m w^2 x^2/2 and the
 group-theoretic factorizations that generate them, verified against a 2x2
-matrix realization of the underlying algebra, a spectral quadrature oracle,
-and exact wavepacket evolution in the Hamiltonian's own eigenbasis.
+matrix realization of the underlying algebra, a spectral oracle (the Hankel
+integral over Bessel eigenfunctions, taken along a ray into the complex
+plane where it converges absolutely), and exact wavepacket evolution in the
+Hamiltonian's own eigenbasis.
 """
 
 from .evolve import (
@@ -31,7 +33,6 @@ from .numerics import (
 from .oracle import (
     GridSpec,
     GridWavefunction,
-    default_hankel_spec,
     eigen_evolve,
     hankel_kernel_oracle,
 )
@@ -65,7 +66,6 @@ __all__ = [
     "TestFunction",
     "bessel_i_complex",
     "bessel_j",
-    "default_hankel_spec",
     "delta_limit_check",
     "eigen_evolve",
     "exp_traceless",

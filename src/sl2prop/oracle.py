@@ -1,8 +1,9 @@
 """Independent numerical oracles for the closed-form kernels.
 
 Two routes that never touch the closed forms they are checking: the
-spectral (Hankel) representation of the inverse-square kernel as a damped
-oscillatory integral over ordinary Bessel functions, and exact wavepacket
+spectral (Hankel) representation of the inverse-square kernel, integrated
+along a ray into the complex plane where it converges absolutely and takes
+its Bessel values from AMOS at complex argument, and exact wavepacket
 evolution in the Hamiltonian's Hermite or Laguerre eigenbasis, through the
 lens transform for the w = 0 kernels.
 
@@ -32,7 +33,6 @@ from .sl2rep import PhysParams
 __all__ = [
     "GridSpec",
     "GridWavefunction",
-    "default_hankel_spec",
     "edge_contaminated",
     "eigen_evolve",
     "hankel_kernel_oracle",
@@ -93,67 +93,46 @@ class GridWavefunction:
 # Spectral (Hankel) oracle
 # ---------------------------------------------------------------------------
 
-_TAIL_LOG = 27.6  # e^-27.6 ~ 1e-12 damping at the truncation point
+_GROWTH_LOG = 7.0  # L: the Bessel product outgrows the chirp by at most e^L on the ray
+_TAIL_LOG = 40.0  # the integrand's bound has fallen to e^-40 at the truncation point
 _PHASE_PER_PANEL = 12.0  # per 24-node Gauss-Legendre panel: resolved far below roundoff
-_ORACLE_SCHEDULE = tuple(1e-2 * 0.5**j for j in range(5))  # the oracle's own: 1e-2 halved 4x
 
 
-def default_hankel_spec(
-    x1,
-    x2,
-    t: float,
-    params: PhysParams,
-    eps_schedule=_ORACLE_SCHEDULE,
-) -> QuadratureSpec:
-    """Quadrature controls sized for the spectral kernel integral.
+def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> QuadratureResult:
+    """Inverse-square kernel at w = 0 from its Bessel spectral representation.
 
-    The truncation point is where the weakest damping of ``eps_schedule``
-    has suppressed the integrand by e^-27.6, and the panel count keeps the
-    total phase advance (quadratic chirp plus the Bessel oscillation at
-    x1 + x2) below a fixed budget per panel.  Every damping must be > 0:
-    the undamped integral has no truncation point.
-    """
-    eps_min = min(eps_schedule, default=1.0)  # QuadratureSpec refuses an empty one
-    if not eps_min > 0:
-        raise ValueError(f"spectral oracle needs every damping > 0, got {eps_min}")
-    h, m, t = params.hbar, params.m, abs(t)
-    if t == 0:
-        raise ValueError("t = 0 has no spectral integral (delta limit)")
-    k_max = math.sqrt(2.0 * m * _TAIL_LOG / (h * t * eps_min))
-    x1 = float(np.max(np.asarray(x1)))
-    x2 = float(np.max(np.asarray(x2)))
-    max_freq = h * t / m * k_max + (x1 + x2)
-    panels = max(8, int(math.ceil(max_freq * k_max / _PHASE_PER_PANEL)))
-    return QuadratureSpec(panel_count=panels, k_max=k_max, eps_schedule=eps_schedule)
+    The kernel is the Hankel integral of sqrt(k x1) J_n(k x1) sqrt(k x2)
+    J_n(k x2) e^{-i c k^2 sign t} over k > 0, c = hbar |t|/2m, the analytic
+    continuation of Weber's second exponential integral (DLMF 10.22.67).
+    On the real axis it converges only conditionally, so it is taken along
+    the ray k = r e^{-i theta sign t}, 0 < theta <= pi/4: the sector between
+    holds no singularity and the arc at infinity vanishes, and on the ray
+    the chirp decays like e^{-c r^2 sin 2 theta} while the Bessel product
+    grows at most like e^{r S sin theta}, S = max(x1 + x2) over the batch.
 
+    - tan theta = min(1, 8 c L/S^2), L = 7: the log-modulus bound
+      r S sin theta - c r^2 sin 2 theta peaks at S^2 tan theta/8c <= L, so
+      at most e^7 cancels between the terms;
+    - the ray is truncated at the r where that bound reaches -40;
+    - the 24-node Gauss-Legendre panels, at least 8, each hold at most
+      12 rad of phase, c r^2 cos 2 theta + S r cos theta at the truncation
+      point, and ``integrate_oscillatory`` grades the first toward r = 0,
+      where the integrand behaves like r^{2n+1}.
 
-def hankel_kernel_oracle(
-    x1,
-    x2,
-    t: float,
-    order,
-    params: PhysParams,
-    spec: QuadratureSpec | None = None,
-) -> QuadratureResult:
-    """Inverse-square kernel from its Bessel spectral representation.
-
-    Integrates sqrt(k x1) J_n(k x1) e^{-i hbar k^2 t / 2m} sqrt(k x2)
-    J_n(k x2) over k > 0.  The damping t -> t(1 - i eps sign t) multiplies
-    this by the real envelope e^{-eps hbar |t| k^2 / 2m}, which
-    ``integrate_oscillatory`` applies at each level and extrapolates to
-    eps = 0.  This never evaluates a modified Bessel function, making it an
-    independent check on the closed form.
+    The integrand maps r to the ray and folds the Jacobian e^{-i theta sign
+    t} into its values.  J_n at the complex argument k x comes from
+    ``bessel_j``, which sends every complex argument to AMOS ``jv`` (zbesj):
+    no code is shared with the Cephes ``j0``, ``j1`` and ``spherical_jn``
+    that the closed form takes at real t for n = 0, 1 and half-integer n.
+    At every other order the closed form reaches AMOS as well, through real
+    ``jv``.
 
     ``order`` may be an array of orders and ``x1``, ``x2`` broadcast
     arrays of positions at the one time ``t``; the result then has shape
     ``order.shape + broadcast(x1, x2).shape``, and scalars give a complex
     value and float error terms.  The whole batch shares one node set: the
-    chirp and the envelopes are computed once per node, and J_n(k x) once
-    per order and distinct position.
-
-    The damping schedule is ``spec.eps_schedule``; without ``spec``,
-    ``default_hankel_spec`` sizes one for the oracle's own schedule at the
-    batch's largest x1 and x2.
+    chirp is computed once per node, and J_n(k x) once per order and
+    distinct position.
     """
     orders = np.asarray(order, dtype=float)
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
@@ -165,22 +144,31 @@ def hankel_kernel_oracle(
         raise ValueError("spectral oracle requires x1, x2 > 0")
     if t == 0:
         raise ValueError("t = 0 has no spectral integral (delta limit)")
-    if spec is None:
-        spec = default_hankel_spec(x1, x2, t, params)
     h, m = params.hbar, params.m
+    c = h * abs(t) / (2.0 * m)
+    s = float(np.max(x1 + x2))
+    theta = math.atan(min(1.0, 8.0 * c * _GROWTH_LOG / s**2))
+    grow, decay = s * math.sin(theta), c * math.sin(2.0 * theta)
+    r_max = (grow + math.sqrt(grow**2 + 4.0 * decay * _TAIL_LOG)) / (2.0 * decay)
+    phase = c * r_max**2 * math.cos(2.0 * theta) + s * r_max * math.cos(theta)
+    spec = QuadratureSpec(panel_count=max(8, math.ceil(phase / _PHASE_PER_PANEL)),
+                          k_max=r_max)
+    ray = complex(math.cos(theta), -math.copysign(math.sin(theta), t))
+
     xs, where = np.unique(np.concatenate([x1.ravel(), x2.ravel()]), return_inverse=True)
     at1, at2 = where[: x1.size], where[x1.size :]
     root = np.sqrt(x1 * x2).reshape(-1, 1)
 
-    def integrand(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        chirp = np.exp(-1j * h * k**2 * t / (2.0 * m))
-        g = np.empty(orders.shape + (x1.size, k.size), dtype=complex)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        k = r * ray
+        chirp = ray * np.exp(-1j * h * k**2 * t / (2.0 * m))
+        g = np.empty(orders.shape + (x1.size, r.size), dtype=complex)
         kroot = k * root
         for idx in np.ndindex(orders.shape):
             # One row of J_n(k x) per distinct x, shared by every pair holding it.
             j = bessel_j(orders[idx], xs[:, None] * k)
             np.multiply(kroot * j[at1] * j[at2], chirp, out=g[idx])
-        return g.reshape(orders.shape + x1.shape + k.shape), h * abs(t) * k**2 / (2.0 * m)
+        return g.reshape(orders.shape + x1.shape + r.shape)
 
     return integrate_oscillatory(integrand, spec)
 

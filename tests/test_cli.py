@@ -54,38 +54,28 @@ def test_violated_tolerance_exits_one(tmp_path):
     assert path.read_text().endswith("pass=no\n")
 
 
-def test_oracle_truncation_follows_the_weakest_damping(tmp_path):
-    # A schedule that is not a halving sequence: the Hankel integral must be
-    # truncated where its smallest damping, 8e-4, has decayed.
+def test_default_oracle_compare_agrees_far_below_its_tolerance(tmp_path):
+    # All 80 default rows: the oracle meets the closed form to 1e-10 (the
+    # worst reads 2.2e-11) and estimates its own error below that.
     path = tmp_path / "o.csv"
-    argv = ["oracle-compare", "--orders", "1", "--times", "2.0",
-            "--epsilon-schedule", "2e-2,4e-3,8e-4"]
-    assert run(argv, path) == 0
-    rows = [ln.split(",") for ln in path.read_text().splitlines()
-            if ln and not ln.startswith("#")]
-    rel = [float(r[rows[0].index("rel_err")]) for r in rows[1:]]
-    assert len(rel) == 4
-    assert max(rel) < 1e-5
+    assert run(["oracle-compare"], path) == 0
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    head, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    assert len(rows) == 80 and all(r[-1] == "ok" for r in rows)
+    for column in ("rel_err", "oracle_err_estimate"):
+        assert max(float(r[head.index(column)]) for r in rows) < 1e-10
 
 
-@pytest.mark.parametrize("schedule,code", [
-    ("0", 2),                 # undamped: no truncation point
-    ("1e-2,1e-2", 2),         # duplicate level
-    ("1e-4,1e-2,1e-3", 2),    # not decreasing
-    ("0.5,0.25", 1),          # valid, but far too damped for the tolerance
-    ("1e-2,,5e-3", 2),        # blank entry
-])
-def test_oracle_epsilon_schedule_verdicts(schedule, code, tmp_path, capsys):
+def test_oracle_compare_has_no_damping_schedule(tmp_path, capsys):
+    # The spectral oracle converges absolutely on its rotated contour and
+    # takes no damping; the option that set one is gone.
     path = tmp_path / "o.csv"
-    argv = ["oracle-compare", "--orders", "1", "--times", "0.7",
-            "--epsilon-schedule", schedule]
-    assert run(argv, path) == code
-    err = capsys.readouterr().err
-    if code == 2:
-        assert err.startswith("error:")  # an uncaught exception fails the call itself
-        assert not path.exists()
-    else:
-        assert path.read_text().count(",fail\n") >= 1
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle-compare", "--orders", "1", "--times", "0.7",
+             "--epsilon-schedule", "1e-2"], path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon-schedule" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_header_reports_the_hamiltonian_the_kernel_runs(tmp_path):
@@ -104,6 +94,7 @@ def test_header_reports_the_hamiltonian_the_kernel_runs(tmp_path):
     ["identities", "--t-steps", "0"],
     ["identities", "--t-min", "3.1", "--t-max", "3.2", "--t-steps", "3"],  # all clipped
     ["oracle-compare", "--orders", "0.5,,1"],
+    ["oracle-compare", "--times", "0.7,,1"],
 ], ids=lambda a: "_".join(a))
 def test_runs_with_nothing_to_check_or_a_blank_list_entry_exit_two(argv, tmp_path, capsys):
     path = tmp_path / "r.csv"
