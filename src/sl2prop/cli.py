@@ -19,13 +19,20 @@ are the scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``:
 numpy's vectorised complex magnitude and the product round differently in
 the last bit for some values, and the CSV must stay byte-stable.  A report
 goes to its stream an entry at a time, never joined into one string.
+
+``evolve`` propagates its frames concurrently: each frame on one thread of
+a pool with a thread per CPU the process may use (at most one per frame).
+A frame's values do not depend on the worker count.  Frames are formatted
+in order as they complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -318,15 +325,33 @@ def cmd_evolve(args) -> int:
     norm0 = psi0.norm()
     worst_drift = 0.0
     contaminated = False
-    for t in frame_times.tolist():
-        frame = psi0 if t == 0.0 else ev.propagate(psi0, t, name, run_params)
-        worst_drift = max(worst_drift, abs(frame.norm() - norm0))
-        contaminated = contaminated or orc.edge_contaminated(frame)
-        t_s = _fmt(t)
-        lines.append("\n".join([
-            f"{t_s},{x_s},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}"
-            for x_s, v in zip(xs_s, frame.samples.tolist())
-        ]))
+    # One task per frame at t != 0, on a thread per CPU the process may use
+    # (at most one per frame): the Bessel ufuncs and numpy's loops release
+    # the GIL, and a frame's values do not depend on the worker count.
+    # Frames are formatted in order as they complete, overlapping the work
+    # on later ones; if one raises, those not yet started are cancelled, and
+    # the with block joins the pool on every path.
+    # os.sched_getaffinity is missing on macOS and Windows.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    times = frame_times.tolist()
+    workers = min(cpus, sum(t != 0.0 for t in times))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = [None if t == 0.0 else pool.submit(ev.propagate, psi0, t, name, run_params)
+                   for t in times]
+        try:
+            for t, future in zip(times, pending):
+                frame = psi0 if future is None else future.result()
+                worst_drift = max(worst_drift, abs(frame.norm() - norm0))
+                contaminated = contaminated or orc.edge_contaminated(frame)
+                t_s = _fmt(t)
+                lines.append("\n".join([
+                    f"{t_s},{x_s},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}"
+                    for x_s, v in zip(xs_s, frame.samples.tolist())
+                ]))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     # Each check is decided once, here; the trailer and the exit code read it.
     # Frame and oracle agree to rounding on a resolving grid: 1e-9 is 400x the

@@ -77,8 +77,11 @@ CAUSTIC_TOL = 1e-8
 ROUTE_IDS = ("ELEMENT", "A1a", "A2a", "A3a")
 
 # Edge of the square upper-triangle tiles of the Bessel core in
-# ``kernel_apply`` (memory control only).
-_CHUNK = 256
+# ``kernel_apply``: no Bessel call sees more than _CHUNK ** 2 points.  It
+# bounds memory under concurrency too: ``evolve`` propagates its frames on
+# one thread each, a tile in flight per thread, and at 128 two tiles take
+# no more memory than one of 256 did.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,10 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     into sqrt(x1) sqrt(x2) and moved into D, it is evaluated on the square
     tiles of edge ``_CHUNK`` on and above the diagonal, and each tile off
     the diagonal is applied once as it stands and once transposed, which
-    halves the Bessel evaluations.  Refuses what ``kernel_values`` refuses.
+    halves the Bessel evaluations.  A tile is applied by ``np.einsum``, not
+    by ``@``: a BLAS matvec wakes the BLAS threads, which spin on the CPUs
+    that concurrent callers (``evolve``'s frames) need for Bessel values.
+    Refuses what ``kernel_values`` refuses.
     """
     v = np.asarray(v)
     x = x0 + dx * np.arange(v.size)
@@ -232,9 +238,9 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
         for i, a in enumerate(blocks):
             for b in blocks[i:]:
                 tile = bessel_i_complex(params.n, np.multiply.outer(x[a], x[b]) * A)
-                out[a] += tile @ u[b]
+                out[a] += np.einsum("ij,j->i", tile, u[b])
                 if b != a:
-                    out[b] += tile.T @ u[a]
+                    out[b] += np.einsum("ij,i->j", tile, u[a])
         return A * d * out
     # c (x1^2 + x2^2) - 2 x1 x2 = (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and the
     # image term takes (x1 + x2)^2 with the opposite sign.

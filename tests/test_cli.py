@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -518,3 +520,93 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
          "import sys, sl2prop.cli; print('scipy.interpolate' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def _record_threads(monkeypatch):
+    """The thread of every ``ev.propagate`` call, in call order."""
+    threads = []
+    propagate = ev.propagate
+
+    def recording(psi0, t, kernel, params):
+        threads.append(threading.get_ident())
+        return propagate(psi0, t, kernel, params)
+
+    monkeypatch.setattr(ev, "propagate", recording)
+    return threads
+
+
+def _frames(text):
+    """The evolve rows as arrays t, re, im; .17g reads back bit for bit."""
+    rows = [ln.split(",") for ln in text.splitlines()
+            if not ln.startswith("#") and ln != "t,x,re,im,abs2"]
+    return tuple(np.array([float(r[k]) for r in rows]) for k in (0, 2, 3))
+
+
+def test_evolve_frames_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    argv = ["evolve", "--order-n", "1"]
+    pooled, again, single = (tmp_path / f"{k}.csv" for k in ("pooled", "again", "single"))
+    threads = _record_threads(monkeypatch)
+    assert run(argv, pooled) == 0
+    assert len(threads) == 4 and threading.get_ident() not in threads
+    assert len(set(threads)) <= len(os.sched_getaffinity(0))
+    assert run(argv, again) == 0
+    assert pooled.read_bytes() == again.read_bytes()
+
+    # One CPU for the process: one worker thread propagates every frame.
+    threads.clear()
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert run(argv, single) == 0
+    assert len(threads) == 4 and len(set(threads)) == 1
+    assert single.read_bytes() == pooled.read_bytes()
+
+    # Each frame is propagate's, called alone on this thread, bit for bit.
+    args = cli.build_parser().parse_args(argv)
+    kind, params = _run_params(args)
+    grid = orc.GridSpec(x_max=args.x_max, points=args.grid_points, x_min=0.0)
+    packet = ev.TestFunction(center=args.center, width=args.width, momentum=args.momentum)
+    psi0 = packet.sample(grid, params, kind.halfline)
+    ts, re, im = _frames(pooled.read_text())
+    frame_times = np.linspace(0.0, args.t_max, args.frames)
+    assert np.array_equal(np.unique(ts), frame_times)
+    for t in frame_times[1:].tolist():
+        frame = ev.propagate(psi0, t, "radial_sho", params).samples
+        assert np.array_equal(re[ts == t], frame.real)
+        assert np.array_equal(im[ts == t], frame.imag)
+
+
+def test_evolve_frame_refusal_writes_nothing_and_joins_the_pool(tmp_path, monkeypatch,
+                                                                capsys):
+    # The third propagated frame (t = 0.375 of 0, 0.125, ..., 1) is refused;
+    # the frames after it are slowed, so the refusal reaches the main thread
+    # while most of them wait in the queue, where they are cancelled.
+    propagate = ev.propagate
+    calls = []
+
+    def refusing(psi0, t, kernel, params):
+        calls.append(t)
+        if t == 0.375:
+            raise ValueError("frame refused")
+        if t > 0.375:
+            time.sleep(0.2)
+        return propagate(psi0, t, kernel, params)
+
+    monkeypatch.setattr(ev, "propagate", refusing)
+    before = threading.active_count()
+    path = tmp_path / "e.csv"
+    assert run(["evolve", "--order-n", "1", "--frames", "9", "--grid-points", "400"],
+               path) == 2
+    assert capsys.readouterr() == ("", "error: frame refused\n")
+    assert not path.exists()
+    assert threading.active_count() == before
+    assert 0.375 in calls and len(calls) < 8
+
+
+def test_cli_import_starts_no_thread():
+    src = str(Path(sl2prop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, sl2prop.cli; print(threading.active_count())"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "1\n"

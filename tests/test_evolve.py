@@ -156,6 +156,22 @@ class TestTiledBesselCore:
         ev.propagate(self.state(cols), 0.7, "radial_sho", PhysParams(n=1.0, omega=1.0))
         assert 0 < sum(points) <= cols * (cols + 1) // 2 + cols * kn._CHUNK // 2
 
+    @pytest.mark.parametrize("kernel,n", [("radial_sho", 1.0), ("radial_h0", 2.5)])
+    def test_no_bessel_call_sees_more_than_one_tile(self, kernel, n, monkeypatch):
+        # The memory bound per worker that lets evolve propagate its frames
+        # concurrently without raising the peak memory.
+        points = []
+        bessel_i_complex = kn.bessel_i_complex
+
+        def counting(n, z, scaled=False):
+            points.append(np.size(z))
+            return bessel_i_complex(n, z, scaled)
+
+        monkeypatch.setattr(kn, "bessel_i_complex", counting)
+        params = kn.kernel_kind(kernel).hamiltonian(PhysParams(n=n, omega=1.0))
+        ev.propagate(self.state(3 * kn._CHUNK + 5), 0.7, kernel, params)
+        assert len(points) == 10 and max(points) <= kn._CHUNK ** 2
+
 
 class TestL2Distance:
     def test_shifted_gaussians(self):
