@@ -20,6 +20,14 @@ numpy's vectorised complex magnitude and the product round differently in
 the last bit for some values, and the CSV must stay byte-stable.  A report
 goes to its stream an entry at a time, never joined into one string.
 
+``kernel`` evaluates every time first, so that its skips and refusals come
+before any output.  It then formats the triangle entries of all times in
+fixed-size chunks on a pool of forked processes, one per CPU the process
+may use (at most one per chunk), and streams the report: each time's block
+is assembled and written as its entries come back.  The rows do not depend
+on the worker count; with one worker, or no fork, the chunks are formatted
+in the process.
+
 ``evolve`` propagates its frames concurrently: each frame on one thread of
 a pool with a thread per CPU the process may use (at most one per frame).
 A frame's values do not depend on the worker count.  Frames are formatted
@@ -30,10 +38,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
+from itertools import chain, islice
 
 import numpy as np
 
@@ -107,10 +117,11 @@ def _header(command: str, units: dict[str, float], *lines: str) -> list[str]:
             "# units: " + " ".join(f"{k}={_fmt(v)}" for k, v in units.items()), *lines]
 
 
-def _write(path: str | None, lines: list[str]):
-    """Write a report to ``path`` or stdout: each entry of ``lines`` (a
-    line, or a block of lines joined by "\n") and an LF go straight to the
-    stream, so the report is never joined into one string."""
+def _write(path: str | None, lines):
+    """Write a report to ``path`` or stdout: each entry of the iterable
+    ``lines`` (a line, or a block of lines joined by "\n") and an LF go
+    straight to the stream as it comes, so the report is never joined into
+    one string.  Nothing may be refused once the first entry is drawn."""
     with nullcontext(sys.stdout) if path is None else open(
             path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -174,6 +185,52 @@ def cmd_identities(args) -> int:
     return 0 if ok else 1
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.sched_getaffinity is missing on
+    macOS and Windows)."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+# Values per chunk of kernel entries formatted by one task: about 28 ms of
+# %.17g, against about 2 ms to pickle the entries back, while a 160x160x7
+# table (90160 values) still cuts into 12 chunks, so that two workers finish
+# within a chunk of each other.  16384 was as fast and 32768 slower.  The
+# default 5x5x7 table fits in one chunk and starts no process.
+_CHUNK = 8192
+
+
+def _format_entries(pieces: list[tuple[str, np.ndarray]]) -> list[str]:
+    """The ``t,re,im,abs`` tail of each row in a chunk, in order.  ``pieces``
+    pairs a formatted time with triangle values at that time.  It runs in a
+    pool worker or in the process and only formats floats."""
+    return [f"{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
+            for t_s, values in pieces for v in values.tolist()]
+
+
+def _chunks(times_s: list[str], values: np.ndarray):
+    """``values``, the triangles of the times ``times_s`` end to end, cut
+    into chunks of ``_CHUNK`` values; a chunk may span several times."""
+    m = values.size // len(times_s)
+    for a in range(0, values.size, _CHUNK):
+        b = min(a + _CHUNK, values.size)
+        yield [(times_s[k], values[max(a, k * m):min(b, (k + 1) * m)])
+               for k in range(a // m, (b - 1) // m + 1)]
+
+
+def _kernel_report(lines: list, formatted, prefixes: list[str], mirror: list[int]):
+    """The report's lines, where each None in ``lines`` stands for the next
+    time's block, assembled from ``formatted`` (the chunks' entries, in
+    order) as its entries arrive."""
+    entries = chain.from_iterable(formatted)
+    m = max(mirror) + 1  # triangle entries per time
+    for line in lines:
+        if line is None:
+            tail = list(islice(entries, m))
+            line = "\n".join([prefix + tail[k] for prefix, k in zip(prefixes, mirror)])
+        yield line
+
+
 def cmd_kernel(args) -> int:
     name, kind, run_params = _chosen_kernel(args)
     if kind.halfline and args.x_min <= 0:
@@ -196,31 +253,55 @@ def cmd_kernel(args) -> int:
     # The kernel is symmetric in x1 and x2, bit for bit, so it is evaluated
     # on the upper triangle of the grid only.  The rows run row-major over
     # (x1, x2), as mat.ravel() does; mirror names the triangle entry of each.
+    # Every time is evaluated, and every skip and refusal taken, before the
+    # first line is written.
     iu, ju = np.triu_indices(xs.size)
-    tri = np.empty((xs.size, xs.size), dtype=np.intp)
-    tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
-    mirror = tri.ravel().tolist()
-    xs_s = [_fmt(x) for x in xs]
-    prefixes = [f"{x1},{x2}," for x1 in xs_s for x2 in xs_s]
-    emitted = 0
+    times_s, uppers = [], []
     for t in ts.tolist():
         t_s = _fmt(t)
         if t == 0.0:
             lines.append(f"# skip t={t_s} reason=delta-limit")
             continue
         try:
-            upper = kn.kernel_values(name, xs[iu], xs[ju], t, run_params)
+            uppers.append(kn.kernel_values(name, xs[iu], xs[ju], t, run_params))
         except kn.CausticSingularity as e:
             lines.append(f"# skip t={t_s} reason=caustic nearest={_fmt(e.nearest_caustic_time)}")
             continue
-        entries = [f"{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
-                   for v in upper.tolist()]
-        lines.append("\n".join([prefix + entries[k]
-                                for prefix, k in zip(prefixes, mirror)]))
-        emitted += 1
-    if emitted == 0:
+        times_s.append(t_s)
+        lines.append(None)  # this time's block
+    if not times_s:
         raise ValueError("every requested time was skipped (caustic or t=0)")
-    _write(args.output, lines)
+
+    tri = np.empty((xs.size, xs.size), dtype=np.intp)
+    tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
+    mirror = tri.ravel().tolist()
+    xs_s = [_fmt(x) for x in xs]
+    prefixes = [f"{x1},{x2}," for x1 in xs_s for x2 in xs_s]
+    # The entries are formatted in chunks on a pool of forked processes, one
+    # per CPU the process may use (at most one per chunk), or here when there
+    # is one worker or no fork; the rows do not depend on the worker count.
+    # Fork, not spawn: a spawned worker would import numpy and scipy again,
+    # about 0.4 s, more than the formatting it takes over.  A child only
+    # formats floats, so it needs no lock that another thread (BLAS) may
+    # hold.  It flushes the standard streams it inherits when it exits, so
+    # they are flushed first.  The with block joins the pool on every path,
+    # and an error cancels the chunks not yet started.
+    values = np.concatenate(uppers)
+    chunks = _chunks(times_s, values)
+    workers = 1
+    if "fork" in multiprocessing.get_all_start_methods():
+        workers = min(_usable_cpus(), -(-values.size // _CHUNK))
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with (nullcontext() if workers == 1 else ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))) as pool:
+        formatted = (map if pool is None else pool.map)(_format_entries, chunks)
+        try:
+            _write(args.output, _kernel_report(lines, formatted, prefixes, mirror))
+        except BaseException:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            raise
     return 0
 
 
@@ -331,11 +412,8 @@ def cmd_evolve(args) -> int:
     # Frames are formatted in order as they complete, overlapping the work
     # on later ones; if one raises, those not yet started are cancelled, and
     # the with block joins the pool on every path.
-    # os.sched_getaffinity is missing on macOS and Windows.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     times = frame_times.tolist()
-    workers = min(cpus, sum(t != 0.0 for t in times))
+    workers = min(_usable_cpus(), sum(t != 0.0 for t in times))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = [None if t == 0.0 else pool.submit(ev.propagate, psi0, t, name, run_params)
                    for t in times]

@@ -96,6 +96,12 @@ class GridWavefunction:
 _GROWTH_LOG = 7.0  # L: the Bessel product outgrows the chirp by at most e^L on the ray
 _TAIL_LOG = 40.0  # the integrand's bound has fallen to e^-40 at the truncation point
 _PHASE_PER_PANEL = 12.0  # per 24-node Gauss-Legendre panel: resolved far below roundoff
+# The most panels one call may take.  A panel costs about 16-22 us for one
+# order and point pair and about 180-230 us for oracle-compare's batch of 16,
+# so the cap is about half a second of a scalar call or six seconds of one
+# oracle-compare time.  x1 = x2 = 5 at t = 0.01, the corner of the range the
+# contour was sized for, takes 2840 panels, and t = 1e-3 there 28398.
+_MAX_PANELS = 30_000
 
 
 def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> QuadratureResult:
@@ -118,6 +124,10 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
       12 rad of phase, c r^2 cos 2 theta + S r cos theta at the truncation
       point, and ``integrate_oscillatory`` grades the first toward r = 0,
       where the integrand behaves like r^{2n+1}.
+
+    The panel count grows like S^2/c as |t| falls (28M at x1 = x2 = 5,
+    t = 1e-6), so a call that needs more than ``_MAX_PANELS`` panels is
+    refused with a ``ValueError`` before any node is evaluated.
 
     The integrand maps r to the ray and folds the Jacobian e^{-i theta sign
     t} into its values.  J_n at the complex argument k x comes from
@@ -149,10 +159,17 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
     s = float(np.max(x1 + x2))
     theta = math.atan(min(1.0, 8.0 * c * _GROWTH_LOG / s**2))
     grow, decay = s * math.sin(theta), c * math.sin(2.0 * theta)
-    r_max = (grow + math.sqrt(grow**2 + 4.0 * decay * _TAIL_LOG)) / (2.0 * decay)
+    # decay underflows to 0 near |t| = 1e-300, and c itself at subnormal t,
+    # where the count is NaN.
+    r_max = ((grow + math.sqrt(grow**2 + 4.0 * decay * _TAIL_LOG)) / (2.0 * decay)
+             if decay > 0 else math.inf)
     phase = c * r_max**2 * math.cos(2.0 * theta) + s * r_max * math.cos(theta)
-    spec = QuadratureSpec(panel_count=max(8, math.ceil(phase / _PHASE_PER_PANEL)),
-                          k_max=r_max)
+    panels = phase / _PHASE_PER_PANEL
+    if not panels <= _MAX_PANELS:
+        raise ValueError(f"the spectral oracle at t={t:.17g} needs {panels:.3g} panels, "
+                         f"more than its cap of {_MAX_PANELS}: the ray's cost grows like "
+                         "1/|t| at short times")
+    spec = QuadratureSpec(panel_count=max(8, math.ceil(panels)), k_max=r_max)
     ray = complex(math.cos(theta), -math.copysign(math.sin(theta), t))
 
     xs, where = np.unique(np.concatenate([x1.ravel(), x2.ravel()]), return_inverse=True)

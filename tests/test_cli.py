@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -610,3 +611,131 @@ def test_cli_import_starts_no_thread():
          "import threading, sl2prop.cli; print(threading.active_count())"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "1\n"
+
+
+def _record_pools(monkeypatch):
+    """The worker count of each process pool that the CLI starts."""
+    pools = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    return pools
+
+
+def test_kernel_table_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    # 160 * 161 / 2 * 7 = 90160 triangle values: 12 chunks, the first two
+    # times each spanning two of them.
+    argv = ["kernel", "--x-steps", "160"]
+    pools = _record_pools(monkeypatch)
+    cpus = len(os.sched_getaffinity(0))
+    pooled, single = tmp_path / "pooled.csv", tmp_path / "single.csv"
+    threads = threading.active_count()
+    assert run(argv, pooled) == 0
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    assert cli.main(argv) == 0
+    streamed = capsys.readouterr().out
+    assert pools == ([min(cpus, 12)] * 2 if cpus > 1 else [])
+
+    # One CPU for the process: the chunks are formatted here, with no pool.
+    pools.clear()
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert run(argv, single) == 0
+    assert cli.main(argv) == 0
+    assert pools == []
+    assert capsys.readouterr().out == streamed
+    assert single.read_bytes() == pooled.read_bytes() == streamed.encode()
+    assert pooled.read_bytes() == _dense_kernel_table(argv).encode()
+
+
+def test_kernel_chunks_may_span_times_and_skips(tmp_path, monkeypatch):
+    # Seven-value chunks cut the 15-value triangles of the default grid at
+    # every offset, across the skipped t = 0 between two blocks: 90 values
+    # in 13 chunks, against one chunk formatted in the process.
+    argv = ["kernel", "--kernel", "sho", "--x-min=-1", "--t-min=-0.6", "--t-max", "0.6"]
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    assert run(argv, whole) == 0
+    assert "\n# skip t=0 reason=delta-limit\n" in whole.read_text()
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    pools = _record_pools(monkeypatch)
+    assert run(argv, cut) == 0
+    cpus = len(os.sched_getaffinity(0))
+    assert pools == ([min(cpus, 13)] if cpus > 1 else [])
+    assert cut.read_bytes() == whole.read_bytes()
+
+
+def test_kernel_table_in_one_chunk_starts_no_process(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("a process was forked")
+
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(os, "fork", refuse)
+    path = tmp_path / "k.csv"
+    assert run(["kernel"], path) == 0
+    assert pools == []
+    assert path.read_bytes() == _dense_kernel_table(["kernel"]).encode()
+
+
+def test_kernel_refusal_after_evaluation_starts_no_pool(tmp_path, monkeypatch, capsys):
+    # Both times of a 160-point sho table are skipped (t = 0 and the caustic
+    # at pi): the refusal comes after every evaluation, before any pool.
+    pools = _record_pools(monkeypatch)
+    threads = threading.active_count()
+    path = tmp_path / "k.csv"
+    assert run(["kernel", "--kernel", "sho", "--x-min=-1", "--x-steps", "160",
+                "--t-min", "0", "--t-max", PI, "--t-steps", "2"], path) == 2
+    assert capsys.readouterr() == (
+        "", "error: every requested time was skipped (caustic or t=0)\n")
+    assert not path.exists()
+    assert pools == []
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_kernel_pool_does_not_repeat_buffered_output(tmp_path):
+    # A forked child flushes the stdout buffer it inherits when it exits, so
+    # text buffered before the pool starts would be written once per worker.
+    src = str(Path(sl2prop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    path = tmp_path / "k.csv"
+    argv = ["kernel", "--x-steps", "160", "--t-steps", "2"]
+    assert run(argv, path) == 0
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sl2prop import cli; sys.stdout.write('buffered\\n'); "
+         f"sys.exit(cli.main({argv!r}))"],
+        env=env, capture_output=True, check=True).stdout
+    assert out == b"buffered\n" + path.read_bytes()
+
+
+@pytest.mark.parametrize("omega", ["0", "1"])
+def test_oracle_compare_refuses_a_short_time_at_once(omega, tmp_path, monkeypatch, capsys):
+    def refuse(integrand, spec):
+        raise AssertionError("the oracle integrated")
+
+    monkeypatch.setattr(orc, "integrate_oscillatory", refuse)
+    path = tmp_path / "o.csv"
+    assert run(["oracle-compare", "--omega", omega, "--times", "1e-6"], path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the spectral oracle at t=9.99999")
+    assert "panels, more than its cap of 30000" in err
+    assert not path.exists()
+
+
+def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch):
+    # The output cannot be opened once the pool has started: the error
+    # reaches the caller, and no worker process or pool thread is left.
+    pools = _record_pools(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(FileNotFoundError):
+        run(["kernel", "--x-steps", "160"], tmp_path / "missing" / "k.csv")
+    assert pools == ([min(len(os.sched_getaffinity(0)), 12)]
+                     if len(os.sched_getaffinity(0)) > 1 else [])
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads

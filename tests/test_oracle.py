@@ -299,3 +299,29 @@ class TestEigenEvolve:
             orc.eigen_evolve(psi, 0.5, params, halfline=True)
         with pytest.raises(ValueError, match="n must be 1/2"):
             orc.eigen_evolve(psi, 0.5, PhysParams(n=1.0), halfline=False)
+
+
+class TestShortTimeRefusal:
+    # The ray needs about S^2/c panels: 2840 at x1 = x2 = 5, t = 0.01, the
+    # corner of the sizing range, and 28M at t = 1e-6.
+    def test_refuses_by_name_before_any_node(self, monkeypatch):
+        def refuse(integrand, spec):
+            raise AssertionError("the oracle integrated")
+
+        monkeypatch.setattr(orc, "integrate_oscillatory", refuse)
+        p = PhysParams(omega=0.0, n=0.0)
+        for t in (1e-6, -1e-4, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=rf"t={t:.17g} needs .* panels, more than "
+                                                 rf"its cap of {orc._MAX_PANELS}"):
+                orc.hankel_kernel_oracle(5.0, 5.0, t, 0.0, p)
+        with pytest.raises(ValueError, match="t=9.9999999999999995e-07 needs 2.84e"):
+            orc.hankel_kernel_oracle(5.0, 5.0, 1e-6, 0.0, p)
+
+    def test_the_sizing_range_stays_under_the_cap(self, monkeypatch):
+        specs = []
+        monkeypatch.setattr(orc, "integrate_oscillatory", lambda f, spec: specs.append(spec))
+        p = PhysParams(omega=0.0, n=0.0)
+        for t in (0.01, -0.01, 1e-3):
+            orc.hankel_kernel_oracle(5.0, 5.0, t, 0.0, p)
+        assert [s.panel_count for s in specs] == [2840, 2840, 28398]
+        assert 28398 < orc._MAX_PANELS
