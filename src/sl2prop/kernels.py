@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .numerics import bessel_i_complex
 from .sl2rep import PhysParams, factor_coeffs
@@ -247,14 +246,28 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     d = np.exp(1j * x**2 * (c - 1.0) / (2.0 * sigma))
     u = d * v
     n = v.size
-    size = fft.next_fast_len(3 * n - 2)
+    size = _fast_len(3 * n - 2)
     offsets = np.arange(2 * n - 1)
     toeplitz = np.exp(1j * (dx * (offsets - (n - 1))) ** 2 / (2.0 * sigma))
-    spectrum = fft.fft(toeplitz, size) * fft.fft(u, size)
+    spectrum = np.fft.fft(toeplitz, size) * np.fft.fft(u, size)
     if core == "image":
         hankel = np.exp(1j * (2.0 * x0 + dx * offsets) ** 2 / (2.0 * sigma))
-        spectrum -= fft.fft(hankel, size) * fft.fft(u[::-1], size)
-    return A * d * fft.ifft(spectrum)[n - 1 : 2 * n - 1]
+        spectrum -= np.fft.fft(hankel, size) * np.fft.fft(u[::-1], size)
+    return A * d * np.fft.ifft(spectrum)[n - 1 : 2 * n - 1]
+
+
+def _fast_len(n: int) -> int:
+    """The least length >= n whose prime factors are all 2, 3, 5, 7 or 11:
+    the lengths that numpy's pocketfft transforms in its fast radices, as
+    ``scipy.fft.next_fast_len`` chooses them for a complex transform."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def main_wrap(x1, x2, t, params: PhysParams):

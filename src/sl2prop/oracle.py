@@ -96,11 +96,12 @@ class GridWavefunction:
 _GROWTH_LOG = 7.0  # L: the Bessel product outgrows the chirp by at most e^L on the ray
 _TAIL_LOG = 40.0  # the integrand's bound has fallen to e^-40 at the truncation point
 _PHASE_PER_PANEL = 12.0  # per 24-node Gauss-Legendre panel: resolved far below roundoff
-# The most panels one call may take.  A panel costs about 16-22 us for one
-# order and point pair and about 180-230 us for oracle-compare's batch of 16,
-# so the cap is about half a second of a scalar call or six seconds of one
-# oracle-compare time.  x1 = x2 = 5 at t = 0.01, the corner of the range the
-# contour was sized for, takes 2840 panels, and t = 1e-3 there 28398.
+# The most panels one call may take.  At 2840 panels a panel costs about
+# 11-15 us for one order and point pair and about 120-130 us for a batch of
+# 16 like oracle-compare's (2 vCPUs), so the cap is about half a second of a
+# scalar call or four seconds of one oracle-compare time.  x1 = x2 = 5 at
+# t = 0.01, the corner of the range the contour was sized for, takes 2840
+# panels, and t = 1e-3 there 28398.
 _MAX_PANELS = 30_000
 
 
@@ -123,7 +124,8 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
     - the 24-node Gauss-Legendre panels, at least 8, each hold at most
       12 rad of phase, c r^2 cos 2 theta + S r cos theta at the truncation
       point, and ``integrate_oscillatory`` grades the first toward r = 0,
-      where the integrand behaves like r^{2n+1}.
+      where the integrand behaves like r^{2n+1}, into 30 pieces, the lowest
+      27 of them with 12 nodes.
 
     The panel count grows like S^2/c as |t| falls (28M at x1 = x2 = 5,
     t = 1e-6), so a call that needs more than ``_MAX_PANELS`` panels is

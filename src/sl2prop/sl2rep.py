@@ -123,27 +123,35 @@ def generator_matrix(gen_id: str, params: PhysParams) -> np.ndarray:
 
 
 def exp_traceless(M: np.ndarray) -> np.ndarray:
-    """Exact exponential of a traceless 2x2 matrix.
+    """Exact exponential of a traceless 2x2 matrix, or of each matrix of a
+    stack of shape (..., 2, 2).
 
     exp(M) = cosh(s) I + (sinh(s)/s) M with s^2 = -det M; sinh(s)/s is even
     in s so the square-root branch is irrelevant, and the s -> 0 limit is
-    taken by series.  The result always has unit determinant.
+    taken by series.  The result always has unit determinant.  Each matrix
+    of a stack gets the same arithmetic as it would alone, and the stack is
+    refused if any one of them has a trace.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    trace = M[0, 0] + M[1, 1]
-    if abs(trace) > _TRACE_TOL * scale:
-        raise ValueError(f"matrix is not traceless: trace={trace}")
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    shape = np.shape(M)
+    if shape[-2:] != (2, 2):
+        raise ValueError("expected a 2x2 matrix or a stack of them")
+    M = np.asarray(M, dtype=complex).reshape(-1, 2, 2)  # one matrix: a stack of one
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2)))
+    trace = M[:, 0, 0] + M[:, 1, 1]
+    bad = np.abs(trace) > _TRACE_TOL * scale
+    if np.any(bad):
+        raise ValueError(f"matrix is not traceless: trace={trace[bad][0]}")
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     s = np.sqrt(-det + 0j)
-    if abs(s) < 1e-4:
-        s2 = s * s
-        sinhc = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-    else:
-        sinhc = np.sinh(s) / s
-    return np.cosh(s) * np.eye(2, dtype=complex) + sinhc * M
+    # The series where |s| < 1e-4 (and only there: s^4 may overflow
+    # elsewhere), sinh(s)/s on a divisor kept away from 0 everywhere else.
+    small = np.abs(s) < 1e-4
+    safe = np.where(small, 1.0, s)
+    sinhc = np.sinh(safe) / safe
+    s2 = s[small] * s[small]
+    sinhc[small] = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
+    out = np.cosh(s)[:, None, None] * np.eye(2, dtype=complex) + sinhc[:, None, None] * M
+    return out.reshape(shape)
 
 
 def _hamiltonian_matrix(params: PhysParams) -> np.ndarray:
@@ -218,19 +226,35 @@ def _coeff_for(gen_id: str, coeffs: FactorCoeffs) -> float:
     return {"X2": coeffs.alpha, "P2L": coeffs.beta, "D": coeffs.gamma}[gen_id]
 
 
-def identity_residual(identity_id: str, t: float, params: PhysParams) -> float:
+def identity_residual(identity_id: str, t, params: PhysParams):
     """Max-entry defect of one disentangling identity in the 2x2 realization.
 
     Builds each factor as exp_traceless(-i coeff generator), multiplies them
     in the identity's written order, subtracts the exponential of the full
     Hamiltonian matrix, and returns the largest entry of the difference after
     scaling by the operator norm of the exact side.
+
+    ``t`` is a time or a 1-D array of times.  A scalar is a stack of one
+    matrix per factor, and an array one stack of them, so a sweep makes one
+    pass of array arithmetic per factor and each residual equals, bit for
+    bit, that of its time alone.  The coefficients still come from one
+    ``factor_coeffs`` call per time, and the first time outside the validity
+    window raises its ``ValueError``.  Returns a float, or an array of the
+    times' shape.
     """
-    coeffs = factor_coeffs(identity_id, t, params)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("identity_residual takes a time or a 1-D array of times")
+    stack = np.atleast_1d(times)
+    coeffs = [factor_coeffs(identity_id, tk, params) for tk in stack.tolist()]
     rhs = np.eye(2, dtype=complex)
     for gen_id in _FACTOR_ORDER[identity_id]:
-        g = generator_matrix(gen_id, params)
-        rhs = rhs @ exp_traceless(-1j * _coeff_for(gen_id, coeffs) * g)
-    lhs = exp_traceless(-1j * t / params.hbar * _hamiltonian_matrix(params))
-    scale = np.linalg.norm(lhs, 2)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+        c = np.array([_coeff_for(gen_id, k) for k in coeffs])
+        rhs = rhs @ exp_traceless((-1j * c)[:, None, None] * generator_matrix(gen_id, params))
+    # -i t/hbar with the quotient taken in floats: its imaginary part is the
+    # correctly rounded -t/hbar, as in scalar complex arithmetic.
+    exponent = -1j * (stack / params.hbar)
+    lhs = exp_traceless(exponent[:, None, None] * _hamiltonian_matrix(params))
+    scale = np.linalg.norm(lhs, 2, axis=(-2, -1))
+    residual = np.max(np.abs(lhs - rhs), axis=(-2, -1)) / scale
+    return float(residual[0]) if times.ndim == 0 else residual

@@ -728,14 +728,49 @@ def test_oracle_compare_refuses_a_short_time_at_once(omega, tmp_path, monkeypatc
     assert not path.exists()
 
 
-def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch):
-    # The output cannot be opened once the pool has started: the error
-    # reaches the caller, and no worker process or pool thread is left.
+def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch, capsys):
+    # The output cannot be opened once the pool has started: the run is
+    # refused, and no worker process or pool thread is left.
     pools = _record_pools(monkeypatch)
     threads = threading.active_count()
-    with pytest.raises(FileNotFoundError):
-        run(["kernel", "--x-steps", "160"], tmp_path / "missing" / "k.csv")
+    assert run(["kernel", "--x-steps", "160"], tmp_path / "missing" / "k.csv") == 2
+    assert "error: cannot write" in capsys.readouterr().err
     assert pools == ([min(len(os.sched_getaffinity(0)), 12)]
                      if len(os.sched_getaffinity(0)) > 1 else [])
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("argv", [["identities"], ["kernel"], ORACLE_SMALL,
+                                  ["evolve", "--frames", "2"]],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("where,reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_an_output_that_cannot_be_opened_exits_two(argv, where, reason, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "x.csv" if where == "missing" else tmp_path
+    assert run(argv, path) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == f"error: cannot write {path}: {reason}"
+    assert "Traceback" not in err and "sl2prop" not in out
+    assert not (tmp_path / "no").exists()
+
+
+def test_identities_makes_one_residual_call_per_identity(tmp_path, monkeypatch):
+    # The 25 default times of each of the 7 identities go to one array call;
+    # the coefficients still come from one factor_coeffs call per time.
+    calls, coeffs = [], []
+    residual, factor = sr.identity_residual, sr.factor_coeffs
+
+    def counted_residual(ident, t, params):
+        calls.append(np.size(t))
+        return residual(ident, t, params)
+
+    def counted_factor(ident, t, params):
+        coeffs.append(t)
+        return factor(ident, t, params)
+
+    monkeypatch.setattr(sr, "identity_residual", counted_residual)
+    monkeypatch.setattr(sr, "factor_coeffs", counted_factor)
+    assert run(["identities"], tmp_path / "i.csv") == 0
+    assert calls == [25] * 7
+    assert len(coeffs) == 175

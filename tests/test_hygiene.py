@@ -79,3 +79,12 @@ def test_no_module_imports_scipy_linalg(path):
     # Crank-Nicolson evolver, and its import slows every start of the CLI.
     imported = _imported_modules(path)
     assert [m for m in sorted(imported) if m.split(".")[:2] == ["scipy", "linalg"]] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(sl2prop.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy_fft(path):
+    # numpy.fft runs the same pocketfft for the one convolution that needs
+    # it, and importing scipy.fft adds about 37 ms to every start of the CLI.
+    imported = _imported_modules(path)
+    assert [m for m in sorted(imported) if m.split(".")[:2] == ["scipy", "fft"]] == []

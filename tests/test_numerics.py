@@ -321,7 +321,8 @@ class TestIntegrateOscillatory:
             nm.QuadratureSpec(panel_count=4, k_max=-1.0)
 
     def test_one_integrand_call_on_the_fine_and_one_on_the_coarse_nodes(self):
-        # The first panel is graded into 30 pieces, so 4 panels are 33 pieces.
+        # The first panel is graded into 30 pieces, so 4 panels are 33 pieces;
+        # the lowest 27 pieces take 12 and 6 nodes, the other 6 take 24 and 12.
         spec = nm.QuadratureSpec(panel_count=4, k_max=6.0)
         calls = []
 
@@ -330,7 +331,7 @@ class TestIntegrateOscillatory:
             return np.exp(-(k**2))
 
         nm.integrate_oscillatory(integrand, spec)
-        assert calls == [33 * 24, 33 * 12]
+        assert calls == [27 * 12 + 6 * 24, 27 * 6 + 6 * 12]
 
     def test_integrand_sees_at_most_one_block_of_nodes(self):
         panels = 2 * nm._BLOCK_PANELS + 3
@@ -343,7 +344,7 @@ class TestIntegrateOscillatory:
 
         nm.integrate_oscillatory(integrand, spec)
         assert max(calls) == nm._BLOCK_PANELS * 24
-        assert sum(calls) == (panels + 29) * (24 + 12)
+        assert sum(calls) == 27 * (12 + 6) + (panels + 2) * (24 + 12)
 
     def test_batch_matches_one_integrand_at_a_time(self):
         # Every term of the result, elementwise over a (2, 3) batch, against

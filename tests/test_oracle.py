@@ -145,6 +145,35 @@ class TestHankelOracle:
             assert np.all(forward.error_estimate < 1e-11)
         assert [s.panel_count for s in specs] == [8] * 10
 
+    def test_a_small_order_takes_the_graded_first_panel(self):
+        # The integrand behaves like r^{2n+1} = r^1.048 at the origin; a plain
+        # first panel misses this point by 1.8e-7, the graded one by 3.4e-12.
+        p = PhysParams(omega=0.0, n=0.024)
+        res = orc.hankel_kernel_oracle(0.16, 2.5, 0.23, 0.024, p)
+        closed = kn.kernel_values("radial_h0", 0.16, 2.5, 0.23, p)
+        assert abs(res.value - closed) / abs(closed) <= 1e-11
+
+    def test_default_rows_take_564_fine_and_282_coarse_nodes_per_call(self, monkeypatch):
+        # Eight panels, the first graded into 30 pieces: 3 * 24 + 27 * 12 +
+        # 7 * 24 fine nodes and half as many coarse ones, one integrand call
+        # on each.
+        params = PhysParams(omega=1.0)
+        x1, x2 = np.meshgrid((0.7, 1.3), (0.9, 1.6), indexing="ij")
+        nodes = []
+        integrate = orc.integrate_oscillatory
+
+        def spy(integrand, spec):
+            def counted(r):
+                nodes.append(r.size)
+                return integrand(r)
+            return integrate(counted, spec)
+
+        monkeypatch.setattr(orc, "integrate_oscillatory", spy)
+        for t in (0.3, 0.7, 1.2, 2.0, 3.5):
+            _, te = kn.main_wrap(x1, x2, t, params)
+            orc.hankel_kernel_oracle(x1, x2, te, np.array([0.0, 0.5, 1.0, 2.5]), params)
+        assert nodes == [564, 282] * 5
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             orc.hankel_kernel_oracle(0.0, 1.0, 1.0, 0.5, P_FREE)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2prop import sl2rep as sr
 
@@ -114,6 +116,32 @@ class TestExpTraceless:
         e = sr.exp_traceless(m)
         assert np.max(np.abs(e - np.eye(2) - m)) < 1e-13
 
+    def test_a_stack_equals_its_matrices_one_at_a_time(self):
+        # Zero, series (|s| < 1e-4), oscillating and growing matrices in one
+        # (3, 4) stack: each takes the arithmetic it takes alone.
+        rng = np.random.default_rng(7)
+        a, b, c = rng.uniform(-1, 1, (3, 12)) + 1j * rng.uniform(-1, 1, (3, 12))
+        stack = np.stack([np.stack([a, b], -1), np.stack([c, -a], -1)], -2)
+        stack *= np.array([0.0, 1e-7, 1e-5, 0.5, 1.0, 3.0, 10.0, 30.0, 1e-3, 2.0, 5.0, 0.1])[
+            :, None, None]
+        stack = stack.reshape(3, 4, 2, 2)
+        got = sr.exp_traceless(stack)
+        assert got.shape == (3, 4, 2, 2)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(got[idx], sr.exp_traceless(stack[idx]))
+
+    def test_a_stack_holding_one_traced_matrix_is_refused(self):
+        stack = np.zeros((5, 2, 2), dtype=complex)
+        stack[:, 0, 1] = 1.0
+        stack[3] = [[1.0, 0.0], [0.0, 0.5]]
+        with pytest.raises(ValueError, match="not traceless"):
+            sr.exp_traceless(stack)
+
+    def test_a_non_square_shape_is_refused(self):
+        for shape in ((2,), (3, 3), (4, 2, 3)):
+            with pytest.raises(ValueError, match="2x2"):
+                sr.exp_traceless(np.zeros(shape))
+
 
 class TestFactorCoeffs:
     def test_symmetric_split_at_quarter_period(self):
@@ -201,3 +229,32 @@ class TestIdentityResidual:
     def test_window_errors_propagate(self):
         with pytest.raises(ValueError):
             sr.identity_residual("A2a", 0.75 * math.pi, P)
+        with pytest.raises(ValueError):
+            sr.identity_residual("A2a", np.array([0.1, 0.75 * math.pi]), P)
+
+    # An array of times gives, bit for bit, the residuals of its times one
+    # at a time, inside each identity's validity window: |w t| < pi for
+    # MAIN, |w t| < pi/2 for the appendix identities, any t at w = 0.
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ident=st.sampled_from(sr.IDENTITY_IDS),
+           hbar=st.one_of(st.just(1.0), st.floats(0.2, 5.0)),
+           m=st.one_of(st.just(1.0), st.floats(0.2, 5.0)),
+           omega=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+           n=st.floats(0.0, 20.0),
+           fractions=st.lists(st.one_of(st.just(0.0), st.floats(-0.97, 0.97)),
+                              min_size=1, max_size=30))
+    def test_an_array_of_times_equals_its_times_one_at_a_time(
+            self, ident, hbar, m, omega, n, fractions):
+        params = sr.PhysParams(hbar=hbar, m=m, omega=omega, n=n)
+        span = 3.0 if omega == 0.0 else (math.pi if ident == "MAIN" else math.pi / 2) / omega
+        ts = np.array(fractions) * span
+        got = sr.identity_residual(ident, ts, params)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        one_at_a_time = [sr.identity_residual(ident, t, params) for t in ts.tolist()]
+        assert all(isinstance(r, float) for r in one_at_a_time)
+        assert got.tolist() == one_at_a_time
+        assert all(r == 0.0 for r, t in zip(got.tolist(), ts.tolist()) if t == 0.0)
+
+    def test_a_time_array_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sr.identity_residual("MAIN", np.zeros((2, 2)), P)
