@@ -6,9 +6,10 @@ output; run metadata lives only in header comments and carries no timestamps.
 Exit status 1 means a declared check failed.  Exit status 2 means a refused
 configuration: a subcommand raises ``ValueError`` and ``main`` alone reports
 it as ``error: ...`` on stderr, before any CSV is written.  An ``--output``
-path that cannot be opened for writing (a missing directory, a directory) is
-refused the same way, as ``error: cannot write <path>: <reason>``, when the
-report is about to be written; ``kernel`` still joins its pool first.
+path that cannot be opened for writing is refused the same way, as
+``error: cannot write <path>: <reason>``: a directory, or a path whose parent
+is not one, before any work; any other failure to open when the report is
+about to be written, and ``kernel`` still joins its pool.
 
 Every float field is written with ``.17g``.  The kernel and evolve tables
 are built a block at a time: the grid coordinates (and, for ``kernel``, the
@@ -40,9 +41,11 @@ in order as they complete.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import multiprocessing
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -118,6 +121,20 @@ def _header(command: str, units: dict[str, float], *lines: str) -> list[str]:
     """A report's opening '#' lines, followed by ``lines``."""
     return [f"# sl2prop {command}",
             "# units: " + " ".join(f"{k}={_fmt(v)}" for k, v in units.items()), *lines]
+
+
+def _check_output(path: str):
+    """Refuse an ``--output`` whose parent is not a directory, or that names
+    one (a trailing separator does), with the reason ``open`` would give,
+    opening nothing."""
+    parent = os.path.dirname(path.rstrip(os.sep)) or "."
+    try:
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path) or path.endswith(os.sep):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _write(path: str | None, lines):
@@ -458,7 +475,8 @@ def cmd_evolve(args) -> int:
 def cmd_selftest(args) -> int:
     """One PASS/FAIL line per check, each against its stated bound:
 
-    - identity residual sweep (1e-12) and image-method exactness (1e-12);
+    - identity residual sweep (1e-12) and image-method exactness (1e-12):
+      radial_h0 at n = 1/2 against free(x1, x2) - free(x1, -x2), 12 points;
     - route equivalence (1e-10): each route of ``kernels.kernel_via_route``
       against the closed form ``kernels.kernel_values``; the spectral
       oracle against it at one point (1e-9, reads 3.6e-16);
@@ -485,13 +503,12 @@ def cmd_selftest(args) -> int:
     check("identity residual sweep", worst, 1e-12)
 
     worst = 0.0
-    p32 = sr.PhysParams(omega=1.0, n=0.5)
-    for x1 in (0.5, 1.1, 1.9):
-        for x2 in (0.7, 1.4):
-            for t in (0.4, 0.9):
-                img = kn.kernel_values("radial_h0", x1, x2, t, p32)
-                gen = kn.kernel_values("radial_h0", x1, x2, t, p32, core="bessel")
-                worst = max(worst, abs(img - gen) / abs(img))
+    x1, x2 = np.meshgrid((0.5, 1.1, 1.9), (0.7, 1.4), indexing="ij")
+    for t in (0.4, 0.9):
+        img = (kn.kernel_values("free", x1, x2, t, params)
+               - kn.kernel_values("free", x1, -x2, t, params))
+        gen = kn.kernel_values("radial_h0", x1, x2, t, params)
+        worst = max(worst, float(np.max(np.abs(img - gen) / np.abs(img))))
     check("image-method exactness (n=1/2)", worst, 1e-12)
 
     p52 = sr.PhysParams(omega=1.0, n=2.5)
@@ -600,6 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:
+            _check_output(args.output)
         return args.func(args)
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)

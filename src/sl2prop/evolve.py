@@ -109,17 +109,17 @@ def propagate(
     psi(x1, t) = integral of K(x1, x2, t) psi(x2, 0) over the grid window,
     evaluated at every grid node x1.  The sum is D * (C @ (D * w)) for the
     trapezoid-weighted samples w, the kernel's quadratic phase D and its
-    core C (``kernels.kernel_apply``): an FFT convolution for the line and
-    image cores; otherwise the symmetric Bessel core, with sqrt(x1 x2)
-    split into D, evaluated on square tiles on and above the diagonal, each
-    off-diagonal tile applied also transposed, by ``np.einsum`` rather than
-    a BLAS matvec, whose threads would spin on the CPUs that concurrent
-    calls need.  A call shares no state with another: ``evolve`` propagates
-    its frames concurrently, and each equals the frame of a call made alone,
-    bit for bit.  ``psi0``'s grid is the quadrature and output grid.  A
-    half-line kernel drops the wall node from the quadrature and returns
-    psi(0) = 0, whatever psi0 holds there; the kernel refuses t = 0 and the
-    caustics.
+    core C (``kernels.kernel_apply``): an FFT convolution for the line core
+    and the n = 1/2 Bessel core; otherwise the symmetric Bessel core, with
+    sqrt(x1 x2) split into D, evaluated on square tiles on and above the
+    diagonal, each off-diagonal tile applied also transposed, by
+    ``np.einsum`` rather than a BLAS matvec, whose threads would spin on the
+    CPUs that concurrent calls need.  A call shares no state with another:
+    ``evolve`` propagates its frames concurrently, and each equals the frame
+    of a call made alone, bit for bit.  ``psi0``'s grid is the quadrature
+    and output grid.  A half-line kernel drops the wall node from the
+    quadrature and returns psi(0) = 0, whatever psi0 holds there; the kernel
+    refuses t = 0 and the caustics.
     """
     g = psi0.grid
     cols, weighted = _columns(psi0.samples, g, kernel_kind(kernel).halfline)

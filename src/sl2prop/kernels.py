@@ -8,13 +8,13 @@ a modified Bessel function of order n.  All four share one form,
 
 with T = sin(w t)/w and c = cos(w t) for the oscillators (sho, radial_sho)
 and T = t, c = 1 for the w = 0 kernels (free, radial_h0).  The core depends
-only on the domain and the order:
+only on the domain:
 
-- ``line`` (free, sho): A = sqrt(m/(2 pi i hbar T)), core e^{-i m x1 x2/hbar T};
-- ``bessel`` (radial kernels, n != 1/2): A = m/(i hbar T), core
-  sqrt(x1 x2) I_n(m x1 x2/(i hbar T));
-- ``image`` (radial kernels, n = 1/2): the Dirichlet image difference
-  line(x1, x2) - line(x1, -x2), which the Bessel core equals at that order.
+- line (free, sho): A = sqrt(m/(2 pi i hbar T)), core e^{-i m x1 x2/hbar T};
+- Bessel (radial kernels): A = m/(i hbar T), core
+  sqrt(x1 x2) I_n(m x1 x2/(i hbar T)).  At n = 1/2 it is the Dirichlet image
+  difference line(x1, x2) - line(x1, -x2) (DLMF 10.49), which
+  ``kernel_apply`` applies by FFT.
 
 Written out, with x1, x2 > 0 on the half line:
 
@@ -130,46 +130,43 @@ class CausticSingularity(ValueError):
         )
 
 
-def _factors(t, params: PhysParams, oscillator: bool, core: str):
+def _factors(t, params: PhysParams, oscillator: bool, bessel: bool):
     """The closed form's scalars at time t, which may be complex: the
-    prefactor A(T), sigma = hbar T/m (the chirp rate is a = 1/sigma) and
-    c = cos(w t), with T = sin(w t)/w (w > 0) for an oscillator."""
+    prefactor A(T) of its core, sigma = hbar T/m (the chirp rate is
+    a = 1/sigma) and c = cos(w t), with T = sin(w t)/w (w > 0) for an oscillator."""
     T = np.sin(params.omega * t) / params.omega if oscillator else t
     c = np.cos(params.omega * t) if oscillator else 1.0
     sigma = params.hbar * T / params.m
-    if core == "bessel":
+    if bessel:
         # A = m/(i hbar T), which also scales x1 x2 into the Bessel argument.
         return 1.0 / (1j * sigma), sigma, c
     return np.sqrt(params.m / (2.0 * np.pi * params.hbar)) / np.sqrt(1j * T), sigma, c
 
 
-def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, core: str):
+def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, halfline: bool):
     """A(T) e^{i c (x1^2+x2^2)/2 sigma} core(x1 x2/sigma), sigma = hbar T/m; t may be complex."""
-    if core == "image":
-        # Evaluated as the difference itself so that it is bit-exact.
-        return (_closed_form(x1, x2, t, params, oscillator, "line")
-                - _closed_form(x1, -np.asarray(x2), t, params, oscillator, "line"))
-    A, sigma, c = _factors(t, params, oscillator, core)
+    A, sigma, c = _factors(t, params, oscillator, halfline)
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
-    # The two chirps round differently (coefficient first, divisor last);
-    # both orders are kept so that tabulated values stay bit-stable.
-    if core == "line":
-        # The line core shares the exponential with the quadratic phase.
-        return A * np.exp(1j / (2.0 * sigma) * ((x1**2 + x2**2) * c - 2.0 * x1 * x2))
+    if not halfline:
+        # The line core shares the exponential with the quadratic phase.  Its
+        # exponent is split as (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, with
+        # c - 1 = -2 sin^2(w t/2), so that no terms of size x^2/sigma cancel.
+        cm1 = -2.0 * np.sin(params.omega * t / 2.0) ** 2 if oscillator else 0.0
+        return A * np.exp(1j / (2.0 * sigma) * (cm1 * (x1**2 + x2**2) + (x1 - x2) ** 2))
     # The Bessel argument is purely imaginary for real t, so the modified
     # Bessel factor reduces to an ordinary (bounded) Bessel function through
-    # the imaginary-axis connection and never overflows.
+    # the imaginary-axis connection and never overflows.  The chirp divides
+    # last, the order its tabulated values have always been rounded in.
     return (A * np.sqrt(x1 * x2) * bessel_i_complex(params.n, x1 * x2 * A)
             * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma)))
 
 
-def _checked_core(name: str, x1, x2, t, params: PhysParams,
-                  core: str | None = None) -> str:
-    """The core the named kernel is evaluated with at (x1, x2, t), after refusing
-    what the kernel does not define: w <= 0 for an oscillator, a non-finite
-    t, x1 or x2, t = 0, a position <= 0 on the half line, and the caustic
-    window of sin(w t)."""
+def _checked_kind(name: str, x1, x2, t, params: PhysParams) -> KernelKind:
+    """The named kernel's kind, after refusing what the kernel does not
+    define at (x1, x2, t): w <= 0 for an oscillator, a non-finite t, x1 or
+    x2, t = 0, a position <= 0 on the half line, and the caustic window of
+    sin(w t)."""
     kind = kernel_kind(name)
     if kind.oscillator and params.omega <= 0:
         limit = "radial_h0" if kind.halfline else "free"
@@ -185,25 +182,20 @@ def _checked_core(name: str, x1, x2, t, params: PhysParams,
         raise ValueError("half-line kernels require strictly positive positions")
     if kind.oscillator and abs(np.sin(params.omega * t)) <= CAUSTIC_TOL:
         raise CausticSingularity(t, params.omega, CAUSTIC_TOL)
-    own = "line" if not kind.halfline else "image" if params.n == 0.5 else "bessel"
-    if core is None or core == own:
-        return own
-    if core == "bessel" and kind.halfline:
-        return core
-    raise ValueError(f"core {core!r} does not apply here; the kernel's own is {own!r}")
+    return kind
 
 
-def kernel_values(name: str, x1, x2, t, params: PhysParams, core: str | None = None):
+def kernel_values(name: str, x1, x2, t, params: PhysParams):
     """The named kernel at (x1, x2, t), positions broadcast.
 
     Returns a Python complex at scalar positions and an ndarray of the
-    broadcast shape at array positions.  ``core="bessel"`` evaluates a
-    half-line kernel through the Bessel core even at n = 1/2, where it
-    otherwise takes the image difference.  t may be complex, as in the
+    broadcast shape at array positions.  A half-line kernel takes the
+    Bessel core at n = 1/2 too: the image difference of two unit-modulus
+    chirps would cancel near the wall.  t may be complex, as in the
     damped-time checks; the refusals are the same for every t.
     """
-    core = _checked_core(name, x1, x2, t, params, core)
-    v = _closed_form(x1, x2, t, params, kernel_kind(name).oscillator, core)
+    kind = _checked_kind(name, x1, x2, t, params)
+    v = _closed_form(x1, x2, t, params, kind.oscillator, kind.halfline)
     return v if np.ndim(v) else complex(v)
 
 
@@ -212,24 +204,26 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
 
     Returns sum_k K(x_j, x_k, t) v_k for every node, through the factored
     form K = A D(x1) C(x1, x2) D(x2) with a quadratic phase D, so the kernel
-    matrix is never formed.  The line and image cores become a Toeplitz
-    chirp e^{i (x1 - x2)^2/2 sigma} and a Hankel chirp e^{i (x1 + x2)^2/2
-    sigma} in the node indices, applied by one zero-padded FFT convolution
-    in O(N log N).  The Bessel core I_n(x1 x2 A) depends on the positions
-    only through their product, so it is symmetric: with sqrt(x1 x2) split
-    into sqrt(x1) sqrt(x2) and moved into D, it is evaluated on the square
-    tiles of edge ``_CHUNK`` on and above the diagonal, and each tile off
-    the diagonal is applied once as it stands and once transposed, which
-    halves the Bessel evaluations.  A tile is applied by ``np.einsum``, not
-    by ``@``: a BLAS matvec wakes the BLAS threads, which spin on the CPUs
-    that concurrent callers (``evolve``'s frames) need for Bessel values.
+    matrix is never formed.  The line core, and the Bessel core at n = 1/2
+    as the image difference, become a Toeplitz chirp e^{i (x1 - x2)^2/2
+    sigma} and a Hankel chirp e^{i (x1 + x2)^2/2 sigma} in the node indices,
+    applied by one zero-padded FFT convolution in O(N log N).  Otherwise
+    the Bessel core I_n(x1 x2 A) depends on the positions only through
+    their product, so it is symmetric: with sqrt(x1 x2) split into sqrt(x1)
+    sqrt(x2) and moved into D, it is evaluated on the square tiles of edge
+    ``_CHUNK`` on and above the diagonal, and each tile off the diagonal is
+    applied once as it stands and once transposed, which halves the Bessel
+    evaluations.  A tile is applied by ``np.einsum``, not by ``@``: a BLAS
+    matvec wakes the BLAS threads, which spin on the CPUs that concurrent
+    callers (``evolve``'s frames) need for Bessel values.
     Refuses what ``kernel_values`` refuses.
     """
     v = np.asarray(v)
     x = x0 + dx * np.arange(v.size)
-    core = _checked_core(name, x, x, t, params)
-    A, sigma, c = _factors(t, params, kernel_kind(name).oscillator, core)
-    if core == "bessel":
+    kind = _checked_kind(name, x, x, t, params)
+    bessel = kind.halfline and params.n != 0.5
+    A, sigma, c = _factors(t, params, kind.oscillator, bessel)
+    if bessel:
         d = np.sqrt(x) * np.exp(1j * x**2 * c / (2.0 * sigma))
         u = d * v
         out = np.zeros(v.size, dtype=complex)
@@ -241,8 +235,8 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
                 if b != a:
                     out[b] += np.einsum("ij,i->j", tile, u[a])
         return A * d * out
-    # c (x1^2 + x2^2) - 2 x1 x2 = (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and the
-    # image term takes (x1 + x2)^2 with the opposite sign.
+    # c (x1^2 + x2^2) - 2 x1 x2 = (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and at
+    # n = 1/2 the image term takes (x1 + x2)^2 with the opposite sign.
     d = np.exp(1j * x**2 * (c - 1.0) / (2.0 * sigma))
     u = d * v
     n = v.size
@@ -250,7 +244,7 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     offsets = np.arange(2 * n - 1)
     toeplitz = np.exp(1j * (dx * (offsets - (n - 1))) ** 2 / (2.0 * sigma))
     spectrum = np.fft.fft(toeplitz, size) * np.fft.fft(u, size)
-    if core == "image":
+    if kind.halfline:
         hankel = np.exp(1j * (2.0 * x0 + dx * offsets) ** 2 / (2.0 * sigma))
         spectrum -= np.fft.fft(hankel, size) * np.fft.fft(u[::-1], size)
     return A * d * np.fft.ifft(spectrum)[n - 1 : 2 * n - 1]
@@ -309,7 +303,7 @@ def kernel_via_route(route: str, x1, x2, t: float, params: PhysParams,
         raise ValueError(f"unknown route {route!r}; choose from {ROUTE_IDS}")
     if not halfline and params.n != 0.5:
         raise ValueError("full-line routes require lam = 0, i.e. n = 1/2")
-    core = _checked_core("radial_sho" if halfline else "sho", x1, x2, t, params)
+    _checked_kind("radial_sho" if halfline else "sho", x1, x2, t, params)
     h = params.hbar
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
@@ -329,5 +323,5 @@ def kernel_via_route(route: str, x1, x2, t: float, params: PhysParams,
         y1, y2 = (x1 * d**2, x2) if left else (x1, x2 * d**2)
         xa = y1 if route == "A2a" else x1
         phase = d * np.exp(-1j * coeffs.alpha * xa**2)
-    v = phase * _closed_form(y1, y2, te, params, False, core)
+    v = phase * _closed_form(y1, y2, te, params, False, halfline)
     return v if np.ndim(v) else complex(v)

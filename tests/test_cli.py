@@ -17,8 +17,8 @@ from sl2prop import kernels as kn
 from sl2prop import oracle as orc
 from sl2prop import sl2rep as sr
 
-# Reduced oracle comparison: both the image (n = 1/2) and a Bessel order,
-# one time, four point pairs.
+# Reduced oracle comparison: the order without coupling (n = 1/2) and one
+# with it, one time, four point pairs.
 ORACLE_SMALL = ["oracle-compare", "--orders", "0.5,1", "--times", "0.7"]
 
 
@@ -275,9 +275,9 @@ def test_kernel_table_evaluates_the_upper_triangle_only(tmp_path, monkeypatch):
     sizes = []
     kernel_values = kn.kernel_values
 
-    def counting(name, x1, x2, t, params, core=None):
+    def counting(name, x1, x2, t, params):
         sizes.append(np.broadcast(x1, x2).size)
-        return kernel_values(name, x1, x2, t, params, core)
+        return kernel_values(name, x1, x2, t, params)
 
     monkeypatch.setattr(kn, "kernel_values", counting)
     assert run(["kernel", "--x-steps", "160"], tmp_path / "k.csv") == 0
@@ -729,11 +729,16 @@ def test_oracle_compare_refuses_a_short_time_at_once(omega, tmp_path, monkeypatc
 
 
 def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch, capsys):
-    # The output cannot be opened once the pool has started: the run is
-    # refused, and no worker process or pool thread is left.
+    # The output cannot be opened once the pool has started (a failure that
+    # only open sees): the run is refused, and no worker process or pool
+    # thread is left.
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
     pools = _record_pools(monkeypatch)
     threads = threading.active_count()
-    assert run(["kernel", "--x-steps", "160"], tmp_path / "missing" / "k.csv") == 2
+    assert run(["kernel", "--x-steps", "160"], tmp_path / "k.csv") == 2
     assert "error: cannot write" in capsys.readouterr().err
     assert pools == ([min(len(os.sched_getaffinity(0)), 12)]
                      if len(os.sched_getaffinity(0)) > 1 else [])
@@ -745,14 +750,25 @@ def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch, capsys):
                                   ["evolve", "--frames", "2"]],
                          ids=lambda a: a[0])
 @pytest.mark.parametrize("where,reason", [("missing", "No such file or directory"),
-                                          ("directory", "Is a directory")])
-def test_an_output_that_cannot_be_opened_exits_two(argv, where, reason, tmp_path, capsys):
-    path = tmp_path / "no" / "such" / "dir" / "x.csv" if where == "missing" else tmp_path
+                                          ("directory", "Is a directory"),
+                                          ("file", "Not a directory"),
+                                          ("slash", "Is a directory")])
+def test_an_output_that_cannot_be_opened_exits_two(argv, where, reason, tmp_path,
+                                                   monkeypatch, capsys):
+    work = []
+    kernel_values, propagate = kn.kernel_values, ev.propagate
+    monkeypatch.setattr(kn, "kernel_values", lambda *a: work.append(a) or kernel_values(*a))
+    monkeypatch.setattr(ev, "propagate", lambda *a: work.append(a) or propagate(*a))
+    (tmp_path / "f.csv").write_text("kept")
+    path = {"missing": tmp_path / "no" / "such" / "dir" / "x.csv", "directory": tmp_path,
+            "file": tmp_path / "f.csv" / "x.csv", "slash": f"{tmp_path / 'no'}/"}[where]
     assert run(argv, path) == 2
     out, err = capsys.readouterr()
     assert err.splitlines()[-1] == f"error: cannot write {path}: {reason}"
     assert "Traceback" not in err and "sl2prop" not in out
     assert not (tmp_path / "no").exists()
+    assert (tmp_path / "f.csv").read_text() == "kept"
+    assert work == []  # refused before any kernel value or frame
 
 
 def test_identities_makes_one_residual_call_per_identity(tmp_path, monkeypatch):

@@ -50,7 +50,7 @@ class TestHankelOracle:
         p = PhysParams(omega=0.0, n=max(n, 0.0))
         for (x1, x2, t) in [(0.7, 1.6, 0.7), (1.3, 0.9, 2.0)]:
             res = orc.hankel_kernel_oracle(x1, x2, t, n, p)
-            closed = kn.kernel_values("radial_h0", x1, x2, t, p, core="bessel")
+            closed = kn.kernel_values("radial_h0", x1, x2, t, p)
             assert abs(res.value - closed) / abs(closed) < 1e-10
 
     def test_negative_time(self):
@@ -72,7 +72,7 @@ class TestHankelOracle:
         p = PhysParams(omega=0.0, n=n)
         t = -t if backward else t
         res = orc.hankel_kernel_oracle(x1, x2, t, n, p)
-        closed = kn.kernel_values("radial_h0", x1, x2, t, p, core="bessel")
+        closed = kn.kernel_values("radial_h0", x1, x2, t, p)
         assert abs(res.value - closed) <= 1e-9 * math.sqrt(x1 * x2) / abs(t)
 
     def test_shares_no_bessel_routine_with_the_closed_form(self, monkeypatch):
@@ -80,7 +80,7 @@ class TestHankelOracle:
         # spherical_jn; the oracle must reach its values without them.
         p = PhysParams(omega=0.0)
         points = [(0.7, 1.6, 0.7), (1.3, 0.9, -2.0)]
-        closed = {(n, pt): kn.kernel_values("radial_h0", *pt, replace(p, n=n), core="bessel")
+        closed = {(n, pt): kn.kernel_values("radial_h0", *pt, replace(p, n=n))
                   for n in (0.0, 0.5, 1.0) for pt in points}
 
         def refuse(*args):
