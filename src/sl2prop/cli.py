@@ -32,6 +32,11 @@ is assembled and written as its entries come back.  The rows do not depend
 on the worker count; with one worker, or no fork, the chunks are formatted
 in the process.
 
+``oracle-compare`` works a time at a time: one closed-form call per order
+over the point pairs and one oracle call for every order and pair.  The
+rows still run n -> x1 -> x2 -> t, and a closed value that underflows to 0,
+which has no relative error, is refused by name.
+
 ``evolve`` propagates its frames concurrently: each frame on one thread of
 a pool with a thread per CPU the process may use (at most one per frame).
 A frame's values do not depend on the worker count.  Frames are formatted
@@ -161,7 +166,7 @@ def _identity_window_ok(identity_id: str, t: float, params: sr.PhysParams) -> bo
     # makes a 1e-12 residual assertion meaningless in double precision.
     if params.omega == 0.0:
         return True
-    wt = params.omega * t
+    wt = params.omega_t(t)
     if identity_id == "MAIN":
         return abs(math.cos(wt / 2.0)) > 0.05
     return math.cos(wt) > 0.1
@@ -351,43 +356,41 @@ def cmd_oracle_compare(args) -> int:
     lines.append("x1,x2,t,n,closed_re,closed_im,oracle_re,oracle_im,rel_err,"
                  "oracle_err_estimate,flag")
 
-    # One oracle call per time integrates every order and point pair on one
-    # node set: the effective time and the nodes do not depend on the order
-    # (MAIN's wrap and the oracle read hbar, m and omega only).  The call is
-    # made at the first row of that time that is not a caustic skip.
-    x1s, x2s = np.meshgrid(_DEF_ORACLE_X1, _DEF_ORACLE_X2, indexing="ij")
-    at_time: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def oracle_at(t: float, params: sr.PhysParams):
-        # The oracle gives the w = 0 kernel; MAIN's phases and effective
-        # time carry it to the oscillator.  Past the caustic at pi/w the
-        # effective time is negative (t = 3.5 at w = 1) and the oracle's
-        # ray turns with it, so those rows take the principal branch that
-        # the closed form takes.
-        phase, te = kn.main_wrap(x1s, x2s, t, params)
-        res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), params)
-        return phase * res.value, res.error_estimate
-
-    failed = False
+    # Per time, one closed-form call per order over the point pairs, and one
+    # oracle call that integrates every order and pair on one node set (MAIN's
+    # wrap and the oracle read hbar, m and omega only); a caustic skips the
+    # time at every order.  MAIN's phases and effective time carry the
+    # oracle's w = 0 kernel to the oscillator.  Past the caustic at pi/w the
+    # effective time is negative (t = 3.5 at w = 1) and the oracle's ray
+    # turns with it, so those rows take the closed form's principal branch.
     name = "radial_sho" if args.omega > 0 else "radial_h0"
+    runs = [sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n) for n in orders]
+    x1s, x2s = np.meshgrid(_DEF_ORACLE_X1, _DEF_ORACLE_X2, indexing="ij")
+    at_time = []
+    for t in times:
+        try:
+            closed = np.stack([kn.kernel_values(name, x1s, x2s, t, run) for run in runs])
+        except kn.CausticSingularity as e:
+            at_time.append(e)
+            continue
+        phase, te = kn.main_wrap(x1s, x2s, t, runs[0])
+        res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), runs[0])
+        at_time.append((closed, phase * res.value, res.error_estimate))
+
+    # Rows run n -> x1 -> x2 -> t, a skip comment in a skipped row's place.
+    failed = False
     for a, n in enumerate(orders):
-        run = sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n)
         for i, x1 in enumerate(_DEF_ORACLE_X1):
             for j, x2 in enumerate(_DEF_ORACLE_X2):
-                for b, t in enumerate(times):
-                    try:
-                        closed = kn.kernel_values(name, x1, x2, t, run)
-                    except kn.CausticSingularity as e:
-                        lines.append(
-                            f"# skip t={_fmt(t)} n={_fmt(n)} reason=caustic "
-                            f"nearest={_fmt(e.nearest_caustic_time)}"
-                        )
+                for t, got in zip(times, at_time):
+                    if isinstance(got, kn.CausticSingularity):
+                        lines.append(f"# skip t={_fmt(t)} n={_fmt(n)} reason=caustic "
+                                     f"nearest={_fmt(got.nearest_caustic_time)}")
                         continue
-                    if b not in at_time:
-                        at_time[b] = oracle_at(t, run)
-                    values, estimates = at_time[b]
-                    oracle_val = complex(values[a, i, j])
-                    estimate = float(estimates[a, i, j])
+                    closed, oracle_val, estimate = (v[a, i, j].item() for v in got)
+                    if closed == 0:
+                        raise ValueError(f"the closed form underflowed to 0 at x1={x1:.17g}, "
+                                         f"x2={x2:.17g}, t={t:.17g}, n={n:.17g}")
                     rel = abs(oracle_val - closed) / abs(closed)
                     flag = "fail" if rel > tol else "nonconverged" if estimate > tol else "ok"
                     failed = failed or flag == "fail"

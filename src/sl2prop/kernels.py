@@ -36,9 +36,16 @@ which is the core consistency check of the package.
 
 ``kernel_values`` is the one evaluator of the closed forms: a complex
 number at scalar positions, an ndarray broadcast from array positions.  A
-point a kernel does not define raises.
+point a kernel does not define raises, and so does a value that overflows.
 ``kernel_apply`` applies a kernel to a vector on a uniform grid through the
 factors A, the quadratic phase and the core, without forming the matrix.
+
+Time may be complex with Im t <= 0, the damped continuation of the
+propagator; at t = -i tau its trace is the partition function.  The Bessel
+argument z then leaves the imaginary axis: the core is e^{-|Re z|} I_n(z)
+and the chirp's exponent takes e^{|Re z|} back, so nothing overflows.
+Im t > 0, where the kernel grows without bound, is refused, as is a w t
+that is not finite.  ``kernel_apply`` takes real t only.
 
 All square roots are principal-branch; the i in 1/sqrt(i t) carries the
 phase e^{-i pi/4} for t > 0.  Evaluation refuses within ``CAUSTIC_TOL`` of a
@@ -154,19 +161,20 @@ def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, halfline: bool
         # c - 1 = -2 sin^2(w t/2), so that no terms of size x^2/sigma cancel.
         cm1 = -2.0 * np.sin(params.omega * t / 2.0) ** 2 if oscillator else 0.0
         return A * np.exp(1j / (2.0 * sigma) * (cm1 * (x1**2 + x2**2) + (x1 - x2) ** 2))
-    # The Bessel argument is purely imaginary for real t, so the modified
-    # Bessel factor reduces to an ordinary (bounded) Bessel function through
-    # the imaginary-axis connection and never overflows.  The chirp divides
-    # last, the order its tabulated values have always been rounded in.
-    return (A * np.sqrt(x1 * x2) * bessel_i_complex(params.n, x1 * x2 * A)
-            * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma)))
+    # The core is e^{-|Re z|} I_n(z), and the chirp's exponent takes
+    # e^{|Re z|} back; for real t, z is purely imaginary and |Re z| = 0.
+    # The chirp divides last, the order its tabulated values have always
+    # been rounded in.
+    z = x1 * x2 * A
+    return (A * np.sqrt(x1 * x2) * bessel_i_complex(params.n, z)
+            * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma) + np.abs(np.real(z))))
 
 
 def _checked_kind(name: str, x1, x2, t, params: PhysParams) -> KernelKind:
     """The named kernel's kind, after refusing what the kernel does not
     define at (x1, x2, t): w <= 0 for an oscillator, a non-finite t, x1 or
-    x2, t = 0, a position <= 0 on the half line, and the caustic window of
-    sin(w t)."""
+    x2, t = 0, a position <= 0 on the half line, a non-finite w t, the
+    caustic window of sin(w t), and Im t > 0."""
     kind = kernel_kind(name)
     if kind.oscillator and params.omega <= 0:
         limit = "radial_h0" if kind.halfline else "free"
@@ -180,8 +188,10 @@ def _checked_kind(name: str, x1, x2, t, params: PhysParams) -> KernelKind:
         raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
     if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (x1, x2)):
         raise ValueError("half-line kernels require strictly positive positions")
-    if kind.oscillator and abs(np.sin(params.omega * t)) <= CAUSTIC_TOL:
+    if kind.oscillator and abs(np.sin(params.omega_t(t))) <= CAUSTIC_TOL:
         raise CausticSingularity(t, params.omega, CAUSTIC_TOL)
+    if np.imag(t) > 0:
+        raise ValueError(f"Im t > 0 is refused at t={t}: the kernel grows without bound there")
     return kind
 
 
@@ -189,14 +199,26 @@ def kernel_values(name: str, x1, x2, t, params: PhysParams):
     """The named kernel at (x1, x2, t), positions broadcast.
 
     Returns a Python complex at scalar positions and an ndarray of the
-    broadcast shape at array positions.  A half-line kernel takes the
-    Bessel core at n = 1/2 too: the image difference of two unit-modulus
-    chirps would cancel near the wall.  t may be complex, as in the
-    damped-time checks; the refusals are the same for every t.
+    broadcast shape at array positions.  Scalar positions are evaluated as
+    one-element arrays, so a point gives the same bits alone as inside an
+    array (numpy's scalar arithmetic rounds differently from its loops).  A
+    half-line kernel takes the Bessel core at n = 1/2 too: the image
+    difference of two unit-modulus chirps would cancel near the wall.  t may
+    be complex with Im t <= 0.  A value that is not finite at finite
+    arguments (an intermediate such as x^2 overflowed) is refused.
     """
-    kind = _checked_kind(name, x1, x2, t, params)
-    v = _closed_form(x1, x2, t, params, kind.oscillator, kind.halfline)
-    return v if np.ndim(v) else complex(v)
+    scalar = np.ndim(x1) == 0 and np.ndim(x2) == 0
+    if scalar:
+        x1, x2 = np.reshape(x1, 1), np.reshape(x2, 1)
+    with np.errstate(all="ignore"):  # sin(w t) overflows at large |Im w t|
+        kind = _checked_kind(name, x1, x2, t, params)
+        v = _closed_form(x1, x2, t, params, kind.oscillator, kind.halfline)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        x1, x2 = (np.broadcast_to(x, v.shape)[bad][0] for x in (x1, x2))
+        raise ValueError(f"kernel {name!r} is not finite at x1={x1:.17g}, x2={x2:.17g}, "
+                         f"t={t}: an intermediate overflowed")
+    return complex(v[0]) if scalar else v
 
 
 def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParams):
@@ -216,8 +238,11 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     evaluations.  A tile is applied by ``np.einsum``, not by ``@``: a BLAS
     matvec wakes the BLAS threads, which spin on the CPUs that concurrent
     callers (``evolve``'s frames) need for Bessel values.
-    Refuses what ``kernel_values`` refuses.
+    Refuses what ``kernel_values`` refuses, and a complex t: the damped
+    kernel's e^{|Re z|} = e^{x1 x2 |Re A|} does not factor into D.
     """
+    if np.iscomplexobj(t):
+        raise ValueError(f"kernel_apply takes a real t, not t={t}")
     v = np.asarray(v)
     x = x0 + dx * np.arange(v.size)
     kind = _checked_kind(name, x, x, t, params)

@@ -7,8 +7,8 @@ dispatchers over ``scipy.special``, with the routine chosen by the order:
 - J_0 and J_1 come from Cephes ``j0`` and ``j1``;
 - half-integer orders use the exact identity
   J_n(x) = sqrt(2x/pi) j_{n-1/2}(x) with ``spherical_jn``;
-- every other order, and I_n off the imaginary axis, go to AMOS (Amos 1986)
-  through ``jv`` and ``ive``.
+- every other order, and e^{-|Re z|} I_n off the imaginary axis, go to AMOS
+  (Amos 1986) through ``jv`` and ``ive``.
 
 The dedicated routines are several times faster than the general ``jv``,
 and the packet evolver spends most of its time here.  At tiny arguments,
@@ -152,17 +152,18 @@ def bessel_j(n: float, x) -> float | complex | np.ndarray:
     return out
 
 
-def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
-    """Modified Bessel function I_n(z) for real order n >= 0 and complex z.
+def bessel_i_complex(n: float, z) -> complex | np.ndarray:
+    """Scaled modified Bessel function e^{-|Re z|} I_n(z), real n >= 0, complex z.
 
-    Purely imaginary arguments are routed through the connection
-    I_n(iy) = e^{i n pi/2} J_n(y) to ``bessel_j`` and its order-chosen
-    routines; that is where the propagator formulas live for real time.
-    Every other argument goes to AMOS through ``scipy.special.ive``.  An
-    array that lies wholly on one side of the imaginary axis (every Re z = 0
-    and every Im z > 0, or every Im z < 0) takes one phase for all its
-    elements and skips the masking; its values are bit-identical to those of
-    the masked path.
+    The scale keeps the value finite at any |Re z|; a caller folds e^{|Re z|}
+    into its own exponent.  On the imaginary axis, where every real-time
+    kernel argument lies, the scale is 1.  Purely imaginary arguments are
+    routed through the connection I_n(iy) = e^{i n pi/2} J_n(y) to
+    ``bessel_j`` and its order-chosen routines.  Every other argument goes
+    to AMOS through ``scipy.special.ive``.  An array that lies wholly on one
+    side of the imaginary axis (every Re z = 0 and every Im z > 0, or every
+    Im z < 0) takes one phase for all its elements and skips the masking;
+    its values are bit-identical to those of the masked path.
 
     Parameters
     ----------
@@ -170,10 +171,6 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
         Order, n >= 0.
     z : complex or array_like
         Argument.
-    scaled : bool
-        If True, return e^{-|Re z|} I_n(z), which stays finite for large
-        |Re z|.  The unscaled variant raises ``OverflowError`` when the
-        rescaling overflows.
 
     Returns
     -------
@@ -200,14 +197,6 @@ def bessel_i_complex(n: float, z, scaled: bool = False) -> complex | np.ndarray:
     zr = z[rest]
     vals = _small_argument(n, zr, special.ive(n, zr))
     _require_finite(vals, zr)
-    # On the imaginary axis e^{|Re z|} = 1: only the AMOS values are rescaled.
-    if not scaled:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = vals * np.exp(np.abs(zr.real))
-        if not np.all(np.isfinite(vals)):
-            raise OverflowError(
-                "unscaled I_n overflowed; use scaled=True for large |Re z|"
-            )
     out[rest] = vals
     if scalar:
         return complex(out)

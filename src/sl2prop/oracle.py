@@ -236,19 +236,26 @@ def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
     16 successive |c_k| below 1e-12 of the norm, once the c_k hold half the
     squared norm (a packet far out has tiny first ones), or at N + 1.  Each
     eigenfunction is made once to project and once to sum: no K x N array.
+    A w t that is not finite, or a grid so wide that w' underflows to 0,
+    is refused by name.
     """
     grid = psi0.grid
     if halfline and grid.x_min != 0.0:
         raise ValueError("the half-line eigenbasis needs the half-line grid (x_min = 0)")
     if not halfline and params.n != 0.5:
         raise ValueError("the full-line eigenbasis has no inverse-square term: n must be 1/2")
+    params.omega_t(t)  # refuses a w t that is not finite
     if t == 0:
         return GridWavefunction(psi0.samples, grid)
     h, m, w = params.hbar, params.m, params.omega
     x = grid.nodes()
     chirp = np.ones(1)
     if w == 0.0:
-        w = min(0.9 / abs(t), h * grid.points / (2.0 * m * max(-grid.x_min, grid.x_max) ** 2))
+        edge = max(-grid.x_min, grid.x_max)
+        w = min(0.9 / abs(t), h * grid.points / (2.0 * m * edge * edge))
+        if not w > 0:
+            raise ValueError(f"the lens transform's frequency underflows to 0 on a grid "
+                             f"reaching |x| = {edge:g}")
         t = math.asin(w * t) / w
         chirp = np.exp(1j * (m * w / (2.0 * h)) * math.tan(w * t / 2.0) * x * x)
     weights = np.full(x.size, grid.dx)

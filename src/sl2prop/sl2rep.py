@@ -9,6 +9,7 @@ arithmetic, which is what this module does.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,13 +75,28 @@ class PhysParams:
 
     @property
     def lam(self) -> float:
-        return self.hbar**2 * (self.n**2 - 0.25)
+        """hbar^2 (n^2 - 1/4), exactly 0 at n = 1/2 whatever hbar is;
+        ``ValueError`` where it overflows."""
+        lam = self.hbar * (self.hbar * (self.n * self.n - 0.25))
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda = hbar^2 (n^2 - 1/4) overflows at "
+                             f"hbar={self.hbar:g}, n={self.n:g}")
+        return lam
+
+    def omega_t(self, t):
+        """w t for a real or complex time t; ``ValueError`` where it is not
+        finite (a finite t times w may overflow), before any numpy call
+        could warn on it."""
+        wt = self.omega * (complex(t) if np.iscomplexobj(t) else float(t))
+        if not cmath.isfinite(wt):
+            raise ValueError(f"w t is not finite at w={self.omega:g}, t={t}")
+        return wt
 
     @classmethod
     def from_coupling(cls, lam: float, hbar: float = 1.0, m: float = 1.0,
                       omega: float = 1.0) -> "PhysParams":
         """Construct from lam >= -hbar^2/4 instead of the order n."""
-        nsq = lam / hbar**2 + 0.25
+        nsq = lam / hbar / hbar + 0.25
         if nsq < 0:
             raise ValueError(
                 f"coupling lam={lam} below the -hbar^2/4 bound; no real order"
@@ -179,7 +195,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     alpha = gamma = 0, beta = t/(2 m hbar).
 
     Raises ``ValueError`` outside the validity window, naming the
-    coefficient that diverges.
+    coefficient that diverges, and where w t is not finite.
     """
     if identity_id not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {identity_id!r}")
@@ -188,7 +204,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     if w == 0.0:
         return FactorCoeffs(alpha=0.0, beta=t / (2.0 * m * h), gamma=0.0)
 
-    wt = w * t
+    wt = params.omega_t(t)
     if identity_id == "MAIN":
         if abs(math.cos(wt / 2.0)) < 1e-12:
             raise ValueError(

@@ -790,3 +790,67 @@ def test_identities_makes_one_residual_call_per_identity(tmp_path, monkeypatch):
     assert run(["identities"], tmp_path / "i.csv") == 0
     assert calls == [25] * 7
     assert len(coeffs) == 175
+
+
+def test_oracle_compare_makes_one_call_per_order_and_time(tmp_path, monkeypatch):
+    # Per time, one closed-form call per order over the 2 x 2 point pairs and
+    # one oracle call; the caustic at t = pi skips the time at every order.
+    closed, oracle = [], []
+    kernel_values, hankel = kn.kernel_values, orc.hankel_kernel_oracle
+
+    def counted_closed(name, x1, x2, t, params):
+        closed.append((np.broadcast(x1, x2).shape, t, params.n))
+        return kernel_values(name, x1, x2, t, params)
+
+    def counted_oracle(x1, x2, t, order, params):
+        oracle.append(np.shape(order))
+        return hankel(x1, x2, t, order, params)
+
+    monkeypatch.setattr(kn, "kernel_values", counted_closed)
+    monkeypatch.setattr(orc, "hankel_kernel_oracle", counted_oracle)
+    argv = ["oracle-compare", "--orders", "0,0.5,1", "--times", f"0.7,{PI},1.2"]
+    assert run(argv, tmp_path / "o.csv") == 0
+    assert closed == [((2, 2), 0.7, n) for n in (0.0, 0.5, 1.0)] + [((2, 2), float(PI), 0.0)] \
+        + [((2, 2), 1.2, n) for n in (0.0, 0.5, 1.0)]
+    assert oracle == [(3,)] * 2
+
+
+def test_identities_without_coupling_run_at_a_large_hbar(tmp_path):
+    # lambda is exactly 0 at n = 1/2, however large hbar^2 would be.
+    path = tmp_path / "i.csv"
+    assert run(["identities", "--hbar", "1e200", "--order-n", "0.5"], path) == 0
+    assert "n=0.5 lambda=0\n" in path.read_text()
+
+
+# Inputs that overflowed inside the program, each refused by name before
+# any output and without a numpy warning or a traceback.
+@pytest.mark.parametrize("argv,message", [
+    (["kernel", "--omega", "10", "--t-min", "1e308", "--t-max", "1e308", "--t-steps", "1"],
+     "w t is not finite at w=10, t=1e+308"),
+    (["kernel", "--kernel", "sho", "--omega", "10", "--t-min", "1e308", "--t-max", "1e308",
+      "--t-steps", "1"], "w t is not finite at w=10, t=1e+308"),
+    (["identities", "--omega", "10", "--t-min", "1e308", "--t-max", "1e308",
+      "--t-steps", "1"], "w t is not finite at w=10, t=1e+308"),
+    (["evolve", "--omega", "10", "--t-max", "1e308"], "w t is not finite at w=10, t=1e+308"),
+    (["kernel", "--kernel", "sho", "--x-min", "1e200", "--x-max", "2e200"],
+     "kernel 'sho' is not finite at x1=9.9999999999999997e+199, x2=9.9999999999999997e+199, "
+     "t=0.2: an intermediate overflowed"),
+    (["kernel", "--kernel", "free", "--x-min", "1e200", "--x-max", "2e200"],
+     "kernel 'free' is not finite at x1=9.9999999999999997e+199, x2=9.9999999999999997e+199, "
+     "t=0.2: an intermediate overflowed"),
+    (["oracle-compare", "--hbar", "1e300", "--times", "0.7", "--orders", "1"],
+     "the closed form underflowed to 0 at x1=0.69999999999999996, x2=0.90000000000000002, "
+     "t=0.69999999999999996, n=1"),
+    (["identities", "--hbar", "1e200", "--order-n", "1"],
+     "lambda = hbar^2 (n^2 - 1/4) overflows at hbar=1e+200, n=1"),
+    (["evolve", "--kernel", "free", "--x-max", "1e200"],
+     "the lens transform's frequency underflows to 0 on a grid reaching |x| = 1e+200"),
+], ids=["radial-wt", "sho-wt", "identities-wt", "evolve-wt", "sho-x2", "free-x2",
+        "oracle-zero", "identities-lambda", "evolve-lens"])
+def test_an_overflowing_input_is_refused_by_name(argv, message, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(argv, path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()

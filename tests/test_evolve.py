@@ -148,9 +148,9 @@ class TestTiledBesselCore:
         points = []
         bessel_i_complex = kn.bessel_i_complex
 
-        def counting(n, z, scaled=False):
+        def counting(n, z):
             points.append(np.size(z))
-            return bessel_i_complex(n, z, scaled)
+            return bessel_i_complex(n, z)
 
         monkeypatch.setattr(kn, "bessel_i_complex", counting)
         ev.propagate(self.state(cols), 0.7, "radial_sho", PhysParams(n=1.0, omega=1.0))
@@ -163,9 +163,9 @@ class TestTiledBesselCore:
         points = []
         bessel_i_complex = kn.bessel_i_complex
 
-        def counting(n, z, scaled=False):
+        def counting(n, z):
             points.append(np.size(z))
-            return bessel_i_complex(n, z, scaled)
+            return bessel_i_complex(n, z)
 
         monkeypatch.setattr(kn, "bessel_i_complex", counting)
         params = kn.kernel_kind(kernel).hamiltonian(PhysParams(n=n, omega=1.0))

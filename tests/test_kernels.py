@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2prop import kernels as kn
+from sl2prop import numerics as nm
 from sl2prop.sl2rep import PhysParams
 
 P_LINE = PhysParams(hbar=1.0, m=1.0, omega=1.0, n=0.5)
@@ -377,6 +378,113 @@ class TestComplexTimeCaustic:
             kn.kernel_values(name, 1.0, 1.0, t, PhysParams(n=1, omega=1))
         assert exc.value.nearest_caustic_time == pytest.approx(caustic, abs=1e-15)
         assert exc.value.t == t
+
+
+class TestImaginaryTime:
+    """At t = -i tau (w = hbar = m = 1) the kernel is the heat kernel
+    e^{-tau H}, and its trace is the partition function sum_k e^{-tau E_k},
+    a Bessel-free target: e^{-tau (n+1)}/(1 - e^{-2 tau}) on the half line,
+    where E_k = 2k + n + 1, and 1/(2 sinh(tau/2)) for sho, where
+    E_k = k + 1/2.  The diagonal goes like x^{2n+1} e^{-x^2 tanh(tau/2)},
+    so the window [0, sqrt((2n + 82)/tanh(tau/2))] leaves out a part far
+    below 1e-12 of it, and 8 panels of 200 Gauss-Legendre nodes resolve it.  On the half
+    line the nodes are taken in u = sqrt(x), where the wall's x^{2n+1}
+    becomes u^{4n+3}: in x itself the rule reads 1e-10 at n = 0.1."""
+
+    @staticmethod
+    def trace(name, params, tau, lo, hi, squared=False):
+        x, w = nm.gauss_legendre_panels(np.linspace(lo, hi, 9), 200)
+        if squared:
+            x, w = x * x, 2.0 * x * w
+        return np.sum(w * kv(name, x, x, -1j * tau, params))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(n=st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 0.5, 1.0, 2.5, 50.0])),
+           tau=st.floats(0.2, 3.0))
+    def test_half_line_trace_is_the_partition_function(self, n, tau):
+        edge = math.sqrt((2.0 * n + 82.0) / math.tanh(tau / 2.0))
+        z = math.exp(-tau * (n + 1.0)) / -math.expm1(-2.0 * tau)
+        got = self.trace("radial_sho", PhysParams(n=n), tau, 0.0, math.sqrt(edge), True)
+        assert abs(got - z) <= 1e-12 * z
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(tau=st.floats(0.2, 3.0))
+    def test_sho_trace_is_the_partition_function(self, tau):
+        edge = math.sqrt(82.0 / math.tanh(tau / 2.0))
+        z = 1.0 / (2.0 * math.sinh(tau / 2.0))
+        got = self.trace("sho", P_LINE, tau, -edge, edge)
+        assert abs(got - z) <= 1e-12 * z
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 7.3])
+    def test_far_out_point_matches_mpmath(self, n):
+        # I_n(225/sinh 0.3) is about e^739, beyond the largest float, while
+        # the kernel, about e^{-225 tanh 0.15}, is representable.
+        v = kv("radial_sho", 15.0, 15.0, -0.3j, PhysParams(n=n))
+        with mp.workdps(30):
+            t = mp.mpc(0, -0.3)
+            T, c = mp.sin(t), mp.cos(t)
+            ref = complex(15 / (1j * T) * mp.besseli(n, 225 / (1j * T))
+                          * mp.exp(1j * c * 225 / T))
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("t", [0.3j, 0.7 + 1e-3j, -2.0 + 0.5j])
+    @pytest.mark.parametrize("name", kn.KERNEL_NAMES)
+    def test_the_growing_half_plane_is_refused_by_name(self, name, t):
+        with pytest.raises(ValueError, match=r"Im t > 0 is refused"):
+            kv(name, 1.0, 1.5, t, PhysParams(n=1.0))
+
+    @pytest.mark.parametrize("name", kn.KERNEL_NAMES)
+    def test_kernel_apply_refuses_a_complex_time(self, name):
+        # Its tiles cannot fold the damped kernel's e^{x1 x2 |Re A|}.
+        with pytest.raises(ValueError, match="kernel_apply takes a real t"):
+            kn.kernel_apply(name, 0.5, 0.1, np.ones(8), 0.7 - 0.1j, PhysParams(n=1.0))
+
+
+class TestOverflowRefusals:
+    # Each would otherwise warn, or give NaN values, or both.
+    @pytest.mark.parametrize("t", [1e308, np.float64(1e308), 1e308 - 1j])
+    @pytest.mark.parametrize("name", ["sho", "radial_sho"])
+    def test_a_non_finite_wt_is_refused_by_name(self, name, t):
+        params = PhysParams(n=1.0, omega=10.0)
+        with pytest.raises(ValueError, match="w t is not finite at w=10"):
+            kv(name, 1.0, 1.5, t, params)
+        if not np.iscomplexobj(t):
+            with pytest.raises(ValueError, match="w t is not finite at w=10"):
+                kn.kernel_apply(name, 0.5, 0.1, np.ones(8), t, params)
+
+    @pytest.mark.parametrize("name", ["free", "sho"])
+    def test_a_value_that_overflows_is_refused_by_name(self, name):
+        # x^2 overflows at x = 1e200, and the line core's exponent is NaN.
+        x1 = np.array([0.5, 1e200])
+        with pytest.raises(ValueError, match=f"kernel '{name}' is not finite at "
+                                             r"x1=9.9999999999999997e\+199, x2=1.5"):
+            kv(name, x1, 1.5, 0.2, PhysParams())
+
+    @pytest.mark.parametrize("name", ["sho", "radial_sho"])
+    def test_a_far_damped_time_is_refused_by_name(self, name):
+        # sin(w t) overflows at t = 1 - 800i, and c/sigma is inf/inf.
+        with pytest.raises(ValueError, match=f"kernel '{name}' is not finite at x1=1, x2=1.5"):
+            kv(name, 1.0, 1.5, 1.0 - 800j, PhysParams(n=1.0))
+
+
+class TestScalarPositions:
+    # A point gives the same bits alone as inside an array, so a caller that
+    # batches its points writes what a caller point by point would.
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(name=st.sampled_from(kn.KERNEL_NAMES),
+           n=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 50.0)),
+           t=st.floats(0.05, 3.0), backward=st.booleans(), damped=st.booleans(),
+           xs=st.lists(st.floats(0.05, 6.0), min_size=1, max_size=5))
+    def test_a_scalar_point_equals_its_array_element(self, name, n, t, backward, damped, xs):
+        t = (-t if backward else t) - (0.3j * t if damped else 0.0)
+        params = PhysParams(n=n)
+        x = np.array(xs)
+        try:
+            mat = kv(name, x[:, None], x[None, :], t, params)
+        except kn.CausticSingularity:
+            assume(False)
+        alone = np.array([[kv(name, a, b, t, params) for b in xs] for a in xs])
+        assert np.array_equal(alone.view(np.uint64), mat.view(np.uint64))
 
 
 # The closed forms take the principal branch past the first caustic, where

@@ -329,6 +329,20 @@ class TestEigenEvolve:
         with pytest.raises(ValueError, match="n must be 1/2"):
             orc.eigen_evolve(psi, 0.5, PhysParams(n=1.0), halfline=False)
 
+    def test_a_non_finite_wt_is_refused_by_name(self):
+        # 10 x 1e308 overflows; the phases e^{-i E_k t} would warn on it.
+        psi, _, halfline = _state("radial_sho", 1.0)
+        with pytest.raises(ValueError, match="w t is not finite at w=10"):
+            orc.eigen_evolve(psi, 1e308, PhysParams(n=1.0, omega=10.0), halfline)
+
+    def test_a_grid_too_wide_for_the_lens_transform_is_refused_by_name(self):
+        # w' falls like 1/L^2, and L^2 overflows at L = 1e200.
+        grid = orc.GridSpec(x_max=1e200, points=16, x_min=-1e200)
+        psi = orc.GridWavefunction(np.ones(17), grid)
+        with pytest.raises(ValueError, match=r"frequency underflows to 0 on a grid "
+                                             r"reaching \|x\| = 1e\+200"):
+            orc.eigen_evolve(psi, 1.0, P_FREE, halfline=False)
+
 
 class TestShortTimeRefusal:
     # The ray needs about S^2/c panels: 2840 at x1 = x2 = 5, t = 0.01, the

@@ -47,6 +47,25 @@ class TestPhysParams:
             sr.PhysParams.from_coupling(1.0, omega=math.inf)
 
 
+    def test_lam_is_zero_without_coupling_at_any_hbar(self):
+        # A float power would overflow at hbar^2 = 1e400 and raise a bare
+        # OverflowError; lam is exactly 0 at n = 1/2 instead.
+        assert sr.PhysParams(hbar=1e200, n=0.5).lam == 0.0
+        assert sr.PhysParams.from_coupling(0.0, hbar=1e200).n == 0.5
+
+    @pytest.mark.parametrize("hbar,n", [(1e200, 1.0), (1.0, 1e200)])
+    def test_a_lam_that_overflows_is_refused_by_name(self, hbar, n):
+        with pytest.raises(ValueError, match=r"lambda = hbar\^2 \(n\^2 - 1/4\) overflows"):
+            sr.PhysParams(hbar=hbar, n=n).lam
+
+    @pytest.mark.parametrize("t", [1e308, np.float64(1e308), 1e308 - 1j, -0.5 + 1e308j])
+    def test_a_non_finite_wt_is_refused_by_name(self, t):
+        # A numpy scalar product would warn on the overflow first.
+        with pytest.raises(ValueError, match="w t is not finite at w=10"):
+            sr.PhysParams(omega=10.0).omega_t(t)
+        assert sr.PhysParams(omega=10.0).omega_t(np.float64(0.25)) == 2.5
+
+
 class TestGeneratorMatrices:
     def test_matrix_entries(self):
         assert np.array_equal(sr.generator_matrix("X2", P),
@@ -194,6 +213,11 @@ class TestFactorCoeffs:
                 assert cb_neg.alpha == pytest.approx(-ca.alpha, rel=1e-13)
                 assert cb_neg.beta == pytest.approx(-ca.beta, rel=1e-13)
                 assert cb_neg.gamma == pytest.approx(-ca.gamma, rel=1e-13)
+
+    @pytest.mark.parametrize("ident", sr.IDENTITY_IDS)
+    def test_a_non_finite_wt_is_refused_by_name(self, ident):
+        with pytest.raises(ValueError, match="w t is not finite"):
+            sr.factor_coeffs(ident, 1e308, sr.PhysParams(omega=10.0))
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
