@@ -358,10 +358,10 @@ def cmd_oracle_compare(args) -> int:
 
     # Per time, one closed-form call per order over the point pairs, and one
     # oracle call that integrates every order and pair on one node set (MAIN's
-    # wrap and the oracle read hbar, m and omega only); a caustic skips the
-    # time at every order.  MAIN's phases and effective time carry the
-    # oracle's w = 0 kernel to the oscillator.  Past the caustic at pi/w the
-    # effective time is negative (t = 3.5 at w = 1) and the oracle's ray
+    # factors and the oracle read hbar, m and omega only); a caustic skips the
+    # time at every order.  MAIN's quadratic phase and effective time carry
+    # the oracle's w = 0 kernel to the oscillator.  Past the caustic at pi/w
+    # the effective time is negative (t = 3.5 at w = 1) and the oracle's ray
     # turns with it, so those rows take the closed form's principal branch.
     name = "radial_sho" if args.omega > 0 else "radial_h0"
     runs = [sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n) for n in orders]
@@ -373,9 +373,9 @@ def cmd_oracle_compare(args) -> int:
         except kn.CausticSingularity as e:
             at_time.append(e)
             continue
-        phase, te = kn.main_wrap(x1s, x2s, t, runs[0])
+        outer, _, _, te = kn.route_factors("MAIN", x1s, x2s, t, runs[0])
         res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), runs[0])
-        at_time.append((closed, phase * res.value, res.error_estimate))
+        at_time.append((closed, outer * res.value, res.error_estimate))
 
     # Rows run n -> x1 -> x2 -> t, a skip comment in a skipped row's place.
     failed = False

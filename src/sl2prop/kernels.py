@@ -29,10 +29,11 @@ Written out, with x1, x2 > 0 on the half line:
   e^{(i m w/2 hbar)(x1^2 + x2^2) cot wt}, the quadratic phases wrapped
   around radial_h0 at the effective time sin(wt)/w.
 
-Each kernel can also be assembled from a disentangling identity (quadratic
-phase factors around a re-timed w = 0 kernel, plus a dilation rescaling for
-the appendix routes); the assembled and closed-form values must agree,
-which is the core consistency check of the package.
+Each oscillator kernel can also be assembled from a disentangling identity:
+``route_factors`` walks the identity's factors in ``sl2rep.FACTOR_ORDER``
+(quadratic phases and dilations) around the w = 0 kernel at an effective
+time.  The assembled and closed-form values must agree, which is the core
+consistency check of the package.
 
 ``kernel_values`` is the one evaluator of the closed forms: a complex
 number at scalar positions, an ndarray broadcast from array positions.  A
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import bessel_i_complex
-from .sl2rep import PhysParams, factor_coeffs
+from .sl2rep import FACTOR_ORDER, PhysParams, factor_coeffs
 
 __all__ = [
     "CAUSTIC_TOL",
@@ -72,7 +73,7 @@ __all__ = [
     "CausticSingularity",
     "KernelKind",
     "kernel_kind",
-    "main_wrap",
+    "route_factors",
     "kernel_values",
     "kernel_apply",
     "kernel_via_route",
@@ -140,34 +141,35 @@ class CausticSingularity(ValueError):
 def _factors(t, params: PhysParams, oscillator: bool, bessel: bool):
     """The closed form's scalars at time t, which may be complex: the
     prefactor A(T) of its core, sigma = hbar T/m (the chirp rate is
-    a = 1/sigma) and c = cos(w t), with T = sin(w t)/w (w > 0) for an oscillator."""
+    a = 1/sigma) and the rate r of its diagonal phase e^{i r x^2/2 sigma},
+    with T = sin(w t)/w (w > 0) for an oscillator.  The Bessel core takes
+    r = c = cos(w t).  The line core shares its exponential with the
+    diagonal phase, split as (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and takes
+    r = c - 1 = -2 sin^2(w t/2): no terms of size x^2/sigma cancel."""
     T = np.sin(params.omega * t) / params.omega if oscillator else t
-    c = np.cos(params.omega * t) if oscillator else 1.0
     sigma = params.hbar * T / params.m
     if bessel:
         # A = m/(i hbar T), which also scales x1 x2 into the Bessel argument.
-        return 1.0 / (1j * sigma), sigma, c
-    return np.sqrt(params.m / (2.0 * np.pi * params.hbar)) / np.sqrt(1j * T), sigma, c
+        return 1.0 / (1j * sigma), sigma, (np.cos(params.omega * t) if oscillator else 1.0)
+    rate = -2.0 * np.sin(params.omega * t / 2.0) ** 2 if oscillator else 0.0
+    return np.sqrt(params.m / (2.0 * np.pi * params.hbar)) / np.sqrt(1j * T), sigma, rate
 
 
 def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, halfline: bool):
-    """A(T) e^{i c (x1^2+x2^2)/2 sigma} core(x1 x2/sigma), sigma = hbar T/m; t may be complex."""
-    A, sigma, c = _factors(t, params, oscillator, halfline)
+    """A(T) e^{i r (x1^2+x2^2)/2 sigma} core(x1 x2/sigma), sigma = hbar T/m
+    and r the diagonal phase rate of ``_factors``; t may be complex."""
+    A, sigma, rate = _factors(t, params, oscillator, halfline)
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
     if not halfline:
-        # The line core shares the exponential with the quadratic phase.  Its
-        # exponent is split as (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, with
-        # c - 1 = -2 sin^2(w t/2), so that no terms of size x^2/sigma cancel.
-        cm1 = -2.0 * np.sin(params.omega * t / 2.0) ** 2 if oscillator else 0.0
-        return A * np.exp(1j / (2.0 * sigma) * (cm1 * (x1**2 + x2**2) + (x1 - x2) ** 2))
+        return A * np.exp(1j / (2.0 * sigma) * (rate * (x1**2 + x2**2) + (x1 - x2) ** 2))
     # The core is e^{-|Re z|} I_n(z), and the chirp's exponent takes
     # e^{|Re z|} back; for real t, z is purely imaginary and |Re z| = 0.
     # The chirp divides last, the order its tabulated values have always
     # been rounded in.
     z = x1 * x2 * A
     return (A * np.sqrt(x1 * x2) * bessel_i_complex(params.n, z)
-            * np.exp(1j * (x1**2 + x2**2) * c / (2.0 * sigma) + np.abs(np.real(z))))
+            * np.exp(1j * (x1**2 + x2**2) * rate / (2.0 * sigma) + np.abs(np.real(z))))
 
 
 def _checked_kind(name: str, x1, x2, t, params: PhysParams) -> KernelKind:
@@ -247,9 +249,9 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
     x = x0 + dx * np.arange(v.size)
     kind = _checked_kind(name, x, x, t, params)
     bessel = kind.halfline and params.n != 0.5
-    A, sigma, c = _factors(t, params, kind.oscillator, bessel)
+    A, sigma, rate = _factors(t, params, kind.oscillator, bessel)
     if bessel:
-        d = np.sqrt(x) * np.exp(1j * x**2 * c / (2.0 * sigma))
+        d = np.sqrt(x) * np.exp(1j * x**2 * rate / (2.0 * sigma))
         u = d * v
         out = np.zeros(v.size, dtype=complex)
         blocks = [slice(start, start + _CHUNK) for start in range(0, v.size, _CHUNK)]
@@ -260,9 +262,9 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
                 if b != a:
                     out[b] += np.einsum("ij,i->j", tile, u[a])
         return A * d * out
-    # c (x1^2 + x2^2) - 2 x1 x2 = (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and at
-    # n = 1/2 the image term takes (x1 + x2)^2 with the opposite sign.
-    d = np.exp(1j * x**2 * (c - 1.0) / (2.0 * sigma))
+    # The line core is the chirp e^{i (x1 - x2)^2/2 sigma}, and at n = 1/2
+    # the image term takes (x1 + x2)^2 with the opposite sign.
+    d = np.exp(1j * x**2 * rate / (2.0 * sigma))
     u = d * v
     n = v.size
     size = _fast_len(3 * n - 2)
@@ -289,64 +291,53 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def main_wrap(x1, x2, t, params: PhysParams):
-    """Quadratic phase and effective time of the MAIN factorization.
+def route_factors(identity: str, x1, x2, t, params: PhysParams):
+    """The factors of one disentangling identity around its w = 0 kernel.
 
-    Returns (e^{-i alpha (x1^2 + x2^2)}, t_eff), alpha and t_eff = 2 m hbar
-    beta taken from ``factor_coeffs("MAIN")``: an oscillator kernel at time
-    t is this phase times the w = 0 kernel at t_eff.  At w = 0 the phase is
-    1 and t_eff = t.
+    Walks ``FACTOR_ORDER[identity]`` outward from the P2L factor: the
+    factors left of it act on x1, those right of it on x2, outermost first.
+    An X2 factor adds y^2 to the quadratic phase, of the position y it
+    sees.  A D factor scales the amplitude by d = e^{-hbar gamma} on the
+    left, e^{+hbar gamma} on the right, and stretches the position by d^2.
+    Returns (outer, y1, y2, t_eff): an identity's kernel at time t is
+    outer = d e^{-i alpha sum y^2} times the w = 0 kernel at (y1, y2,
+    t_eff), with t_eff = 2 m hbar beta, exactly t at w = 0.  The
+    coefficients come from ``factor_coeffs``, which refuses outside the
+    identity's validity window.
     """
-    if params.omega == 0.0:
-        alpha, te = 0.0, t
-    else:
-        coeffs = factor_coeffs("MAIN", t, params)
-        alpha, te = coeffs.alpha, 2.0 * params.m * params.hbar * coeffs.beta
-    return np.exp(-1j * alpha * (x1**2 + x2**2)), te
+    coeffs = factor_coeffs(identity, t, params)
+    te = t if params.omega == 0.0 else 2.0 * params.m * params.hbar * coeffs.beta
+    order = FACTOR_ORDER[identity]
+    p = order.index("P2L")
+    amplitude, phase, ys = 1.0, 0.0, []
+    for y, side, sign in ((x1, order[:p], -1.0), (x2, order[:p:-1], 1.0)):
+        y = np.asarray(y)
+        for gen_id in side:
+            if gen_id == "X2":
+                phase = phase + y**2
+            else:
+                d = math.exp(sign * params.hbar * coeffs.gamma)
+                amplitude *= d
+                y = y * d**2
+        ys.append(y)
+    return amplitude * np.exp(-1j * coeffs.alpha * phase), ys[0], ys[1], te
 
 
 def kernel_via_route(route: str, x1, x2, t: float, params: PhysParams,
                      halfline: bool = True) -> complex | np.ndarray:
-    """Kernel value assembled along one factorization route.
-
-    ``ELEMENT`` wraps the w = 0 kernel at the effective time sin(wt)/w in
-    the quadratic phase factors of the symmetric factorization.  The
-    appendix routes additionally carry a dilation factor e^{+-hbar gamma}
-    and a rescaled position argument (position eigenstates pick up
-    e^{hbar gamma} and a stretch e^{2 hbar gamma} under the dilation).  The
-    inverse-square factor is the w = 0 kernel at effective time
-    2 m hbar beta.
-
-    ``halfline=False`` selects the coupling-free full-line assembly (order
-    pinned to 1/2, i.e. lam = 0), whose closed form is the ``sho`` kernel.
-
-    Every route is checked against the closed form ``kernel_values`` of
-    ``radial_sho`` (or ``sho``); the appendix routes require cos(wt) > 0 on
-    top of the caustic window.
+    """Kernel value assembled along one factorization route: the factors of
+    ``route_factors`` around the w = 0 kernel, ``ELEMENT`` taking the
+    symmetric factorization.  The appendix routes need cos(wt) > 0 on top
+    of the caustic window.  ``halfline=False`` selects the coupling-free
+    full-line assembly (order pinned to 1/2, i.e. lam = 0), whose closed
+    form is ``sho``; the half-line one's is ``radial_sho``.
     """
     if route not in ROUTE_IDS:
         raise ValueError(f"unknown route {route!r}; choose from {ROUTE_IDS}")
     if not halfline and params.n != 0.5:
         raise ValueError("full-line routes require lam = 0, i.e. n = 1/2")
     _checked_kind("radial_sho" if halfline else "sho", x1, x2, t, params)
-    h = params.hbar
-    x1 = np.asarray(x1)
-    x2 = np.asarray(x2)
-
-    if route == "ELEMENT":
-        phase, te = main_wrap(x1, x2, t, params)
-        y1, y2 = x1, x2
-    else:
-        coeffs = factor_coeffs(route, t, params)
-        te = 2.0 * params.m * h * coeffs.beta
-        # The dilation stretches the position on its side of the P2L factor
-        # by d^2 and scales the amplitude by d: x1 for A1a and A2a, whose
-        # dilation precedes P2L, x2 for A3a.  A2a's X2 phase follows the
-        # dilation and sees the stretched x1.
-        left = route != "A3a"
-        d = math.exp((-h if left else h) * coeffs.gamma)
-        y1, y2 = (x1 * d**2, x2) if left else (x1, x2 * d**2)
-        xa = y1 if route == "A2a" else x1
-        phase = d * np.exp(-1j * coeffs.alpha * xa**2)
-    v = phase * _closed_form(y1, y2, te, params, False, halfline)
+    outer, y1, y2, te = route_factors("MAIN" if route == "ELEMENT" else route,
+                                      x1, x2, t, params)
+    v = outer * _closed_form(y1, y2, te, params, False, halfline)
     return v if np.ndim(v) else complex(v)

@@ -236,8 +236,8 @@ def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
     16 successive |c_k| below 1e-12 of the norm, once the c_k hold half the
     squared norm (a packet far out has tiny first ones), or at N + 1.  Each
     eigenfunction is made once to project and once to sum: no K x N array.
-    A w t that is not finite, or a grid so wide that w' underflows to 0,
-    is refused by name.
+    A w t that is not finite, a grid so wide that w' underflows to 0, and
+    one so wide that m w x^2/hbar overflows (w > 0) are refused by name.
     """
     grid = psi0.grid
     if halfline and grid.x_min != 0.0:
@@ -248,10 +248,13 @@ def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
     if t == 0:
         return GridWavefunction(psi0.samples, grid)
     h, m, w = params.hbar, params.m, params.omega
+    edge = max(-grid.x_min, grid.x_max)
+    if not math.isfinite(m * w / h * edge * edge):
+        raise ValueError(f"the eigenbasis's m w x^2/hbar overflows on a grid reaching "
+                         f"|x| = {edge:g} at w={w:g}")
     x = grid.nodes()
     chirp = np.ones(1)
     if w == 0.0:
-        edge = max(-grid.x_min, grid.x_max)
         w = min(0.9 / abs(t), h * grid.points / (2.0 * m * edge * edge))
         if not w > 0:
             raise ValueError(f"the lens transform's frequency underflows to 0 on a grid "

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "GENERATOR_IDS",
     "IDENTITY_IDS",
+    "FACTOR_ORDER",
     "PhysParams",
     "FactorCoeffs",
     "generator_matrix",
@@ -31,7 +32,7 @@ IDENTITY_IDS = ("MAIN", "A1a", "A1b", "A2a", "A2b", "A3a", "A3b")
 
 # Written (left-to-right) factor order of each identity.  The coefficient
 # attached to a generator is always alpha for X2, beta for P2L, gamma for D.
-_FACTOR_ORDER = {
+FACTOR_ORDER = {
     "MAIN": ("X2", "P2L", "X2"),
     "A1a": ("X2", "D", "P2L"),
     "A1b": ("P2L", "D", "X2"),
@@ -171,7 +172,11 @@ def exp_traceless(M: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonian_matrix(params: PhysParams) -> np.ndarray:
-    """Matrix of (1/2m)(p^2 + lam/x^2) + (m omega^2 / 2) x^2."""
+    """Matrix of (1/2m)(p^2 + lam/x^2) + (m omega^2 / 2) x^2; ``ValueError``
+    where m omega^2 overflows."""
+    # Checked by products: omega**2 raises a bare OverflowError instead.
+    if not math.isfinite(0.5 * params.m * params.omega * params.omega):
+        raise ValueError(f"m w^2 overflows at m={params.m:g}, omega={params.omega:g}")
     p2l = generator_matrix("P2L", params)
     x2 = generator_matrix("X2", params)
     return p2l / (2.0 * params.m) + 0.5 * params.m * params.omega**2 * x2
@@ -264,7 +269,7 @@ def identity_residual(identity_id: str, t, params: PhysParams):
     stack = np.atleast_1d(times)
     coeffs = [factor_coeffs(identity_id, tk, params) for tk in stack.tolist()]
     rhs = np.eye(2, dtype=complex)
-    for gen_id in _FACTOR_ORDER[identity_id]:
+    for gen_id in FACTOR_ORDER[identity_id]:
         c = np.array([_coeff_for(gen_id, k) for k in coeffs])
         rhs = rhs @ exp_traceless((-1j * c)[:, None, None] * generator_matrix(gen_id, params))
     # -i t/hbar with the quotient taken in floats: its imaginary part is the

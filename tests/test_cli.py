@@ -854,3 +854,20 @@ def test_an_overflowing_input_is_refused_by_name(argv, message, tmp_path, capsys
         assert run(argv, path) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not path.exists()
+
+
+# Two more overflows, refused by name in the same way: m w^2 in the 2x2
+# Hamiltonian, and beta x^2 = m w x^2/hbar at the edge of the eigenbasis grid.
+@pytest.mark.parametrize("argv,message", [
+    (["identities", "--omega", "1e160"], "m w^2 overflows at m=1, omega=1e+160"),
+    (["identities", "--omega", "1e300"], "m w^2 overflows at m=1, omega=1e+300"),
+    (["evolve", "--kernel", "sho", "--x-max", "1e200"],
+     "the eigenbasis's m w x^2/hbar overflows on a grid reaching |x| = 1e+200 at w=1"),
+], ids=["identities-1e160", "identities-1e300", "evolve-eigenbasis"])
+def test_an_overflowing_frequency_or_grid_is_refused_by_name(argv, message, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(argv, path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()

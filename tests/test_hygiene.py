@@ -88,3 +88,37 @@ def test_no_module_imports_scipy_fft(path):
     # it, and importing scipy.fft adds about 37 ms to every start of the CLI.
     imported = _imported_modules(path)
     assert [m for m in sorted(imported) if m.split(".")[:2] == ["scipy", "fft"]] == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """The underscore names a module takes from another sl2prop module:
+    ``from .m import _x``, and ``m._x`` on a module bound by ``from . import m``."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "sl2prop"):
+            if node.module in (None, "sl2prop"):
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    return found
+
+
+def test_a_private_import_is_caught():
+    source = ("from .sl2rep import _TRACE_TOL, factor_coeffs\n"
+              "from . import kernels as kn\n"
+              "import numpy as np\n"
+              "kn._factors(np._NoValue, kn.kernel_values)\n")
+    assert _private_imports(source) == ["sl2rep._TRACE_TOL", "kn._factors"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(sl2prop.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    # A helper another module needs is part of its owner's interface, and
+    # is named without the underscore (as sl2rep.FACTOR_ORDER is for kernels).
+    assert _private_imports(path.read_text(encoding="utf-8")) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sl2prop import kernels as kn
 from sl2prop import numerics as nm
-from sl2prop.sl2rep import PhysParams
+from sl2prop.sl2rep import IDENTITY_IDS, PhysParams
 
 P_LINE = PhysParams(hbar=1.0, m=1.0, omega=1.0, n=0.5)
 P_FREE = PhysParams(hbar=1.0, m=1.0, omega=0.0, n=0.5)
@@ -269,6 +269,49 @@ class TestLineCoreExponent:
         v = kv(name, x1, x2, t, PhysParams(omega=omega))
         ref = mp_line_kernel(x1, x2, t, omega)
         assert abs(v - ref) <= 1e-14 * abs(ref)
+
+    def test_the_factored_apply_keeps_its_digits_far_out(self):
+        # kernel_apply's diagonal phase takes the same split rate: with the
+        # cancelling c - 1 it missed the dense sum by 1.4e-9 here.
+        x0, dx, points, t = 1e3, 5e-4, 2001, 0.01
+        x = x0 + dx * np.arange(points)
+        v = np.exp(-(((x - 1000.5) / 0.1) ** 2) + 3j * x)
+        want = kv("sho", x[:, None], x[None, :], t, P_LINE) @ v
+        got = kn.kernel_apply("sho", x0, dx, v, t, P_LINE)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+class TestRouteFactors:
+    """Every identity's factors around the w = 0 kernel, on the route grids
+    of both domains, against the closed form."""
+
+    @pytest.mark.parametrize("identity", IDENTITY_IDS)
+    @pytest.mark.parametrize("halfline", [True, False])
+    def test_every_identity_matches_the_closed_form(self, identity, halfline):
+        if halfline:
+            p, free, closed = PhysParams(n=2.5, omega=1.0), "radial_h0", "radial_sho"
+            x1s, x2s = np.linspace(0.5, 2.5, 5), np.linspace(0.4, 2.2, 5)
+        else:
+            p, free, closed = P_LINE, "free", "sho"
+            x1s, x2s = np.linspace(-2.0, 2.0, 5), np.linspace(-1.8, 2.2, 5)
+        for wt in np.linspace(-1.4, 1.4, 7):
+            if abs(wt) < 0.05:
+                continue  # t = 0 is the delta limit, not a kernel value
+            outer, y1, y2, te = kn.route_factors(identity, x1s[:, None], x2s[None, :], wt, p)
+            r = outer * kv(free, y1, y2, te, p)
+            d = kv(closed, x1s[:, None], x2s[None, :], wt, p)
+            assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10
+
+    @pytest.mark.parametrize("identity", IDENTITY_IDS)
+    def test_at_zero_frequency_the_factors_are_trivial(self, identity):
+        x1, x2 = np.array([0.3, 1.7]), np.array([[0.9], [2.4]])
+        outer, y1, y2, te = kn.route_factors(identity, x1, x2, 0.7, P_FREE)
+        assert np.all(outer == 1) and te == 0.7
+        assert np.array_equal(y1, x1) and np.array_equal(y2, x2)
+
+    def test_a_route_is_not_an_identity(self):
+        with pytest.raises(ValueError, match="unknown identity"):
+            kn.route_factors("ELEMENT", 1.0, 1.0, 0.5, P_LINE)
 
 
 class TestRoutes:

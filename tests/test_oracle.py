@@ -105,7 +105,7 @@ class TestHankelOracle:
         orders = np.array([0.0, 0.5, 1.0, 1.3, 2.5])
         x1 = np.array([0.7, 1.3])[:, None]
         x2 = np.array([0.9, 1.6, 2.2])
-        _, te = kn.main_wrap(x1, x2, t, params)
+        *_, te = kn.route_factors("MAIN", x1, x2, t, params)
         assert (te < 0) == (t == 3.5)
         res = orc.hankel_kernel_oracle(x1, x2, te, orders, params)
         assert res.value.shape == res.quad_err.shape == res.tail_err.shape == (5, 2, 3)
@@ -138,7 +138,7 @@ class TestHankelOracle:
 
         monkeypatch.setattr(orc, "integrate_oscillatory", spy)
         for t in (0.3, 0.7, 1.2, 2.0, 3.5):
-            _, te = kn.main_wrap(x1, x2, t, params)
+            *_, te = kn.route_factors("MAIN", x1, x2, t, params)
             forward = orc.hankel_kernel_oracle(x1, x2, te, orders, params)
             backward = orc.hankel_kernel_oracle(x1, x2, -te, orders, params)
             assert np.array_equal(backward.value, forward.value.conj())
@@ -170,7 +170,7 @@ class TestHankelOracle:
 
         monkeypatch.setattr(orc, "integrate_oscillatory", spy)
         for t in (0.3, 0.7, 1.2, 2.0, 3.5):
-            _, te = kn.main_wrap(x1, x2, t, params)
+            *_, te = kn.route_factors("MAIN", x1, x2, t, params)
             orc.hankel_kernel_oracle(x1, x2, te, np.array([0.0, 0.5, 1.0, 2.5]), params)
         assert nodes == [564, 282] * 5
 
