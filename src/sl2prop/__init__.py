@@ -18,10 +18,8 @@ from .evolve import (
 from .kernels import (
     CAUSTIC_TOL,
     KERNEL_NAMES,
-    ROUTE_IDS,
     CausticSingularity,
     kernel_values,
-    kernel_via_route,
 )
 from .numerics import (
     QuadratureResult,
@@ -62,7 +60,6 @@ __all__ = [
     "PhysParams",
     "QuadratureResult",
     "QuadratureSpec",
-    "ROUTE_IDS",
     "TestFunction",
     "bessel_i_complex",
     "bessel_j",
@@ -75,7 +72,6 @@ __all__ = [
     "identity_residual",
     "integrate_oscillatory",
     "kernel_values",
-    "kernel_via_route",
     "l2_distance",
     "propagate",
     "schrodinger_residual",

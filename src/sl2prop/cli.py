@@ -480,9 +480,10 @@ def cmd_selftest(args) -> int:
 
     - identity residual sweep (1e-12) and image-method exactness (1e-12):
       radial_h0 at n = 1/2 against free(x1, x2) - free(x1, -x2), 12 points;
-    - route equivalence (1e-10): each route of ``kernels.kernel_via_route``
-      against the closed form ``kernels.kernel_values``; the spectral
-      oracle against it at one point (1e-9, reads 3.6e-16);
+    - route equivalence (1e-10): each of the seven identities through
+      ``kernels.route_factors`` against the closed form
+      ``kernels.kernel_values``; the spectral oracle against it at one
+      point (1e-9, reads 3.6e-16);
     - kernel PDE residual (2e-4): the worst ``evolve.schrodinger_residual``
       at (1.2, 0.8, 0.7), dx = 0.01, dt = 1e-4, over radial_sho n = 2.5, sho
       and radial_h0 n = 1 (the O(dx^2 + dt^2) defect reads 8.2e-5);
@@ -517,8 +518,9 @@ def cmd_selftest(args) -> int:
     p52 = sr.PhysParams(omega=1.0, n=2.5)
     worst = 0.0
     d = kn.kernel_values("radial_sho", 1.2, 0.8, 0.9, p52)
-    for route in kn.ROUTE_IDS:
-        r = kn.kernel_via_route(route, 1.2, 0.8, 0.9, p52)
+    for ident in sr.IDENTITY_IDS:
+        outer, y1, y2, te = kn.route_factors(ident, 1.2, 0.8, 0.9, p52)
+        r = outer * kn.kernel_values("radial_h0", y1, y2, te, p52)
         worst = max(worst, abs(r - d) / abs(d))
     check("route equivalence spot", worst, 1e-10)
 

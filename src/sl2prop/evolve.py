@@ -91,11 +91,8 @@ def _columns(samples: np.ndarray, grid: GridSpec, halfline: bool):
     half-line kernels vanish at the wall, so its node is dropped."""
     if halfline and grid.x_min != 0.0:
         raise ValueError("half-line kernels need the half-line grid (x_min = 0)")
-    w = np.full(grid.points + 1, grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
     skip = 1 if halfline else 0
-    return grid.nodes()[skip:], (w * samples)[skip:]
+    return grid.nodes()[skip:], (grid.weights() * samples)[skip:]
 
 
 def propagate(

@@ -29,11 +29,13 @@ Written out, with x1, x2 > 0 on the half line:
   e^{(i m w/2 hbar)(x1^2 + x2^2) cot wt}, the quadratic phases wrapped
   around radial_h0 at the effective time sin(wt)/w.
 
-Each oscillator kernel can also be assembled from a disentangling identity:
-``route_factors`` walks the identity's factors in ``sl2rep.FACTOR_ORDER``
-(quadratic phases and dilations) around the w = 0 kernel at an effective
-time.  The assembled and closed-form values must agree, which is the core
-consistency check of the package.
+Each oscillator kernel can also be assembled from any of the disentangling
+identities ``sl2rep.IDENTITY_IDS``: ``route_factors``, the one route entry
+point, walks the identity's factors in ``sl2rep.FACTOR_ORDER`` (quadratic
+phases and dilations) and returns them with the positions and effective
+time at which ``kernel_values`` gives the w = 0 kernel they wrap.  The
+assembled and closed-form values must agree, which is the core consistency
+check of the package.
 
 ``kernel_values`` is the one evaluator of the closed forms: a complex
 number at scalar positions, an ndarray broadcast from array positions.  A
@@ -68,7 +70,6 @@ from .sl2rep import FACTOR_ORDER, PhysParams, factor_coeffs
 
 __all__ = [
     "CAUSTIC_TOL",
-    "ROUTE_IDS",
     "KERNEL_NAMES",
     "CausticSingularity",
     "KernelKind",
@@ -76,12 +77,9 @@ __all__ = [
     "route_factors",
     "kernel_values",
     "kernel_apply",
-    "kernel_via_route",
 ]
 
 CAUSTIC_TOL = 1e-8
-
-ROUTE_IDS = ("ELEMENT", "A1a", "A2a", "A3a")
 
 # Edge of the square upper-triangle tiles of the Bessel core in
 # ``kernel_apply``: no Bessel call sees more than _CHUNK ** 2 points.  It
@@ -301,10 +299,19 @@ def route_factors(identity: str, x1, x2, t, params: PhysParams):
     left, e^{+hbar gamma} on the right, and stretches the position by d^2.
     Returns (outer, y1, y2, t_eff): an identity's kernel at time t is
     outer = d e^{-i alpha sum y^2} times the w = 0 kernel at (y1, y2,
-    t_eff), with t_eff = 2 m hbar beta, exactly t at w = 0.  The
-    coefficients come from ``factor_coeffs``, which refuses outside the
-    identity's validity window.
+    t_eff), with t_eff = 2 m hbar beta, exactly t at w = 0: at w > 0,
+    ``outer * kernel_values("radial_h0", y1, y2, t_eff, params)`` is
+    ``radial_sho`` and the ``free`` kernel there gives ``sho``.
+
+    Refuses a complex t by name, then what ``sho`` (``free`` at w = 0)
+    refuses at (x1, x2, t): a non-finite t, x1 or x2, t = 0 and the caustic
+    window of sin(w t), where t_eff would be a rounding residue and the
+    kernel a delta.  The coefficients come from ``factor_coeffs``, which
+    refuses an unknown identity and a time outside its validity window.
     """
+    if np.iscomplexobj(t):
+        raise ValueError(f"route_factors takes a real t, not t={t}")
+    _checked_kind("sho" if params.omega > 0 else "free", x1, x2, t, params)
     coeffs = factor_coeffs(identity, t, params)
     te = t if params.omega == 0.0 else 2.0 * params.m * params.hbar * coeffs.beta
     order = FACTOR_ORDER[identity]
@@ -322,22 +329,3 @@ def route_factors(identity: str, x1, x2, t, params: PhysParams):
         ys.append(y)
     return amplitude * np.exp(-1j * coeffs.alpha * phase), ys[0], ys[1], te
 
-
-def kernel_via_route(route: str, x1, x2, t: float, params: PhysParams,
-                     halfline: bool = True) -> complex | np.ndarray:
-    """Kernel value assembled along one factorization route: the factors of
-    ``route_factors`` around the w = 0 kernel, ``ELEMENT`` taking the
-    symmetric factorization.  The appendix routes need cos(wt) > 0 on top
-    of the caustic window.  ``halfline=False`` selects the coupling-free
-    full-line assembly (order pinned to 1/2, i.e. lam = 0), whose closed
-    form is ``sho``; the half-line one's is ``radial_sho``.
-    """
-    if route not in ROUTE_IDS:
-        raise ValueError(f"unknown route {route!r}; choose from {ROUTE_IDS}")
-    if not halfline and params.n != 0.5:
-        raise ValueError("full-line routes require lam = 0, i.e. n = 1/2")
-    _checked_kind("radial_sho" if halfline else "sho", x1, x2, t, params)
-    outer, y1, y2, te = route_factors("MAIN" if route == "ELEMENT" else route,
-                                      x1, x2, t, params)
-    v = outer * _closed_form(y1, y2, te, params, False, halfline)
-    return v if np.ndim(v) else complex(v)

@@ -63,6 +63,12 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.points + 1)
 
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights of the nodes: dx, halved at both ends."""
+        w = np.full(self.points + 1, self.dx)
+        w[[0, -1]] *= 0.5
+        return w
+
 
 @dataclass
 class GridWavefunction:
@@ -261,8 +267,7 @@ def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
                              f"reaching |x| = {edge:g}")
         t = math.asin(w * t) / w
         chirp = np.exp(1j * (m * w / (2.0 * h)) * math.tan(w * t / 2.0) * x * x)
-    weights = np.full(x.size, grid.dx)
-    weights[[0, -1]] *= 0.5
+    weights = grid.weights()
     weighted = weights * chirp * psi0.samples
     norm2 = float(weights @ np.abs(psi0.samples) ** 2)
     coeffs, held, run = [], 0.0, 0

@@ -171,17 +171,6 @@ def exp_traceless(M: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _hamiltonian_matrix(params: PhysParams) -> np.ndarray:
-    """Matrix of (1/2m)(p^2 + lam/x^2) + (m omega^2 / 2) x^2; ``ValueError``
-    where m omega^2 overflows."""
-    # Checked by products: omega**2 raises a bare OverflowError instead.
-    if not math.isfinite(0.5 * params.m * params.omega * params.omega):
-        raise ValueError(f"m w^2 overflows at m={params.m:g}, omega={params.omega:g}")
-    p2l = generator_matrix("P2L", params)
-    x2 = generator_matrix("X2", params)
-    return p2l / (2.0 * params.m) + 0.5 * params.m * params.omega**2 * x2
-
-
 def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeffs:
     """Coefficients of the requested disentangling identity at time t.
 
@@ -251,9 +240,13 @@ def identity_residual(identity_id: str, t, params: PhysParams):
     """Max-entry defect of one disentangling identity in the 2x2 realization.
 
     Builds each factor as exp_traceless(-i coeff generator), multiplies them
-    in the identity's written order, subtracts the exponential of the full
-    Hamiltonian matrix, and returns the largest entry of the difference after
-    scaling by the operator norm of the exact side.
+    in the identity's written order, subtracts the exact side e^{-i t H/hbar},
+    and returns the largest entry of the difference after scaling by the
+    operator norm of the exact side.  Its exponent is written in units free
+    of hbar and of m w^2, which under- and overflow long before m w does:
+    -i w t [[0, m w], [1/(m w), 0]] at w > 0 and -i t [[0, 0], [1/m, 0]] at
+    w = 0.  The factors' entries scale as m w and 1/(m w) too, so where
+    either is not finite the check is refused before any array arithmetic.
 
     ``t`` is a time or a 1-D array of times.  A scalar is a stack of one
     matrix per factor, and an array one stack of them, so a sweep makes one
@@ -267,15 +260,22 @@ def identity_residual(identity_id: str, t, params: PhysParams):
     if times.ndim > 1:
         raise ValueError("identity_residual takes a time or a 1-D array of times")
     stack = np.atleast_1d(times)
+    w = params.omega
+    rate, mw = (w, params.m * w) if w > 0 else (1.0, params.m)
+    lower = 1.0 / mw if mw else math.inf
+    if not (math.isfinite(mw) and math.isfinite(lower)):
+        raise ValueError(f"the identity check's m w or 1/(m w) is not finite at "
+                         f"m={params.m:g}, omega={w:g}")
     coeffs = [factor_coeffs(identity_id, tk, params) for tk in stack.tolist()]
     rhs = np.eye(2, dtype=complex)
     for gen_id in FACTOR_ORDER[identity_id]:
         c = np.array([_coeff_for(gen_id, k) for k in coeffs])
         rhs = rhs @ exp_traceless((-1j * c)[:, None, None] * generator_matrix(gen_id, params))
-    # -i t/hbar with the quotient taken in floats: its imaginary part is the
-    # correctly rounded -t/hbar, as in scalar complex arithmetic.
-    exponent = -1j * (stack / params.hbar)
-    lhs = exp_traceless(exponent[:, None, None] * _hamiltonian_matrix(params))
+    # -i w t with the product taken in floats: its imaginary part is the
+    # correctly rounded -w t, as in scalar complex arithmetic.
+    exponent = -1j * (stack * rate)
+    unit = np.array([[0.0, mw if w > 0 else 0.0], [lower, 0.0]], dtype=complex)
+    lhs = exp_traceless(exponent[:, None, None] * unit)
     scale = np.linalg.norm(lhs, 2, axis=(-2, -1))
     residual = np.max(np.abs(lhs - rhs), axis=(-2, -1)) / scale
     return float(residual[0]) if times.ndim == 0 else residual

@@ -856,18 +856,39 @@ def test_an_overflowing_input_is_refused_by_name(argv, message, tmp_path, capsys
     assert not path.exists()
 
 
-# Two more overflows, refused by name in the same way: m w^2 in the 2x2
-# Hamiltonian, and beta x^2 = m w x^2/hbar at the edge of the eigenbasis grid.
+# One more overflow, refused by name in the same way: beta x^2 = m w x^2/hbar
+# at the edge of the eigenbasis grid.
 @pytest.mark.parametrize("argv,message", [
-    (["identities", "--omega", "1e160"], "m w^2 overflows at m=1, omega=1e+160"),
-    (["identities", "--omega", "1e300"], "m w^2 overflows at m=1, omega=1e+300"),
     (["evolve", "--kernel", "sho", "--x-max", "1e200"],
      "the eigenbasis's m w x^2/hbar overflows on a grid reaching |x| = 1e+200 at w=1"),
-], ids=["identities-1e160", "identities-1e300", "evolve-eigenbasis"])
+], ids=["evolve-eigenbasis"])
 def test_an_overflowing_frequency_or_grid_is_refused_by_name(argv, message, tmp_path, capsys):
     path = tmp_path / "r.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         assert run(argv, path) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
+def test_the_identity_check_keeps_its_digits_at_extreme_units(tmp_path, capsys):
+    # The exact side's exponent is w t times entries m w and 1/(m w): no
+    # hbar, and no m w^2 to under- or overflow.  Where m w or 1/(m w) is not
+    # finite itself, the factors would overflow too, and the check is refused.
+    path = tmp_path / "i.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        for extra in (["--omega", "1e-156"], ["--omega", "1e-160"],
+                      ["--hbar", "1e-200", "--omega", "1e-100"],
+                      ["--hbar", "1e200", "--omega", "1e100"],
+                      ["--omega", "1e160"], ["--omega", "1e300"]):
+            assert run(["identities", *extra], path) == 0, extra
+            worst = next(line for line in path.read_text().splitlines()
+                         if line.startswith("# max_residual="))
+            assert float(worst.split("=")[1]) <= 1e-12, extra
+        path.unlink()
+        capsys.readouterr()
+        assert run(["identities", "--mass", "1e-310", "--hbar", "1e10"], path) == 2
+    assert capsys.readouterr() == (
+        "", "error: the identity check's m w or 1/(m w) is not finite at m=1e-310, omega=1\n")
     assert not path.exists()

@@ -79,9 +79,9 @@ class TestNonFiniteArguments:
             kn.kernel_values(name, *self.point(which, bad), PhysParams(n=1.5))
 
     @pytest.mark.parametrize("which", ["t", "x1", "x2"])
-    def test_kernel_via_route(self, which, bad):
+    def test_route_factors(self, which, bad):
         with pytest.raises(ValueError, match=f"{which} must be finite"):
-            kn.kernel_via_route("ELEMENT", *self.point(which, bad), PhysParams(n=1.5))
+            kn.route_factors("MAIN", *self.point(which, bad), PhysParams(n=1.5))
 
     @pytest.mark.parametrize("name", ["sho", "radial_sho"])
     def test_kernel_apply(self, name, bad):
@@ -314,64 +314,53 @@ class TestRouteFactors:
             kn.route_factors("ELEMENT", 1.0, 1.0, 0.5, P_LINE)
 
 
+def via_route(identity, w0_kernel, x1, x2, t, params):
+    """One identity's factors around the w = 0 kernel, assembled."""
+    outer, y1, y2, te = kn.route_factors(identity, x1, x2, t, params)
+    return outer * kv(w0_kernel, y1, y2, te, params)
+
+
 class TestRoutes:
-    def test_element_reproduces_oscillator_closed_form(self):
+    def test_main_reproduces_oscillator_closed_form(self):
         # the cot(2 theta) = -tan(theta) + 1/sin(2 theta) recombination,
         # numerically: phases x free(t_eff) equals the single closed form
         for x1, x2, wt in [(1.0, 1.0, 0.8), (-0.7, 1.4, 0.45), (2.0, -1.1, 1.2)]:
-            r = kn.kernel_via_route("ELEMENT", x1, x2, wt, P_LINE, halfline=False)
+            r = via_route("MAIN", "free", x1, x2, wt, P_LINE)
             d = kv("sho", x1, x2, wt, P_LINE)
             assert abs(r - d) / abs(d) < 1e-12
 
     def test_a1a_coupling_free(self):
-        r = kn.kernel_via_route("A1a", 1.1, 0.6, 0.4, P_LINE, halfline=False)
+        r = via_route("A1a", "free", 1.1, 0.6, 0.4, P_LINE)
         d = kv("sho", 1.1, 0.6, 0.4, P_LINE)
         assert abs(r - d) / abs(d) < 1e-12
 
-    def test_element_halfline_order_three_halves(self):
+    def test_main_halfline_order_three_halves(self):
         p = PhysParams(n=1.5, omega=1.0)
-        r = kn.kernel_via_route("ELEMENT", 1.3, 0.9, 0.6, p)
+        r = via_route("MAIN", "radial_h0", 1.3, 0.9, 0.6, p)
         d = kv("radial_sho", 1.3, 0.9, 0.6, p)
         assert abs(r - d) / abs(d) < 1e-10
-
-    @pytest.mark.parametrize("route", ["ELEMENT", "A1a", "A2a", "A3a"])
-    def test_route_equivalence_grid_halfline(self, route):
-        # 5 x 5 x 7 grid in (x1, x2, wt), order 5/2
-        p = PhysParams(n=2.5, omega=1.0)
-        x1s = np.linspace(0.5, 2.5, 5)
-        x2s = np.linspace(0.4, 2.2, 5)
-        wts = np.linspace(-1.4, 1.4, 7)
-        for wt in wts:
-            if abs(wt) < 0.05:
-                continue  # t = 0 is the delta limit, not a kernel value
-            pt = (x1s[:, None], x2s[None, :], float(wt))
-            r = kn.kernel_via_route(route, *pt, p)
-            d = kv("radial_sho", *pt, p)
-            assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10
-
-    @pytest.mark.parametrize("route", ["ELEMENT", "A1a", "A2a", "A3a"])
-    def test_route_equivalence_grid_line(self, route):
-        x1s = np.linspace(-2.0, 2.0, 5)
-        x2s = np.linspace(-1.8, 2.2, 5)
-        wts = np.linspace(-1.4, 1.4, 7)
-        for wt in wts:
-            if abs(wt) < 0.05:
-                continue
-            pt = (x1s[:, None], x2s[None, :], float(wt))
-            r = kn.kernel_via_route(route, *pt, P_LINE, halfline=False)
-            d = kv("sho", *pt, P_LINE)
-            assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10
 
     def test_route_validity_windows(self):
         p = PhysParams(n=2.5, omega=1.0)
         with pytest.raises(ValueError):
-            kn.kernel_via_route("A1a", 1.0, 1.0, 0.6 * math.pi, p)
+            kn.route_factors("A1a", 1.0, 1.0, 0.6 * math.pi, p)
         with pytest.raises(kn.CausticSingularity):
-            kn.kernel_via_route("ELEMENT", 1.0, 1.0, math.pi, p)
+            kn.route_factors("MAIN", 1.0, 1.0, math.pi, p)
         with pytest.raises(ValueError):
-            kn.kernel_via_route("ELEMENT", 1.0, 1.0, 0.5, p, halfline=False)  # needs lam = 0
-        with pytest.raises(ValueError):
-            kn.kernel_via_route("B9", 1.0, 1.0, 0.5, p)
+            kn.route_factors("B9", 1.0, 1.0, 0.5, p)
+
+    # At t = 2 pi the effective time is a rounding residue (-2.4e-16) and
+    # the assembled kernel a large finite number where the propagator is a
+    # delta: every identity is refused at the caustics, as the kernels are.
+    @pytest.mark.parametrize("identity", IDENTITY_IDS)
+    @pytest.mark.parametrize("t", [math.pi, 2.0 * math.pi, -2.0 * math.pi])
+    def test_every_identity_is_refused_at_a_caustic(self, identity, t):
+        with pytest.raises(kn.CausticSingularity):
+            kn.route_factors(identity, 0.01, 0.02, t, P_LINE)
+
+    def test_a_complex_time_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="route_factors takes a real t"):
+            kn.route_factors("MAIN", 1.0, 1.0, 0.7 - 0.1j, P_LINE)
 
 
 class TestSemigroup:
