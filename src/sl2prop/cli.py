@@ -11,31 +11,36 @@ path that cannot be opened for writing is refused the same way, as
 is not one, before any work; any other failure to open when the report is
 about to be written, and ``kernel`` still joins its pool.
 
-Every float field is written with ``.17g``.  The kernel and evolve tables
-are built a block at a time: the grid coordinates (and, for ``kernel``, the
-``x1,x2,`` prefix of each grid pair) are formatted once per run, the time
-once per block, and each block is one ``"\n".join`` over the values as
-Python complex numbers (``ndarray.tolist``).  The kernel is symmetric in x1
-and x2 bit for bit, so ``kernel`` evaluates and formats only the upper
-triangle of the grid, once per time, and assembles each row from its prefix
-and the triangle entry that ``mirror`` names for that pair.  The magnitudes
-are the scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``:
-numpy's vectorised complex magnitude and the product round differently in
-the last bit for some values, and the CSV must stay byte-stable.  A report
-goes to its stream an entry at a time, never joined into one string.
+Every float field is written with ``.17g``.  The grid coordinates are
+formatted once per run and the time once per block, and the values are
+formatted as Python complex numbers (``ndarray.tolist``).  An ``evolve``
+frame is one block, one ``"\n".join`` over its rows.  The kernel is
+symmetric in x1 and x2 bit for bit, so ``kernel`` evaluates and formats only
+the upper triangle of the grid, once per time, as the ``t,re,im,abs`` tail
+of each triangle entry; it writes a time's block one x1 row at a time, each
+row of the grid one ``"\n".join`` of ``x1,x2,`` and the tail of the entry
+that the ``tri`` index matrix names for that pair.  The magnitudes are the
+scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``: numpy's
+vectorised complex magnitude and the product round differently in the last
+bit for some values, and the CSV must stay byte-stable.  A report goes to
+its stream an entry at a time, never joined into one string.
 
 ``kernel`` evaluates every time first, so that its skips and refusals come
 before any output.  It then formats the triangle entries of all times in
 fixed-size chunks on a pool of forked processes, one per CPU the process
 may use (at most one per chunk), and streams the report: each time's block
-is assembled and written as its entries come back.  The rows do not depend
-on the worker count; with one worker, or no fork, the chunks are formatted
-in the process.
+is assembled and written row by row as its entries come back.  Besides the
+evaluated triangles (one array, ``values``) and the formatted chunks not yet
+written, the parent holds one time's formatted triangle entries and one grid
+row of the report; no table of one entry per grid pair.  The rows do not
+depend on the worker count; with one worker, or no fork, the chunks are
+formatted in the process.
 
 ``oracle-compare`` works a time at a time: one closed-form call per order
 over the point pairs and one oracle call for every order and pair.  The
 rows still run n -> x1 -> x2 -> t, and a closed value that underflows to 0,
-which has no relative error, is refused by name.
+which has no relative error, is refused by name.  So is a run whose every
+time is skipped at a caustic, which would compare nothing.
 
 ``evolve`` propagates its frames concurrently: each frame on one thread of
 a pool with a thread per CPU the process may use (at most one per frame).
@@ -250,17 +255,22 @@ def _chunks(times_s: list[str], values: np.ndarray):
                for k in range(a // m, (b - 1) // m + 1)]
 
 
-def _kernel_report(lines: list, formatted, prefixes: list[str], mirror: list[int]):
-    """The report's lines, where each None in ``lines`` stands for the next
-    time's block, assembled from ``formatted`` (the chunks' entries, in
-    order) as its entries arrive."""
+def _kernel_report(lines: list, formatted, xs_s: list[str], tri: np.ndarray):
+    """The report's entries, where each None in ``lines`` stands for the next
+    time's block.  The block is taken from ``formatted`` (the chunks' tails,
+    in order) as they arrive and yielded one grid row at a time: row i pairs
+    ``xs_s[i]`` with each x2 and the tail of the triangle entry that row i
+    of ``tri`` names.  So the parent holds one time's tails and one grid row
+    of the report, never a block."""
     entries = chain.from_iterable(formatted)
-    m = max(mirror) + 1  # triangle entries per time
+    m = int(tri[-1, -1]) + 1  # triangle entries per time; (n-1, n-1) is the last
     for line in lines:
-        if line is None:
-            tail = list(islice(entries, m))
-            line = "\n".join([prefix + tail[k] for prefix, k in zip(prefixes, mirror)])
-        yield line
+        if line is not None:
+            yield line
+            continue
+        tail = list(islice(entries, m))
+        for x1, row in zip(xs_s, tri):
+            yield "\n".join([f"{x1},{x2},{tail[k]}" for x2, k in zip(xs_s, row.tolist())])
 
 
 def cmd_kernel(args) -> int:
@@ -284,7 +294,7 @@ def cmd_kernel(args) -> int:
 
     # The kernel is symmetric in x1 and x2, bit for bit, so it is evaluated
     # on the upper triangle of the grid only.  The rows run row-major over
-    # (x1, x2), as mat.ravel() does; mirror names the triangle entry of each.
+    # (x1, x2), as mat.ravel() does; tri names the triangle entry of each.
     # Every time is evaluated, and every skip and refusal taken, before the
     # first line is written.
     iu, ju = np.triu_indices(xs.size)
@@ -306,9 +316,7 @@ def cmd_kernel(args) -> int:
 
     tri = np.empty((xs.size, xs.size), dtype=np.intp)
     tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
-    mirror = tri.ravel().tolist()
     xs_s = [_fmt(x) for x in xs]
-    prefixes = [f"{x1},{x2}," for x1 in xs_s for x2 in xs_s]
     # The entries are formatted in chunks on a pool of forked processes, one
     # per CPU the process may use (at most one per chunk), or here when there
     # is one worker or no fork; the rows do not depend on the worker count.
@@ -319,6 +327,7 @@ def cmd_kernel(args) -> int:
     # they are flushed first.  The with block joins the pool on every path,
     # and an error cancels the chunks not yet started.
     values = np.concatenate(uppers)
+    del uppers  # values is the one copy of the triangles
     chunks = _chunks(times_s, values)
     workers = 1
     if "fork" in multiprocessing.get_all_start_methods():
@@ -329,7 +338,7 @@ def cmd_kernel(args) -> int:
             workers, mp_context=multiprocessing.get_context("fork"))) as pool:
         formatted = (map if pool is None else pool.map)(_format_entries, chunks)
         try:
-            _write(args.output, _kernel_report(lines, formatted, prefixes, mirror))
+            _write(args.output, _kernel_report(lines, formatted, xs_s, tri))
         except BaseException:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -376,6 +385,9 @@ def cmd_oracle_compare(args) -> int:
         outer, _, _, te = kn.route_factors("MAIN", x1s, x2s, t, runs[0])
         res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), runs[0])
         at_time.append((closed, outer * res.value, res.error_estimate))
+    # A report of skips alone compares nothing, so it would pass vacuously.
+    if all(isinstance(got, kn.CausticSingularity) for got in at_time):
+        raise ValueError("every requested time was skipped (caustic)")
 
     # Rows run n -> x1 -> x2 -> t, a skip comment in a skipped row's place.
     failed = False

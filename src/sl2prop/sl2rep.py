@@ -188,6 +188,10 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     At omega = 0 every identity degenerates to the free factorization
     alpha = gamma = 0, beta = t/(2 m hbar).
 
+    beta is divided by m, w and 2 hbar one at a time, so no divisor is a
+    product that can underflow to 0; a beta that overflows is refused by
+    ``FactorCoeffs`` by name.
+
     Raises ``ValueError`` outside the validity window, naming the
     coefficient that diverges, and where w t is not finite.
     """
@@ -196,7 +200,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     h, m, w = params.hbar, params.m, params.omega
 
     if w == 0.0:
-        return FactorCoeffs(alpha=0.0, beta=t / (2.0 * m * h), gamma=0.0)
+        return FactorCoeffs(alpha=0.0, beta=t / m / (2.0 * h), gamma=0.0)
 
     wt = params.omega_t(t)
     if identity_id == "MAIN":
@@ -205,7 +209,7 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
                 f"alpha diverges: tan(wt/2) singular at wt={wt} (wt = pi mod 2pi)"
             )
         alpha = 0.5 * m * w / h * math.tan(wt / 2.0)
-        beta = math.sin(wt) / (2.0 * m * w * h)
+        beta = math.sin(wt) / m / w / (2.0 * h)
         return FactorCoeffs(alpha=alpha, beta=beta, gamma=0.0)
 
     c = math.cos(wt)
@@ -222,13 +226,13 @@ def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeff
     sincos = math.sin(wt) * c
     if identity_id in ("A1a", "A1b"):
         alpha = 0.5 * m * w / h * tanwt
-        beta = tanwt / (2.0 * h * m * w)
+        beta = tanwt / m / w / (2.0 * h)
     elif identity_id in ("A2a", "A2b"):
         alpha = 0.5 * m * w / h * sincos
-        beta = tanwt / (2.0 * h * m * w)
+        beta = tanwt / m / w / (2.0 * h)
     else:  # A3a / A3b
         alpha = 0.5 * m * w / h * tanwt
-        beta = sincos / (2.0 * h * m * w)
+        beta = sincos / m / w / (2.0 * h)
     return FactorCoeffs(alpha=alpha, beta=beta, gamma=gamma)
 
 

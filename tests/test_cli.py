@@ -652,6 +652,29 @@ def test_kernel_table_does_not_depend_on_the_worker_count(tmp_path, monkeypatch,
     assert pooled.read_bytes() == _dense_kernel_table(argv).encode()
 
 
+def test_kernel_report_reaches_the_stream_one_grid_row_at_a_time(tmp_path, monkeypatch):
+    # A 160-point time block holds 25 600 rows; the report hands _write one
+    # grid row of it (160 lines) at a time, with the pool and with one CPU.
+    argv = ["kernel", "--x-steps", "160"]
+    write = cli._write
+    entries = []
+
+    def recording(path, lines):
+        write(path, (entries.append(line) or line for line in lines))
+
+    monkeypatch.setattr(cli, "_write", recording)
+    dense = _dense_kernel_table(argv).encode()
+    for one_cpu in (False, True):
+        if one_cpu:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        entries.clear()
+        path = tmp_path / f"k{one_cpu}.csv"
+        assert run(argv, path) == 0
+        assert max(entry.count("\n") + 1 for entry in entries) == 160
+        assert len(entries) == 4 + 7 * 160  # the header and the grid rows
+        assert path.read_bytes() == dense
+
+
 def test_kernel_chunks_may_span_times_and_skips(tmp_path, monkeypatch):
     # Seven-value chunks cut the 15-value triangles of the default grid at
     # every offset, across the skipped t = 0 between two blocks: 90 values
@@ -891,4 +914,33 @@ def test_the_identity_check_keeps_its_digits_at_extreme_units(tmp_path, capsys):
         assert run(["identities", "--mass", "1e-310", "--hbar", "1e10"], path) == 2
     assert capsys.readouterr() == (
         "", "error: the identity check's m w or 1/(m w) is not finite at m=1e-310, omega=1\n")
+    assert not path.exists()
+
+
+# Coefficients whose divisor underflowed (2 m w hbar, or 2 m hbar at w = 0)
+# raised ZeroDivisionError; beta is divided a factor at a time, and a beta
+# that then overflows is refused by name.
+@pytest.mark.parametrize("extra", [["--hbar", "1e-300", "--omega", "1e-100"],
+                                   ["--hbar", "1e-200", "--mass", "1e-200"],
+                                   ["--omega", "0", "--hbar", "1e-200", "--mass", "1e-200"]],
+                         ids=lambda a: "_".join(a))
+def test_identities_refuse_an_overflowing_beta_by_name(extra, tmp_path, capsys):
+    path = tmp_path / "i.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["identities", *extra], path) == 2
+    assert capsys.readouterr() == ("", "error: beta is not finite\n")
+    assert not path.exists()
+
+
+# A run whose every time is a caustic compares nothing: at w = 1e-100 and
+# hbar = 1e-300 every default time is within the window of t = 0.
+@pytest.mark.parametrize("extra", [["--times", "1e-300"],
+                                   ["--times", "3.14159265358979", "--orders", "1"],
+                                   ["--hbar", "1e-300", "--omega", "1e-100"]],
+                         ids=lambda a: "_".join(a))
+def test_oracle_compare_refuses_a_run_that_skips_every_time(extra, tmp_path, capsys):
+    path = tmp_path / "o.csv"
+    assert run(["oracle-compare", *extra], path) == 2
+    assert capsys.readouterr() == ("", "error: every requested time was skipped (caustic)\n")
     assert not path.exists()
