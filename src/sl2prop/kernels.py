@@ -50,6 +50,21 @@ and the chirp's exponent takes e^{|Re z|} back, so nothing overflows.
 Im t > 0, where the kernel grows without bound, is refused, as is a w t
 that is not finite.  ``kernel_apply`` takes real t only.
 
+Away from the caustics a value's relative error is at most about
+C eps kappa, with eps the double-precision machine epsilon and kappa = 1 +
+the sum of the magnitudes of the exponent's terms, at sigma = hbar T/m:
+
+- line core: (|c - 1| (x1^2 + x2^2) + (x1 - x2)^2)/(2 |sigma|);
+- Bessel core: |c| (x1^2 + x2^2)/(2 |sigma|) + x1 x2/|sigma|, the quadratic
+  phase and the Bessel argument.
+
+Each term is a phase that rounding the inputs moves by eps times itself, so
+kappa is the limit that double-precision input sets: far out or at short
+times a value can have no correct digit, and it is not refused.  Against
+mpmath (hbar = m = w = 1, x2 = x1 + 0.3, t in {1e-3, 0.5, 2.5}) the error
+reads at most 0.85 eps kappa on the line core and 1.65 eps kappa on the
+Bessel core; the tests hold C = 4.
+
 All square roots are principal-branch; the i in 1/sqrt(i t) carries the
 phase e^{-i pi/4} for t > 0.  Evaluation refuses within ``CAUSTIC_TOL`` of a
 zero of sin(w t), where the oscillator kernels are distributional.  Past the

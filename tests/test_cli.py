@@ -69,6 +69,23 @@ def test_default_oracle_compare_agrees_far_below_its_tolerance(tmp_path):
         assert max(float(r[head.index(column)]) for r in rows) < 1e-10
 
 
+def test_oracle_compare_flags_an_oracle_that_has_not_converged(tmp_path):
+    # At n = 60 the kernel is about 1e-70 to 1e-101, and the oracle's error
+    # estimate is 1.55-1.66 times |closed|: its rel_err of 0.12-0.13 is below
+    # the tolerance only by chance, so the rows cannot read ok.  The flag is
+    # relative, like rel_err, and does not fail the run.
+    path = tmp_path / "o.csv"
+    assert run(["oracle-compare", "--orders", "60", "--times", "0.7", "--tolerance", "0.2"],
+               path) == 0
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    head, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    assert len(rows) == 4 and all(r[-1] == "nonconverged" for r in rows)
+    for r in rows:
+        closed = complex(float(r[head.index("closed_re")]), float(r[head.index("closed_im")]))
+        assert 0.1 < float(r[head.index("rel_err")]) < 0.2
+        assert float(r[head.index("oracle_err_estimate")]) > 0.2 * abs(closed)
+
+
 def test_oracle_compare_has_no_damping_schedule(tmp_path, capsys):
     # The spectral oracle converges absolutely on its rotated contour and
     # takes no damping; the option that set one is gone.
@@ -573,6 +590,21 @@ def test_evolve_frames_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         frame = ev.propagate(psi0, t, "radial_sho", params).samples
         assert np.array_equal(re[ts == t], frame.real)
         assert np.array_equal(im[ts == t], frame.imag)
+
+
+def test_evolve_on_one_cpu_propagates_every_frame_in_the_process(tmp_path, monkeypatch):
+    # One worker starts no thread: every frame is propagated on the main
+    # thread, with the pooled run's bytes.
+    argv = ["evolve", "--order-n", "1"]
+    pooled, single = tmp_path / "pooled.csv", tmp_path / "single.csv"
+    assert run(argv, pooled) == 0
+    threads = _record_threads(monkeypatch)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    before = threading.active_count()
+    assert run(argv, single) == 0
+    assert threads == [threading.get_ident()] * 4
+    assert threading.active_count() == before
+    assert single.read_bytes() == pooled.read_bytes()
 
 
 def test_evolve_frame_refusal_writes_nothing_and_joins_the_pool(tmp_path, monkeypatch,

@@ -122,3 +122,51 @@ def test_no_module_imports_another_modules_private_names(path):
     # A helper another module needs is part of its owner's interface, and
     # is named without the underscore (as sl2rep.FACTOR_ORDER is for kernels).
     assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+POOL_NAMES = {"ProcessPoolExecutor", "ThreadPoolExecutor", "cancel_futures"}
+
+
+def _pool_users(source: str) -> list[str]:
+    """The top-level functions (and methods) that name an executor class or
+    ``cancel_futures``, as a name, an attribute or a keyword; code outside
+    any function counts as ``<module>``.  Imports do not count."""
+    def names(node: ast.AST) -> set[str]:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.keyword) and sub.arg:
+                found.add(sub.arg)
+        return found
+
+    users = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{node.name}.{f.name}", f) for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes = [(node.name, node)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            scopes = []
+        else:
+            scopes = [("<module>", node)]
+        users += [name for name, scope in scopes if names(scope) & POOL_NAMES]
+    return sorted(set(users))
+
+
+def test_a_pool_user_is_caught():
+    source = ("from concurrent.futures import ThreadPoolExecutor\n"
+              "def a(pool):\n    pool.shutdown(cancel_futures=True)\n"
+              "def b():\n    return ThreadPoolExecutor(2)\n"
+              "def c():\n    return 1\n")
+    assert _pool_users(source) == ["a", "b"]
+
+
+def test_one_cli_function_runs_every_pool():
+    # Starting, cancelling and joining a pool is one helper's job; the
+    # commands hand it their tasks.
+    source = (Path(sl2prop.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert len(_pool_users(source)) == 1

@@ -281,6 +281,36 @@ class TestLineCoreExponent:
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+class TestConditioning:
+    """The contract of the kernels docstring: relative error <= 4 eps kappa,
+    kappa = 1 + the magnitudes of the exponent's terms, against 30-digit
+    mpmath at hbar = m = w = 1 (w = 0 for free), x2 = x1 + 0.3.  The worst case reads
+    1.65 eps kappa (radial_sho, n = 1, x1 = 1e4, t = 2.5)."""
+
+    @pytest.mark.parametrize("name, n, positions", [
+        ("free", 0.5, (1e2, 1e4, 1e6)),
+        ("sho", 0.5, (1e2, 1e4, 1e6)),
+        *(("radial_sho", n, (1.0, 1e2, 1e4)) for n in (0.5, 1.0, 2.5)),
+    ])
+    def test_relative_error_within_the_conditioning_bound(self, name, n, positions):
+        omega = 0.0 if name == "free" else 1.0
+        params = PhysParams(omega=omega, n=n)
+        halfline = kn.kernel_kind(name).halfline
+        for x1 in positions:
+            x2 = x1 + 0.3
+            for t in (1e-3, 0.5, 2.5):
+                T, c = (math.sin(t), math.cos(t)) if omega else (t, 1.0)
+                if halfline:
+                    kappa = 1.0 + abs(c) * (x1**2 + x2**2) / (2.0 * abs(T)) + x1 * x2 / abs(T)
+                    ref = mp_radial_kernel(n, x1, x2, t, omega)
+                else:
+                    kappa = 1.0 + ((abs(c - 1.0) * (x1**2 + x2**2) + (x1 - x2) ** 2)
+                                   / (2.0 * abs(T)))
+                    ref = mp_line_kernel(x1, x2, t, omega)
+                err = abs(kv(name, x1, x2, t, params) - ref) / abs(ref)
+                assert err <= 4.0 * np.finfo(float).eps * kappa, (x1, t, err, kappa)
+
+
 class TestRouteFactors:
     """Every identity's factors around the w = 0 kernel, on the route grids
     of both domains, against the closed form."""
@@ -551,6 +581,20 @@ class TestPastTheFirstCaustic:
             for t in self.TIMES:
                 ratio = kv("radial_sho", x1, x2, t + math.pi, p) / kv("radial_sho", x1, x2, t, p)
                 assert abs(ratio - want) < 1e-12
+
+    # At fixed damping the kernel is analytic in Re t, so it must be
+    # continuous across the caustic at w Re t = pi; the check needs no
+    # oracle.  The principal branch jumps by 2 |K| there, except at integer n.
+    @pytest.mark.parametrize("name, n", [
+        pytest.param("sho", 0.5, marks=PAST_CAUSTIC),
+        *(pytest.param("radial_sho", n, marks=PAST_CAUSTIC) for n in (0.5, 2.5)),
+        ("radial_sho", 1.0),
+        ("radial_sho", 0.0),
+    ])
+    def test_continuous_across_the_caustic_at_fixed_damping(self, name, n):
+        p = PhysParams(n=n, omega=1.0)
+        before, after = (kv(name, 1.1, 1.7, math.pi + d - 0.3j, p) for d in (-1e-4, 1e-4))
+        assert abs(after - before) <= 1e-2 * abs(before)
 
 
 # hbar and m away from 1, where they would drop out of the arithmetic.
