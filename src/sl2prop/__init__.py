@@ -35,7 +35,6 @@ from .oracle import (
     hankel_kernel_oracle,
 )
 from .sl2rep import (
-    GENERATOR_IDS,
     IDENTITY_IDS,
     FactorCoeffs,
     PhysParams,
@@ -52,7 +51,6 @@ __all__ = [
     "CAUSTIC_TOL",
     "CausticSingularity",
     "FactorCoeffs",
-    "GENERATOR_IDS",
     "GridSpec",
     "GridWavefunction",
     "IDENTITY_IDS",

@@ -16,22 +16,25 @@ formatted once per run and the time once per block, and the values are
 formatted as Python complex numbers (``ndarray.tolist``).  An ``evolve``
 frame is one block, one ``"\n".join`` over its rows.  The kernel is
 symmetric in x1 and x2 bit for bit, so ``kernel`` evaluates and formats only
-the upper triangle of the grid, once per time, as the ``t,re,im,abs`` tail
-of each triangle entry; it writes a time's block one x1 row at a time, each
-row of the grid one ``"\n".join`` of ``x1,x2,`` and the tail of the entry
-that the ``tri`` index matrix names for that pair.  The magnitudes are the
-scalar ``abs(v)`` and ``abs(v) ** 2``, not ``np.abs`` or ``q * q``: numpy's
-vectorised complex magnitude and the product round differently in the last
-bit for some values, and the CSV must stay byte-stable.  A report goes to
-its stream an entry at a time, never joined into one string.
+the upper triangle of the grid, once per time: bare complex slices go to
+the pool and ``re,im,abs`` strings come back, and the row writer alone
+places x1, x2 and t.  It writes a time's block one x1 row at a time, each
+row of the grid one ``"\n".join`` of ``x1,``, an ``x2,t`` pair formatted
+once per block, and the entry that the ``tri`` index matrix names for that
+pair.  The magnitudes are the scalar ``abs(v)`` and ``abs(v) ** 2``, not
+``np.abs`` or ``q * q``: numpy's vectorised complex magnitude and the product
+round differently in the last bit for some values, and the CSV must stay
+byte-stable.  A report goes to its stream an entry at a time, never joined
+into one string.
 
 ``kernel`` evaluates every time first, so that its skips and refusals come
-before any output.  It then formats the triangle entries of all times in
-fixed-size chunks and streams the report: each time's block is assembled and
-written row by row as its entries come back.  Besides the evaluated
-triangles (one array, ``values``) and the formatted chunks not yet written,
-the parent holds one time's formatted triangle entries and one grid row of
-the report; no table of one entry per grid pair.
+before any output.  It then formats the triangle values of all times in
+fixed-size chunks, plain slices of ``values`` that may span times, and
+streams the report: each time's block is assembled and written row by row as
+its entries come back.  Besides the evaluated triangles (one array,
+``values``) and the formatted chunks not yet written, the parent holds one
+time's formatted triangle entries and one grid row of the report; no table of
+one entry per grid pair.
 
 ``oracle-compare`` works a time at a time: one closed-form call per order
 over the point pairs and one oracle call for every order and pair.  The
@@ -255,48 +258,40 @@ def _in_order(fn, tasks: list, *, fork: bool):
             raise
 
 
-# Values per chunk of kernel entries formatted by one task: about 28 ms of
-# %.17g, against about 2 ms to pickle the entries back, while a 160x160x7
-# table (90160 values) still cuts into 12 chunks, so that two workers finish
-# within a chunk of each other.  16384 was as fast and 32768 slower.  The
-# default 5x5x7 table fits in one chunk and starts no process.
+# Values per chunk of kernel entries formatted by one task, a plain slice of
+# the triangles that may span times: about 28 ms of %.17g, against about 2 ms
+# to pickle the re,im,abs strings back, while a 160x160x7 table (90160
+# values) still cuts into 12 chunks, so that two workers finish within a
+# chunk of each other.  16384 was as fast and 32768 slower.  The default
+# 5x5x7 table fits in one chunk and starts no process.
 _CHUNK = 8192
 
 
-def _format_entries(pieces: list[tuple[str, np.ndarray]]) -> list[str]:
-    """The ``t,re,im,abs`` tail of each row in a chunk, in order.  ``pieces``
-    pairs a formatted time with triangle values at that time.  It runs in a
-    pool worker or in the process and only formats floats."""
-    return [f"{t_s},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}"
-            for t_s, values in pieces for v in values.tolist()]
-
-
-def _chunks(times_s: list[str], values: np.ndarray):
-    """``values``, the triangles of the times ``times_s`` end to end, cut
-    into chunks of ``_CHUNK`` values; a chunk may span several times."""
-    m = values.size // len(times_s)
-    for a in range(0, values.size, _CHUNK):
-        b = min(a + _CHUNK, values.size)
-        yield [(times_s[k], values[max(a, k * m):min(b, (k + 1) * m)])
-               for k in range(a // m, (b - 1) // m + 1)]
+def _format_entries(values: np.ndarray) -> list[str]:
+    """The ``re,im,abs`` fields of each complex value, in order.  It runs in
+    a pool worker or in the process and only formats floats."""
+    return [f"{v.real:.17g},{v.imag:.17g},{abs(v):.17g}" for v in values.tolist()]
 
 
 def _kernel_report(lines: list, formatted, xs_s: list[str], tri: np.ndarray):
-    """The report's entries, where each None in ``lines`` stands for the next
-    time's block.  The block is taken from ``formatted`` (the chunks' tails,
-    in order) as they arrive and yielded one grid row at a time: row i pairs
-    ``xs_s[i]`` with each x2 and the tail of the triangle entry that row i
-    of ``tri`` names.  So the parent holds one time's tails and one grid row
+    """The report's entries, where each ``(t_s,)`` in ``lines`` stands for
+    the block of the time ``t_s``.  The block's ``re,im,abs`` entries are
+    taken from ``formatted`` (the chunks' strings, in order) as they arrive
+    and yielded one grid row at a time: row i pairs ``xs_s[i]`` with each
+    x2, joined with ``t_s`` once per block, and the entry that row i of
+    ``tri`` names.  So the parent holds one time's entries and one grid row
     of the report, never a block."""
     entries = chain.from_iterable(formatted)
     m = int(tri[-1, -1]) + 1  # triangle entries per time; (n-1, n-1) is the last
     for line in lines:
-        if line is not None:
+        if isinstance(line, str):
             yield line
             continue
-        tail = list(islice(entries, m))
+        (t_s,) = line
+        fields = list(islice(entries, m))
+        cols = [f"{x2},{t_s}" for x2 in xs_s]
         for x1, row in zip(xs_s, tri):
-            yield "\n".join([f"{x1},{x2},{tail[k]}" for x2, k in zip(xs_s, row.tolist())])
+            yield "\n".join([f"{x1},{col},{fields[k]}" for col, k in zip(cols, row.tolist())])
 
 
 def cmd_kernel(args) -> int:
@@ -324,7 +319,7 @@ def cmd_kernel(args) -> int:
     # Every time is evaluated, and every skip and refusal taken, before the
     # first line is written.
     iu, ju = np.triu_indices(xs.size)
-    times_s, uppers = [], []
+    uppers = []
     for t in ts.tolist():
         t_s = _fmt(t)
         if t == 0.0:
@@ -335,9 +330,8 @@ def cmd_kernel(args) -> int:
         except kn.CausticSingularity as e:
             lines.append(f"# skip t={t_s} reason=caustic nearest={_fmt(e.nearest_caustic_time)}")
             continue
-        times_s.append(t_s)
-        lines.append(None)  # this time's block
-    if not times_s:
+        lines.append((t_s,))  # this time's block
+    if not uppers:
         raise ValueError("every requested time was skipped (caustic or t=0)")
 
     tri = np.empty((xs.size, xs.size), dtype=np.intp)
@@ -345,7 +339,8 @@ def cmd_kernel(args) -> int:
     xs_s = [_fmt(x) for x in xs]
     values = np.concatenate(uppers)
     del uppers  # values is the one copy of the triangles
-    with _in_order(_format_entries, list(_chunks(times_s, values)), fork=True) as formatted:
+    chunks = [values[a:a + _CHUNK] for a in range(0, values.size, _CHUNK)]
+    with _in_order(_format_entries, chunks, fork=True) as formatted:
         _write(args.output, _kernel_report(lines, formatted, xs_s, tri))
     return 0
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GENERATOR_IDS",
     "IDENTITY_IDS",
     "FACTOR_ORDER",
     "PhysParams",
@@ -27,7 +26,6 @@ __all__ = [
     "identity_residual",
 ]
 
-GENERATOR_IDS = ("X2", "P2L", "D")
 IDENTITY_IDS = ("MAIN", "A1a", "A1b", "A2a", "A2b", "A3a", "A3b")
 
 # Written (left-to-right) factor order of each identity.  The coefficient

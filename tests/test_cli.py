@@ -723,6 +723,41 @@ def test_kernel_chunks_may_span_times_and_skips(tmp_path, monkeypatch):
     assert cut.read_bytes() == whole.read_bytes()
 
 
+@pytest.mark.parametrize("argv, chunk", [
+    (["kernel", "--x-steps", "160"], cli._CHUNK),
+    (["kernel", "--kernel", "sho", "--x-min=-1", "--t-min=-0.6", "--t-max", "0.6"], 7),
+], ids=["160", "sho-chunk7"])
+def test_kernel_pool_formats_bare_slices_of_the_triangles(argv, chunk, tmp_path, monkeypatch):
+    # Each task is a 1-D complex slice of the kept times' upper triangles,
+    # end to end, and comes back as re,im,abs strings: the row writer alone
+    # places x1, x2 and t.
+    tasks, entries = [], []
+    format_entries = cli._format_entries
+
+    def recording(values):
+        tasks.append(values)
+        entries.extend(formatted := format_entries(values))
+        return formatted
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_format_entries", recording)
+    assert run(argv, tmp_path / "k.csv") == 0
+
+    args = cli.build_parser().parse_args(argv)
+    _, params = _run_params(args)
+    name = args.kernel.replace("-", "_")
+    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
+    iu, ju = np.triu_indices(xs.size)
+    uppers = [kn.kernel_values(name, xs[iu], xs[ju], t, params)
+              for t in np.linspace(args.t_min, args.t_max, args.t_steps).tolist() if t != 0.0]
+    assert all(isinstance(task, np.ndarray) and task.ndim == 1
+               and task.dtype.kind == "c" for task in tasks)
+    assert [task.size for task in tasks[:-1]] == [chunk] * (len(tasks) - 1)
+    assert np.array_equal(np.concatenate(tasks), np.concatenate(uppers))
+    assert all(entry.count(",") == 2 for entry in entries)
+
+
 def test_kernel_table_in_one_chunk_starts_no_process(tmp_path, monkeypatch):
     def refuse():
         raise AssertionError("a process was forked")
@@ -845,6 +880,26 @@ def test_identities_makes_one_residual_call_per_identity(tmp_path, monkeypatch):
     assert run(["identities"], tmp_path / "i.csv") == 0
     assert calls == [25] * 7
     assert len(coeffs) == 175
+
+
+def test_identities_clips_part_of_the_range_with_a_notice(tmp_path, capsys):
+    # Over [-3, 3] the A identities clip the 14 of 25 times where cos(t) <= 0.1
+    # and MAIN clips none: the run still checks 91 residuals and passes.
+    path = tmp_path / "i.csv"
+    assert run(["identities", "--t-min", "-3", "--t-max", "3"], path) == 0
+    notices = [f"notice: {ident}: 14 t-points outside validity window were clipped"
+               for ident in sr.IDENTITY_IDS[1:]]
+    assert capsys.readouterr() == ("", "".join(f"{n}\n" for n in notices))
+    lines = path.read_text().splitlines()
+    at = lines.index("# tolerance: 9.9999999999999998e-13") + 1
+    assert lines[at:at + 6] == [f"# {n}" for n in notices]
+    rows = [ln.split(",") for ln in lines if not ln.startswith(("#", "identity_id"))]
+    ts = np.linspace(-3.0, 3.0, 25).tolist()
+    kept = [t for t in ts if np.cos(t) > 0.1]
+    assert len(rows) == 91 and len(kept) == 11
+    for ident in sr.IDENTITY_IDS:
+        times = [float(r[1]) for r in rows if r[0] == ident]
+        assert times == (ts if ident == "MAIN" else kept)
 
 
 def test_oracle_compare_makes_one_call_per_order_and_time(tmp_path, monkeypatch):

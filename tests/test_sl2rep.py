@@ -91,7 +91,7 @@ class TestGeneratorMatrices:
 
     def test_independent_of_coupling(self):
         strong = sr.PhysParams(hbar=1.0, m=1.0, omega=1.0, n=4.5)
-        for gen in sr.GENERATOR_IDS:
+        for gen in set().union(*sr.FACTOR_ORDER.values()):
             assert np.array_equal(sr.generator_matrix(gen, P),
                                   sr.generator_matrix(gen, strong))
 
