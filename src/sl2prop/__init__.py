@@ -36,7 +36,6 @@ from .oracle import (
 )
 from .sl2rep import (
     IDENTITY_IDS,
-    FactorCoeffs,
     PhysParams,
     exp_traceless,
     factor_coeffs,
@@ -50,7 +49,6 @@ __all__ = [
     "__version__",
     "CAUSTIC_TOL",
     "CausticSingularity",
-    "FactorCoeffs",
     "GridSpec",
     "GridWavefunction",
     "IDENTITY_IDS",

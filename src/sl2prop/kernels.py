@@ -33,7 +33,10 @@ Each oscillator kernel can also be assembled from any of the disentangling
 identities ``sl2rep.IDENTITY_IDS``: ``route_factors``, the one route entry
 point, walks the identity's factors in ``sl2rep.FACTOR_ORDER`` (quadratic
 phases and dilations) and returns them with the positions and effective
-time at which ``kernel_values`` gives the w = 0 kernel they wrap.  The
+time at which ``kernel_values`` gives the w = 0 kernel they wrap.  It reads
+the factors' exponents hbar alpha, hbar beta and hbar gamma: t_eff =
+2 m hbar beta, a dilation d = e^{-+hbar gamma}, and the phase rate
+alpha = hbar alpha / hbar, refused by name where it overflows.  The
 assembled and closed-form values must agree, which is the core consistency
 check of the package.
 
@@ -321,14 +324,19 @@ def route_factors(identity: str, x1, x2, t, params: PhysParams):
     Refuses a complex t by name, then what ``sho`` (``free`` at w = 0)
     refuses at (x1, x2, t): a non-finite t, x1 or x2, t = 0 and the caustic
     window of sin(w t), where t_eff would be a rounding residue and the
-    kernel a delta.  The coefficients come from ``factor_coeffs``, which
-    refuses an unknown identity and a time outside its validity window.
+    kernel a delta.  The exponents hbar alpha, hbar beta and hbar gamma come
+    from ``factor_coeffs``, which refuses an unknown identity and a time
+    outside its validity window; the phase rate alpha = hbar alpha / hbar,
+    the one quotient by hbar, is refused by name where it overflows.
     """
     if np.iscomplexobj(t):
         raise ValueError(f"route_factors takes a real t, not t={t}")
     _checked_kind("sho" if params.omega > 0 else "free", x1, x2, t, params)
     coeffs = factor_coeffs(identity, t, params)
-    te = t if params.omega == 0.0 else 2.0 * params.m * params.hbar * coeffs.beta
+    alpha = coeffs["X2"] / params.hbar
+    if not math.isfinite(alpha):
+        raise ValueError("alpha is not finite")
+    te = t if params.omega == 0.0 else 2.0 * params.m * coeffs["P2L"]
     order = FACTOR_ORDER[identity]
     p = order.index("P2L")
     amplitude, phase, ys = 1.0, 0.0, []
@@ -338,9 +346,9 @@ def route_factors(identity: str, x1, x2, t, params: PhysParams):
             if gen_id == "X2":
                 phase = phase + y**2
             else:
-                d = math.exp(sign * params.hbar * coeffs.gamma)
+                d = math.exp(sign * coeffs["D"])
                 amplitude *= d
                 y = y * d**2
         ys.append(y)
-    return amplitude * np.exp(-1j * coeffs.alpha * phase), ys[0], ys[1], te
+    return amplitude * np.exp(-1j * alpha * phase), ys[0], ys[1], te
 

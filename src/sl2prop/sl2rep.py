@@ -2,9 +2,11 @@
 
 The three operators close under commutation into sl(2,C) and admit a
 faithful traceless 2x2 matrix realization that carries no dependence on the
-inverse-square coupling.  Every disentangling identity used to factor the
-oscillator evolution operator can therefore be verified by exact 2x2 matrix
-arithmetic, which is what this module does.
+inverse-square coupling.  Written in each factor's exponent (hbar alpha,
+hbar beta, hbar gamma) the realization and every disentangling identity used
+to factor the oscillator evolution operator carry no hbar either, so each
+identity can be verified by exact 2x2 matrix arithmetic, which is what this
+module does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "IDENTITY_IDS",
     "FACTOR_ORDER",
     "PhysParams",
-    "FactorCoeffs",
     "generator_matrix",
     "exp_traceless",
     "factor_coeffs",
@@ -28,8 +29,9 @@ __all__ = [
 
 IDENTITY_IDS = ("MAIN", "A1a", "A1b", "A2a", "A2b", "A3a", "A3b")
 
-# Written (left-to-right) factor order of each identity.  The coefficient
-# attached to a generator is always alpha for X2, beta for P2L, gamma for D.
+# Written (left-to-right) factor order of each identity.  ``factor_coeffs``
+# keys each factor's exponent by its generator: hbar alpha for X2, hbar beta
+# for P2L, hbar gamma for D.
 FACTOR_ORDER = {
     "MAIN": ("X2", "P2L", "X2"),
     "A1a": ("X2", "D", "P2L"),
@@ -103,37 +105,19 @@ class PhysParams:
         return cls(hbar=hbar, m=m, omega=omega, n=math.sqrt(nsq))
 
 
-@dataclass(frozen=True)
-class FactorCoeffs:
-    """Coefficient triple (alpha, beta, gamma) of one disentangling identity.
+def generator_matrix(gen_id: str) -> np.ndarray:
+    """The 2x2 traceless matrix of one generator, per unit of hbar.
 
-    alpha multiplies x^2, beta multiplies p^2 + lam/x^2, gamma multiplies
-    xp + px, each inside exp(-i coeff op).  gamma is exactly 0 for MAIN.
+    X2 -> [[0, 2], [0, 0]], P2L -> [[0, 0], [2, 0]], D -> diag(-2i, 2i).
+    Neither hbar nor the coupling appears: [X2, P2L] = 2i D,
+    [X2, D] = 4i X2 and [P2L, D] = -4i P2L.
     """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} is not finite")
-
-
-def generator_matrix(gen_id: str, params: PhysParams) -> np.ndarray:
-    """The 2x2 traceless matrix of one generator.
-
-    X2 -> [[0, 2 hbar], [0, 0]], P2L -> [[0, 0], [2 hbar, 0]],
-    D -> diag(-2i hbar, 2i hbar).  The coupling never appears.
-    """
-    h = params.hbar
     if gen_id == "X2":
-        return np.array([[0.0, 2.0 * h], [0.0, 0.0]], dtype=complex)
+        return np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     if gen_id == "P2L":
-        return np.array([[0.0, 0.0], [2.0 * h, 0.0]], dtype=complex)
+        return np.array([[0.0, 0.0], [2.0, 0.0]], dtype=complex)
     if gen_id == "D":
-        return np.array([[-2j * h, 0.0], [0.0, 2j * h]], dtype=complex)
+        return np.array([[-2j, 0.0], [0.0, 2j]], dtype=complex)
     raise ValueError(f"unknown generator {gen_id!r}")
 
 
@@ -169,73 +153,60 @@ def exp_traceless(M: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> FactorCoeffs:
-    """Coefficients of the requested disentangling identity at time t.
+def factor_coeffs(identity_id: str, t: float, params: PhysParams) -> dict[str, float]:
+    """Each factor's exponent of the requested identity at time t, keyed by
+    its generator: {"X2": hbar alpha, "P2L": hbar beta, "D": hbar gamma},
+    the factor of generator G being exp(-i coeffs[G] G).  No hbar enters.
 
-    MAIN: alpha = (m w / 2 hbar) tan(w t / 2), beta = sin(w t)/(2 m w hbar),
-    gamma = 0, valid while tan(w t / 2) is finite.
+    MAIN: hbar alpha = (m w / 2) tan(w t / 2), hbar beta = sin(w t)/(2 m w),
+    hbar gamma = 0, valid while tan(w t / 2) is finite.
 
-    The appendix variants share e^{+-2 gamma hbar} = cos(w t) (upper sign for
+    The appendix variants share e^{+-2 hbar gamma} = cos(w t) (upper sign for
     the 'a' orderings, lower for 'b') and are restricted to cos(w t) > 0 so
-    that gamma stays real:
-
-        A1: alpha = (m w / 2 hbar) tan(w t),         beta = tan(w t)/(2 hbar m w)
-        A2: alpha = (m w / 2 hbar) sin(w t) cos(w t), beta = tan(w t)/(2 hbar m w)
-        A3: alpha = (m w / 2 hbar) tan(w t),         beta = sin(w t) cos(w t)/(2 hbar m w)
+    that gamma stays real.  Each of hbar alpha = (m w / 2) f and
+    hbar beta = g/(2 m w) takes f or g = tan(w t), except A2's alpha and A3's
+    beta, which take sin(w t) cos(w t).
 
     At omega = 0 every identity degenerates to the free factorization
-    alpha = gamma = 0, beta = t/(2 m hbar).
+    hbar alpha = hbar gamma = 0, hbar beta = t/(2 m).
 
-    beta is divided by m, w and 2 hbar one at a time, so no divisor is a
-    product that can underflow to 0; a beta that overflows is refused by
-    ``FactorCoeffs`` by name.
+    hbar beta is divided by m, w and 2 one at a time, so no divisor is a
+    product that can underflow to 0; an exponent that overflows is refused
+    by name.
 
     Raises ``ValueError`` outside the validity window, naming the
     coefficient that diverges, and where w t is not finite.
     """
     if identity_id not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {identity_id!r}")
-    h, m, w = params.hbar, params.m, params.omega
+    m, w = params.m, params.omega
 
     if w == 0.0:
-        return FactorCoeffs(alpha=0.0, beta=t / m / (2.0 * h), gamma=0.0)
-
-    wt = params.omega_t(t)
-    if identity_id == "MAIN":
+        coeffs = {"X2": 0.0, "P2L": t / m / 2.0, "D": 0.0}
+    elif identity_id == "MAIN":
+        wt = params.omega_t(t)
         if abs(math.cos(wt / 2.0)) < 1e-12:
             raise ValueError(
                 f"alpha diverges: tan(wt/2) singular at wt={wt} (wt = pi mod 2pi)"
             )
-        alpha = 0.5 * m * w / h * math.tan(wt / 2.0)
-        beta = math.sin(wt) / m / w / (2.0 * h)
-        return FactorCoeffs(alpha=alpha, beta=beta, gamma=0.0)
-
-    c = math.cos(wt)
-    if c <= 1e-12:
-        raise ValueError(
-            f"gamma diverges: e^(+-2 gamma hbar) = cos(wt) = {c:.3e} <= 0 at wt={wt};"
-            " appendix identities need cos(wt) > 0"
-        )
-    gamma = math.log(c) / (2.0 * h)
-    if identity_id in ("A1b", "A2b", "A3b"):
-        gamma = -gamma
-
-    tanwt = math.tan(wt)
-    sincos = math.sin(wt) * c
-    if identity_id in ("A1a", "A1b"):
-        alpha = 0.5 * m * w / h * tanwt
-        beta = tanwt / m / w / (2.0 * h)
-    elif identity_id in ("A2a", "A2b"):
-        alpha = 0.5 * m * w / h * sincos
-        beta = tanwt / m / w / (2.0 * h)
-    else:  # A3a / A3b
-        alpha = 0.5 * m * w / h * tanwt
-        beta = sincos / m / w / (2.0 * h)
-    return FactorCoeffs(alpha=alpha, beta=beta, gamma=gamma)
-
-
-def _coeff_for(gen_id: str, coeffs: FactorCoeffs) -> float:
-    return {"X2": coeffs.alpha, "P2L": coeffs.beta, "D": coeffs.gamma}[gen_id]
+        coeffs = {"X2": 0.5 * m * w * math.tan(wt / 2.0),
+                  "P2L": math.sin(wt) / m / w / 2.0, "D": 0.0}
+    else:
+        wt = params.omega_t(t)
+        c = math.cos(wt)
+        if c <= 1e-12:
+            raise ValueError(
+                f"gamma diverges: e^(+-2 gamma hbar) = cos(wt) = {c:.3e} <= 0 at wt={wt};"
+                " appendix identities need cos(wt) > 0"
+            )
+        tanwt, sincos = math.tan(wt), math.sin(wt) * c
+        coeffs = {"X2": 0.5 * m * w * (sincos if identity_id.startswith("A2") else tanwt),
+                  "P2L": (sincos if identity_id.startswith("A3") else tanwt) / m / w / 2.0,
+                  "D": math.log(c) / (-2.0 if identity_id.endswith("b") else 2.0)}
+    for gen_id, name in (("X2", "alpha"), ("P2L", "beta"), ("D", "gamma")):
+        if not math.isfinite(coeffs[gen_id]):
+            raise ValueError(f"{name} is not finite")
+    return coeffs
 
 
 def identity_residual(identity_id: str, t, params: PhysParams):
@@ -271,8 +242,8 @@ def identity_residual(identity_id: str, t, params: PhysParams):
     coeffs = [factor_coeffs(identity_id, tk, params) for tk in stack.tolist()]
     rhs = np.eye(2, dtype=complex)
     for gen_id in FACTOR_ORDER[identity_id]:
-        c = np.array([_coeff_for(gen_id, k) for k in coeffs])
-        rhs = rhs @ exp_traceless((-1j * c)[:, None, None] * generator_matrix(gen_id, params))
+        c = np.array([k[gen_id] for k in coeffs])
+        rhs = rhs @ exp_traceless((-1j * c)[:, None, None] * generator_matrix(gen_id))
     # -i w t with the product taken in floats: its imaginary part is the
     # correctly rounded -w t, as in scalar complex arithmetic.
     exponent = -1j * (stack * rate)

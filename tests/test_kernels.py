@@ -315,22 +315,34 @@ class TestRouteFactors:
     """Every identity's factors around the w = 0 kernel, on the route grids
     of both domains, against the closed form."""
 
+    # At hbar, m, w = 0.7, 3, 2 the positions scale by the oscillator
+    # length sqrt(hbar/(m w)) and the times by 1/w, so every point sits
+    # where it does in units hbar = m = w = 1.
     @pytest.mark.parametrize("identity", IDENTITY_IDS)
     @pytest.mark.parametrize("halfline", [True, False])
     def test_every_identity_matches_the_closed_form(self, identity, halfline):
-        if halfline:
-            p, free, closed = PhysParams(n=2.5, omega=1.0), "radial_h0", "radial_sho"
-            x1s, x2s = np.linspace(0.5, 2.5, 5), np.linspace(0.4, 2.2, 5)
-        else:
-            p, free, closed = P_LINE, "free", "sho"
-            x1s, x2s = np.linspace(-2.0, 2.0, 5), np.linspace(-1.8, 2.2, 5)
-        for wt in np.linspace(-1.4, 1.4, 7):
-            if abs(wt) < 0.05:
-                continue  # t = 0 is the delta limit, not a kernel value
-            outer, y1, y2, te = kn.route_factors(identity, x1s[:, None], x2s[None, :], wt, p)
-            r = outer * kv(free, y1, y2, te, p)
-            d = kv(closed, x1s[:, None], x2s[None, :], wt, p)
-            assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10
+        for hbar, m, omega in ((1.0, 1.0, 1.0), (0.7, 3.0, 2.0)):
+            length = math.sqrt(hbar / (m * omega))
+            if halfline:
+                p, free, closed = PhysParams(hbar, m, omega, n=2.5), "radial_h0", "radial_sho"
+                x1s, x2s = np.linspace(0.5, 2.5, 5), np.linspace(0.4, 2.2, 5)
+            else:
+                p, free, closed = PhysParams(hbar, m, omega, n=0.5), "free", "sho"
+                x1s, x2s = np.linspace(-2.0, 2.0, 5), np.linspace(-1.8, 2.2, 5)
+            x1s, x2s = x1s[:, None] * length, x2s[None, :] * length
+            for wt in np.linspace(-1.4, 1.4, 7):
+                if abs(wt) < 0.05:
+                    continue  # t = 0 is the delta limit, not a kernel value
+                outer, y1, y2, te = kn.route_factors(identity, x1s, x2s, wt / omega, p)
+                r = outer * kv(free, y1, y2, te, p)
+                d = kv(closed, x1s, x2s, wt / omega, p)
+                assert np.max(np.abs(r - d) / np.abs(d)) < 1e-10, (hbar, m, omega, wt)
+
+    def test_a_phase_rate_that_overflows_is_refused_by_name(self):
+        # hbar alpha = (m w / 2) tan(w t / 2) is finite; alpha = hbar alpha / hbar is not.
+        p = PhysParams(hbar=1e-300, m=1e10, omega=1e10, n=1.0)
+        with pytest.raises(ValueError, match="alpha is not finite"):
+            kn.route_factors("MAIN", 1.0, 1.5, 0.5, p)
 
     @pytest.mark.parametrize("identity", IDENTITY_IDS)
     def test_at_zero_frequency_the_factors_are_trivial(self, identity):

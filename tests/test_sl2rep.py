@@ -68,32 +68,20 @@ class TestPhysParams:
 
 class TestGeneratorMatrices:
     def test_matrix_entries(self):
-        assert np.array_equal(sr.generator_matrix("X2", P),
+        assert np.array_equal(sr.generator_matrix("X2"),
                               np.array([[0, 2.0], [0, 0]], dtype=complex))
-        assert np.array_equal(sr.generator_matrix("D", P),
+        assert np.array_equal(sr.generator_matrix("D"),
                               np.array([[-2j, 0], [0, 2j]]))
-        assert np.array_equal(sr.generator_matrix("P2L", P),
+        assert np.array_equal(sr.generator_matrix("P2L"),
                               np.array([[0, 0], [2.0, 0]], dtype=complex))
 
-    @pytest.mark.parametrize("params", [
-        P,
-        sr.PhysParams(hbar=0.7, m=3.0, omega=2.0, n=2.5),
-        sr.PhysParams(hbar=2.0, m=0.5, omega=0.0, n=0.0),
-    ])
-    def test_commutator_table(self, params):
-        h = params.hbar
-        x2 = sr.generator_matrix("X2", params)
-        p2l = sr.generator_matrix("P2L", params)
-        d = sr.generator_matrix("D", params)
-        assert np.max(np.abs((x2 @ p2l - p2l @ x2) - 2j * h * d)) <= 1e-14
-        assert np.max(np.abs((x2 @ d - d @ x2) - 4j * h * x2)) <= 1e-14
-        assert np.max(np.abs((p2l @ d - d @ p2l) + 4j * h * p2l)) <= 1e-14
-
-    def test_independent_of_coupling(self):
-        strong = sr.PhysParams(hbar=1.0, m=1.0, omega=1.0, n=4.5)
-        for gen in set().union(*sr.FACTOR_ORDER.values()):
-            assert np.array_equal(sr.generator_matrix(gen, P),
-                                  sr.generator_matrix(gen, strong))
+    def test_commutator_table(self):
+        x2 = sr.generator_matrix("X2")
+        p2l = sr.generator_matrix("P2L")
+        d = sr.generator_matrix("D")
+        assert np.max(np.abs((x2 @ p2l - p2l @ x2) - 2j * d)) <= 1e-14
+        assert np.max(np.abs((x2 @ d - d @ x2) - 4j * x2)) <= 1e-14
+        assert np.max(np.abs((p2l @ d - d @ p2l) + 4j * p2l)) <= 1e-14
 
 
 class TestExpTraceless:
@@ -102,16 +90,16 @@ class TestExpTraceless:
 
     def test_oscillator_exponential(self):
         for t in (0.3, 1.0, 2.7):
-            m = -1j * t * (sr.generator_matrix("P2L", P) / 2
-                           + sr.generator_matrix("X2", P) / 2)
+            m = -1j * t * (sr.generator_matrix("P2L") / 2
+                           + sr.generator_matrix("X2") / 2)
             got = sr.exp_traceless(m)
             want = np.array([[np.cos(t), -1j * np.sin(t)],
                              [-1j * np.sin(t), np.cos(t)]])
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_quarter_period_value(self):
-        m = -1j * (np.pi / 2) * (sr.generator_matrix("P2L", P) / 2
-                                 + sr.generator_matrix("X2", P) / 2)
+        m = -1j * (np.pi / 2) * (sr.generator_matrix("P2L") / 2
+                                 + sr.generator_matrix("X2") / 2)
         got = sr.exp_traceless(m)
         want = np.array([[0, -1j], [-1j, 0]])
         assert np.max(np.abs(got - want)) < 1e-15
@@ -165,20 +153,20 @@ class TestExpTraceless:
 class TestFactorCoeffs:
     def test_symmetric_split_at_quarter_period(self):
         c = sr.factor_coeffs("MAIN", math.pi / 2, P)
-        assert c.alpha == pytest.approx(0.5, rel=1e-14)
-        assert c.beta == pytest.approx(0.5, rel=1e-14)
-        assert c.gamma == 0.0
+        assert c["X2"] == pytest.approx(0.5, rel=1e-14)
+        assert c["P2L"] == pytest.approx(0.5, rel=1e-14)
+        assert c["D"] == 0.0
 
     @pytest.mark.parametrize("ident", sr.IDENTITY_IDS)
     def test_zero_time(self, ident):
         c = sr.factor_coeffs(ident, 0.0, P)
-        assert c.alpha == 0.0 and c.beta == 0.0 and c.gamma == 0.0
+        assert c["X2"] == 0.0 and c["P2L"] == 0.0 and c["D"] == 0.0
 
     def test_a3a_values(self):
         c = sr.factor_coeffs("A3a", math.pi / 3, P)
-        assert c.gamma == pytest.approx(math.log(0.5) / 2, rel=1e-14)
-        assert c.alpha == pytest.approx(0.5 * math.tan(math.pi / 3), rel=1e-14)
-        assert c.beta == pytest.approx(
+        assert c["D"] == pytest.approx(math.log(0.5) / 2, rel=1e-14)
+        assert c["X2"] == pytest.approx(0.5 * math.tan(math.pi / 3), rel=1e-14)
+        assert c["P2L"] == pytest.approx(
             math.sin(math.pi / 3) * math.cos(math.pi / 3) / 2, rel=1e-14)
 
     def test_divergence_is_named(self):
@@ -191,12 +179,12 @@ class TestFactorCoeffs:
         p0 = sr.PhysParams(hbar=1.0, m=2.0, omega=0.0, n=0.5)
         for ident in sr.IDENTITY_IDS:
             c = sr.factor_coeffs(ident, 0.8, p0)
-            assert c.alpha == 0.0 and c.gamma == 0.0
-            assert c.beta == pytest.approx(0.8 / 4.0)
+            assert c["X2"] == 0.0 and c["D"] == 0.0
+            assert c["P2L"] == pytest.approx(0.8 / 4.0)
         # small omega approaches the omega = 0 values
         psmall = sr.PhysParams(hbar=1.0, m=2.0, omega=1e-6, n=0.5)
         c = sr.factor_coeffs("A2a", 0.8, psmall)
-        assert c.beta == pytest.approx(0.2, rel=1e-9)
+        assert c["P2L"] == pytest.approx(0.2, rel=1e-9)
 
     def test_conjugation_pairing(self):
         # alpha and beta are odd in t, the gamma defining equation is even,
@@ -206,13 +194,21 @@ class TestFactorCoeffs:
             for t in (0.2, 0.7, 1.1):
                 ca = sr.factor_coeffs(pair_a, t, P)
                 ca_neg = sr.factor_coeffs(pair_a, -t, P)
-                assert ca_neg.alpha == pytest.approx(-ca.alpha, rel=1e-13)
-                assert ca_neg.beta == pytest.approx(-ca.beta, rel=1e-13)
-                assert ca_neg.gamma == pytest.approx(ca.gamma, rel=1e-13)
+                assert ca_neg["X2"] == pytest.approx(-ca["X2"], rel=1e-13)
+                assert ca_neg["P2L"] == pytest.approx(-ca["P2L"], rel=1e-13)
+                assert ca_neg["D"] == pytest.approx(ca["D"], rel=1e-13)
                 cb_neg = sr.factor_coeffs(pair_b, -t, P)
-                assert cb_neg.alpha == pytest.approx(-ca.alpha, rel=1e-13)
-                assert cb_neg.beta == pytest.approx(-ca.beta, rel=1e-13)
-                assert cb_neg.gamma == pytest.approx(-ca.gamma, rel=1e-13)
+                assert cb_neg["X2"] == pytest.approx(-ca["X2"], rel=1e-13)
+                assert cb_neg["P2L"] == pytest.approx(-ca["P2L"], rel=1e-13)
+                assert cb_neg["D"] == pytest.approx(-ca["D"], rel=1e-13)
+
+    @pytest.mark.parametrize("ident", sr.IDENTITY_IDS)
+    def test_the_exponents_carry_no_hbar(self, ident):
+        # Bit for bit: repr tells -0.0 from 0.0 and round-trips every float.
+        for t in (0.0, 0.3, -0.9):
+            got = [repr(sr.factor_coeffs(ident, t, sr.PhysParams(hbar=h, m=2.0, omega=0.7)))
+                   for h in (1e-300, 0.7, 1.0, 1e200)]
+            assert got == got[:1] * 4, (t, got)
 
     @pytest.mark.parametrize("ident", sr.IDENTITY_IDS)
     def test_a_non_finite_wt_is_refused_by_name(self, ident):
