@@ -3,13 +3,18 @@
 Output is UTF-8 CSV with LF line endings, '#'-prefixed header comments, and
 17-significant-digit floats.  Identical configuration produces byte-identical
 output; run metadata lives only in header comments and carries no timestamps.
-Exit status 1 means a declared check failed.  Exit status 2 means a refused
-configuration: a subcommand raises ``ValueError`` and ``main`` alone reports
-it as ``error: ...`` on stderr, before any CSV is written.  An ``--output``
-path that cannot be opened for writing is refused the same way, as
-``error: cannot write <path>: <reason>``: a directory, or a path whose parent
-is not one, before any work; any other failure to open when the report is
-about to be written, and ``kernel`` still joins its pool.
+
+Every subcommand returns ``(entries, ok, echo)``: its report's entries,
+whether its declared checks passed, and the text it echoes on stdout after
+the report (only ``evolve``'s trailer).  ``main`` alone writes the report,
+prints the echo and decides the exit status: 0, or 1 when a declared check
+failed.  Exit status 2 means a refused configuration: a subcommand raises
+``ValueError`` and ``main`` reports it as ``error: ...`` on stderr, before
+any CSV is written.  An ``--output`` path that cannot be opened for writing
+is refused the same way, as ``error: cannot write <path>: <reason>``: a
+directory, or a path whose parent is not one, before any work; any other
+failure to open when the report is about to be written, before ``kernel``
+starts its pool, which it does as the first entry is drawn.
 
 Every float field is written with ``.17g``.  The grid coordinates are
 formatted once per run and the time once per block, and the values are
@@ -91,7 +96,7 @@ def _add_phys_args(p: argparse.ArgumentParser):
 
 def _add_order_args(p: argparse.ArgumentParser):
     """--order-n or --lambda, for the subcommands that run at one order
-    (oracle-compare takes a list of orders)."""
+    (oracle-compare takes a list of orders, and identities reads none)."""
     group = p.add_mutually_exclusive_group()
     group.add_argument("--order-n", type=float, default=None,
                        help="Bessel order n >= 0 (default 0.5, i.e. no coupling)")
@@ -107,10 +112,11 @@ def _params(args) -> sr.PhysParams:
     return sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n)
 
 
-def _units(params: sr.PhysParams) -> dict[str, float]:
-    """The header units of a run at one order."""
-    return {"hbar": params.hbar, "m": params.m, "omega": params.omega,
-            "n": params.n, "lambda": params.lam}
+def _units(params: sr.PhysParams, order: bool = True) -> dict[str, float]:
+    """The header units: hbar, m and omega, and n and lambda for a run at
+    one order."""
+    units = {"hbar": params.hbar, "m": params.m, "omega": params.omega}
+    return {**units, "n": params.n, "lambda": params.lam} if order else units
 
 
 def _chosen_kernel(args) -> tuple[str, kn.KernelKind, sr.PhysParams]:
@@ -180,8 +186,9 @@ def _identity_window_ok(identity_id: str, t: float, params: sr.PhysParams) -> bo
     return math.cos(wt) > 0.1
 
 
-def cmd_identities(args) -> int:
-    params = _params(args)
+def cmd_identities(args):
+    # Nothing in the sweep reads the order n.
+    params = sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega)
     tol = args.tolerance
     if params.omega > 0:
         default_span = 0.45 * math.pi / params.omega
@@ -194,7 +201,7 @@ def cmd_identities(args) -> int:
     ts = np.linspace(t_min, t_max, args.t_steps)
 
     # The clip notices join the header after the sweep.
-    header = _header("identities", _units(params),
+    header = _header("identities", _units(params, order=False),
                      f"# t-range: [{_fmt(t_min)}, {_fmt(t_max)}] steps={args.t_steps}",
                      f"# tolerance: {_fmt(tol)}")
     rows = []
@@ -220,9 +227,8 @@ def cmd_identities(args) -> int:
         raise ValueError("no t-point was checked (none requested, or every one clipped)")
 
     ok = worst <= tol
-    _write(args.output, [*header, "identity_id,t,residual", *rows,
-                         f"# max_residual={_fmt(worst)}", f"# pass={'yes' if ok else 'no'}"])
-    return 0 if ok else 1
+    return [*header, "identity_id,t,residual", *rows, f"# max_residual={_fmt(worst)}",
+            f"# pass={'yes' if ok else 'no'}"], ok, ""
 
 
 @contextmanager
@@ -273,28 +279,31 @@ def _format_entries(values: np.ndarray) -> list[str]:
     return [f"{v.real:.17g},{v.imag:.17g},{abs(v):.17g}" for v in values.tolist()]
 
 
-def _kernel_report(lines: list, formatted, xs_s: list[str], tri: np.ndarray):
+def _kernel_report(lines: list, chunks: list, xs_s: list[str], tri: np.ndarray):
     """The report's entries, where each ``(t_s,)`` in ``lines`` stands for
-    the block of the time ``t_s``.  The block's ``re,im,abs`` entries are
-    taken from ``formatted`` (the chunks' strings, in order) as they arrive
-    and yielded one grid row at a time: row i pairs ``xs_s[i]`` with each
-    x2, joined with ``t_s`` once per block, and the entry that row i of
-    ``tri`` names.  So the parent holds one time's entries and one grid row
-    of the report, never a block."""
-    entries = chain.from_iterable(formatted)
+    the block of the time ``t_s``.  The ``chunks`` are formatted by
+    ``_in_order``, entered as the first entry is drawn, so its pool starts
+    only once the report's stream is open.  A block's ``re,im,abs`` entries
+    are taken from the chunks' strings, in order, as they arrive and yielded
+    one grid row at a time: row i pairs ``xs_s[i]`` with each x2, joined
+    with ``t_s`` once per block, and the entry that row i of ``tri`` names.
+    So the parent holds one time's entries and one grid row of the report,
+    never a block."""
     m = int(tri[-1, -1]) + 1  # triangle entries per time; (n-1, n-1) is the last
-    for line in lines:
-        if isinstance(line, str):
-            yield line
-            continue
-        (t_s,) = line
-        fields = list(islice(entries, m))
-        cols = [f"{x2},{t_s}" for x2 in xs_s]
-        for x1, row in zip(xs_s, tri):
-            yield "\n".join([f"{x1},{col},{fields[k]}" for col, k in zip(cols, row.tolist())])
+    with _in_order(_format_entries, chunks, fork=True) as formatted:
+        entries = chain.from_iterable(formatted)
+        for line in lines:
+            if isinstance(line, str):
+                yield line
+                continue
+            (t_s,) = line
+            fields = list(islice(entries, m))
+            cols = [f"{x2},{t_s}" for x2 in xs_s]
+            for x1, row in zip(xs_s, tri):
+                yield "\n".join([f"{x1},{col},{fields[k]}" for col, k in zip(cols, row.tolist())])
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args):
     name, kind, run_params = _chosen_kernel(args)
     if kind.halfline and args.x_min <= 0:
         raise ValueError("radial kernels need --x-min > 0")
@@ -340,9 +349,7 @@ def cmd_kernel(args) -> int:
     values = np.concatenate(uppers)
     del uppers  # values is the one copy of the triangles
     chunks = [values[a:a + _CHUNK] for a in range(0, values.size, _CHUNK)]
-    with _in_order(_format_entries, chunks, fork=True) as formatted:
-        _write(args.output, _kernel_report(lines, formatted, xs_s, tri))
-    return 0
+    return _kernel_report(lines, chunks, xs_s, tri), True, ""
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -353,14 +360,14 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in items)
 
 
-def cmd_oracle_compare(args) -> int:
+def cmd_oracle_compare(args):
     tol = args.tolerance
     orders = _floats(args.orders)
     times = _floats(args.times)
 
     # Each row carries its order in the n column.
-    lines = _header("oracle-compare", {"hbar": args.hbar, "m": args.mass, "omega": args.omega},
-                    f"# tolerance: {_fmt(tol)}")
+    base = sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega)
+    lines = _header("oracle-compare", _units(base, order=False), f"# tolerance: {_fmt(tol)}")
     lines.append("x1,x2,t,n,closed_re,closed_im,oracle_re,oracle_im,rel_err,"
                  "oracle_err_estimate,flag")
 
@@ -371,19 +378,19 @@ def cmd_oracle_compare(args) -> int:
     # the oracle's w = 0 kernel to the oscillator.  Past the caustic at pi/w
     # the effective time is negative (t = 3.5 at w = 1) and the oracle's ray
     # turns with it, so those rows take the closed form's principal branch.
-    name = "radial_sho" if args.omega > 0 else "radial_h0"
+    # At w = 0 radial_sho is radial_h0.
     runs = [sr.PhysParams(hbar=args.hbar, m=args.mass, omega=args.omega, n=n) for n in orders]
     x1s, x2s = np.meshgrid(_DEF_ORACLE_X1, _DEF_ORACLE_X2, indexing="ij")
     at_time = []
     for t in times:
         try:
-            closed = np.stack([kn.kernel_values(name, x1s, x2s, t, run) for run in runs])
+            closed = np.stack([kn.kernel_values("radial_sho", x1s, x2s, t, run) for run in runs])
         except kn.CausticSingularity as e:
             at_time.append(e)
             continue
-        outer, _, _, te = kn.route_factors("MAIN", x1s, x2s, t, runs[0])
-        res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), runs[0])
-        at_time.append((closed, outer * res.value, res.error_estimate))
+        outer, _, _, te = kn.route_factors("MAIN", x1s, x2s, t, base)
+        res = orc.hankel_kernel_oracle(x1s, x2s, te, np.array(orders), base)
+        at_time.append((closed, outer * res.value, res.quad_err + res.tail_err))
     # A report of skips alone compares nothing, so it would pass vacuously.
     if all(isinstance(got, kn.CausticSingularity) for got in at_time):
         raise ValueError("every requested time was skipped (caustic)")
@@ -412,11 +419,10 @@ def cmd_oracle_compare(args) -> int:
                         f"{oracle_val.real:.17g},{oracle_val.imag:.17g},"
                         f"{rel:.17g},{estimate:.17g},{flag}"
                     )
-    _write(args.output, lines)
-    return 1 if failed else 0
+    return lines, not failed, ""
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args):
     tol = args.tolerance
     if not math.isfinite(args.t_max):
         raise ValueError("evolve --t-max must be finite")
@@ -470,12 +476,10 @@ def cmd_evolve(args) -> int:
     if contaminated:
         checks.append(("boundary_contamination=yes", False))
     trailer = [f"{text} pass={'yes' if ok else 'no'}" for text, ok in checks]
-    _write(args.output, lines + [f"# {t}" for t in trailer])
-    print("\n".join(trailer))
-    return 0 if all(ok for _, ok in checks) else 1
+    return lines + [f"# {t}" for t in trailer], all(ok for _, ok in checks), "\n".join(trailer)
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     """One PASS/FAIL line per check, each against its stated bound:
 
     - identity residual sweep (1e-12) and image-method exactness (1e-12):
@@ -492,14 +496,11 @@ def cmd_selftest(args) -> int:
       extrapolated away, for sho and radial_sho n = 1/2 (reads 7.1e-6).
     """
     params = sr.PhysParams(hbar=1.0, m=1.0, omega=1.0, n=0.5)
-    failures = 0
+    lines = []
 
     def check(label: str, value: float, bound: float):
-        nonlocal failures
-        ok = value < bound
-        if not ok:
-            failures += 1
-        print(f"{'PASS' if ok else 'FAIL'} {label}: {value:.3e} (bound {bound:.1e})")
+        lines.append(f"{'PASS' if value < bound else 'FAIL'} {label}: {value:.3e} "
+                     f"(bound {bound:.1e})")
 
     sweep = np.linspace(-0.45 * math.pi, 0.45 * math.pi, 25)
     worst = max(float(np.max(sr.identity_residual(ident, sweep, params)))
@@ -542,8 +543,8 @@ def cmd_selftest(args) -> int:
         worst = max(worst, abs(2.0 * et - e2t) / f_x1)
     check("delta limit (extrapolated)", worst, 1e-4)
 
-    print(f"{'PASS' if failures == 0 else 'FAIL'} selftest")
-    return 1 if failures else 0
+    ok = all(line.startswith("PASS") for line in lines)
+    return [*lines, f"{'PASS' if ok else 'FAIL'} selftest"], ok, ""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -567,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("identities", help="disentangling-identity residual sweep")
     _add_phys_args(pi)
-    _add_order_args(pi)
     pi.add_argument("--tolerance", type=_tolerance, default=1e-12)
     pi.add_argument("--t-min", type=float, default=None)
     pi.add_argument("--t-max", type=float, default=None)
@@ -622,13 +622,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    output = getattr(args, "output", None)
     try:
-        if getattr(args, "output", None) is not None:
-            _check_output(args.output)
-        return args.func(args)
+        if output is not None:
+            _check_output(output)
+        entries, ok, echo = args.func(args)
+        _write(output, entries)
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if echo:
+        print(echo)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

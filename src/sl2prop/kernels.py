@@ -7,8 +7,10 @@ a modified Bessel function of order n.  All four share one form,
     K = A(T) e^{i m c (x1^2 + x2^2) / (2 hbar T)} core(m x1 x2 / (hbar T)),
 
 with T = sin(w t)/w and c = cos(w t) for the oscillators (sho, radial_sho)
-and T = t, c = 1 for the w = 0 kernels (free, radial_h0).  The core depends
-only on the domain:
+and T = t, c = 1 for the w = 0 kernels (free, radial_h0).  w alone switches
+the oscillator on: at w = 0 ``sho`` and ``radial_sho`` are ``free`` and
+``radial_h0`` bit for bit, and those two pin w to 0 whatever the parameters
+say.  The core depends only on the domain:
 
 - line (free, sho): A = sqrt(m/(2 pi i hbar T)), core e^{-i m x1 x2/hbar T};
 - Bessel (radial kernels): A = m/(i hbar T), core
@@ -154,14 +156,16 @@ class CausticSingularity(ValueError):
         )
 
 
-def _factors(t, params: PhysParams, oscillator: bool, bessel: bool):
+def _factors(t, params: PhysParams, bessel: bool):
     """The closed form's scalars at time t, which may be complex: the
     prefactor A(T) of its core, sigma = hbar T/m (the chirp rate is
     a = 1/sigma) and the rate r of its diagonal phase e^{i r x^2/2 sigma},
-    with T = sin(w t)/w (w > 0) for an oscillator.  The Bessel core takes
-    r = c = cos(w t).  The line core shares its exponential with the
-    diagonal phase, split as (c - 1)(x1^2 + x2^2) + (x1 - x2)^2, and takes
-    r = c - 1 = -2 sin^2(w t/2): no terms of size x^2/sigma cancel."""
+    with T = sin(w t)/w and c = cos(w t) at w > 0, T = t and c = 1 at
+    w = 0.  The Bessel core takes r = c.  The line core shares its
+    exponential with the diagonal phase, split as (c - 1)(x1^2 + x2^2) +
+    (x1 - x2)^2, and takes r = c - 1 = -2 sin^2(w t/2): no terms of size
+    x^2/sigma cancel."""
+    oscillator = params.omega > 0
     T = np.sin(params.omega * t) / params.omega if oscillator else t
     sigma = params.hbar * T / params.m
     if bessel:
@@ -171,10 +175,10 @@ def _factors(t, params: PhysParams, oscillator: bool, bessel: bool):
     return np.sqrt(params.m / (2.0 * np.pi * params.hbar)) / np.sqrt(1j * T), sigma, rate
 
 
-def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, halfline: bool):
+def _closed_form(x1, x2, t, params: PhysParams, halfline: bool):
     """A(T) e^{i r (x1^2+x2^2)/2 sigma} core(x1 x2/sigma), sigma = hbar T/m
     and r the diagonal phase rate of ``_factors``; t may be complex."""
-    A, sigma, rate = _factors(t, params, oscillator, halfline)
+    A, sigma, rate = _factors(t, params, halfline)
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
     if not halfline:
@@ -188,17 +192,15 @@ def _closed_form(x1, x2, t, params: PhysParams, oscillator: bool, halfline: bool
             * np.exp(1j * (x1**2 + x2**2) * rate / (2.0 * sigma) + np.abs(np.real(z))))
 
 
-def _checked_kind(name: str, x1, x2, t, params: PhysParams) -> KernelKind:
-    """The named kernel's kind, after refusing what the kernel does not
-    define at (x1, x2, t): w <= 0 for an oscillator, a non-finite t, x1 or
-    x2, t = 0, a position <= 0 on the half line, a non-finite w t, the
-    caustic window of sin(w t), and Im t > 0."""
+def _checked_kind(name: str, x1, x2, t, params: PhysParams):
+    """The named kernel's kind and the parameters of the Hamiltonian it
+    propagates (``KernelKind.hamiltonian``), after refusing what the kernel
+    does not define at (x1, x2, t): a non-finite t, x1 or x2, t = 0, a
+    position <= 0 on the half line, a non-finite w t, the caustic window of
+    sin(w t) at w > 0, and Im t > 0.  w = 0 is the free limit under every
+    name: ``sho`` and ``radial_sho`` there are ``free`` and ``radial_h0``."""
     kind = kernel_kind(name)
-    if kind.oscillator and params.omega <= 0:
-        limit = "radial_h0" if kind.halfline else "free"
-        raise ValueError(
-            f"kernel {name!r} requires omega > 0; use {limit!r} at omega = 0"
-        )
+    params = kind.hamiltonian(params)
     for label, v in (("t", t), ("x1", x1), ("x2", x2)):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"kernel argument {label} must be finite")
@@ -206,11 +208,11 @@ def _checked_kind(name: str, x1, x2, t, params: PhysParams) -> KernelKind:
         raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
     if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (x1, x2)):
         raise ValueError("half-line kernels require strictly positive positions")
-    if kind.oscillator and abs(np.sin(params.omega_t(t))) <= CAUSTIC_TOL:
+    if params.omega > 0 and abs(np.sin(params.omega_t(t))) <= CAUSTIC_TOL:
         raise CausticSingularity(t, params.omega, CAUSTIC_TOL)
     if np.imag(t) > 0:
         raise ValueError(f"Im t > 0 is refused at t={t}: the kernel grows without bound there")
-    return kind
+    return kind, params
 
 
 def kernel_values(name: str, x1, x2, t, params: PhysParams):
@@ -229,8 +231,8 @@ def kernel_values(name: str, x1, x2, t, params: PhysParams):
     if scalar:
         x1, x2 = np.reshape(x1, 1), np.reshape(x2, 1)
     with np.errstate(all="ignore"):  # sin(w t) overflows at large |Im w t|
-        kind = _checked_kind(name, x1, x2, t, params)
-        v = _closed_form(x1, x2, t, params, kind.oscillator, kind.halfline)
+        kind, params = _checked_kind(name, x1, x2, t, params)
+        v = _closed_form(x1, x2, t, params, kind.halfline)
     bad = ~np.isfinite(v)
     if np.any(bad):
         x1, x2 = (np.broadcast_to(x, v.shape)[bad][0] for x in (x1, x2))
@@ -263,9 +265,9 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
         raise ValueError(f"kernel_apply takes a real t, not t={t}")
     v = np.asarray(v)
     x = x0 + dx * np.arange(v.size)
-    kind = _checked_kind(name, x, x, t, params)
+    kind, params = _checked_kind(name, x, x, t, params)
     bessel = kind.halfline and params.n != 0.5
-    A, sigma, rate = _factors(t, params, kind.oscillator, bessel)
+    A, sigma, rate = _factors(t, params, bessel)
     if bessel:
         d = np.sqrt(x) * np.exp(1j * x**2 * rate / (2.0 * sigma))
         u = d * v
@@ -321,17 +323,18 @@ def route_factors(identity: str, x1, x2, t, params: PhysParams):
     ``outer * kernel_values("radial_h0", y1, y2, t_eff, params)`` is
     ``radial_sho`` and the ``free`` kernel there gives ``sho``.
 
-    Refuses a complex t by name, then what ``sho`` (``free`` at w = 0)
-    refuses at (x1, x2, t): a non-finite t, x1 or x2, t = 0 and the caustic
-    window of sin(w t), where t_eff would be a rounding residue and the
-    kernel a delta.  The exponents hbar alpha, hbar beta and hbar gamma come
-    from ``factor_coeffs``, which refuses an unknown identity and a time
-    outside its validity window; the phase rate alpha = hbar alpha / hbar,
-    the one quotient by hbar, is refused by name where it overflows.
+    Refuses a complex t by name, then what ``sho`` refuses at (x1, x2, t):
+    a non-finite t, x1 or x2, t = 0 and, at w > 0, the caustic window of
+    sin(w t), where t_eff would be a rounding residue and the kernel a
+    delta.  At w = 0 ``sho`` is ``free``, and ``free`` pins that limit.
+    The exponents hbar alpha, hbar beta and hbar gamma come from
+    ``factor_coeffs``, which refuses an unknown identity and a time outside
+    its validity window; the phase rate alpha = hbar alpha / hbar, the one
+    quotient by hbar, is refused by name where it overflows.
     """
     if np.iscomplexobj(t):
         raise ValueError(f"route_factors takes a real t, not t={t}")
-    _checked_kind("sho" if params.omega > 0 else "free", x1, x2, t, params)
+    _checked_kind("sho", x1, x2, t, params)
     coeffs = factor_coeffs(identity, t, params)
     alpha = coeffs["X2"] / params.hbar
     if not math.isfinite(alpha):

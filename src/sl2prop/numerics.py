@@ -237,11 +237,6 @@ class QuadratureResult:
     quad_err: float | np.ndarray
     tail_err: float | np.ndarray
 
-    @property
-    def error_estimate(self) -> float | np.ndarray:
-        """The sum of the two terms."""
-        return self.quad_err + self.tail_err
-
 
 @lru_cache(maxsize=32)
 def _gl_reference(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +318,7 @@ def integrate_oscillatory(
     The error is reported as two terms, each of the batch shape: the
     node-halving quadrature error (``quad_err``) and a truncation-tail
     heuristic from the last panel, its contribution plus its largest |g|
-    times the panel width (``tail_err``); ``error_estimate`` is their sum.
+    times the panel width (``tail_err``).
 
     Parameters
     ----------

@@ -27,8 +27,6 @@ __all__ = [
     "identity_residual",
 ]
 
-IDENTITY_IDS = ("MAIN", "A1a", "A1b", "A2a", "A2b", "A3a", "A3b")
-
 # Written (left-to-right) factor order of each identity.  ``factor_coeffs``
 # keys each factor's exponent by its generator: hbar alpha for X2, hbar beta
 # for P2L, hbar gamma for D.
@@ -41,6 +39,7 @@ FACTOR_ORDER = {
     "A3a": ("X2", "P2L", "D"),
     "A3b": ("D", "P2L", "X2"),
 }
+IDENTITY_IDS = tuple(FACTOR_ORDER)
 
 _TRACE_TOL = 1e-14
 

@@ -51,6 +51,16 @@ def test_radial_kernel_refuses_the_wall(kernel, tmp_path, capsys):
     assert not (tmp_path / "k.csv").exists()
 
 
+@pytest.mark.parametrize("kernel,limit", [("radial-sho", "radial-h0"), ("sho", "free")])
+def test_an_oscillator_at_zero_frequency_writes_its_free_limit(kernel, limit, tmp_path):
+    # omega alone switches the oscillator on; the rows do not depend on the name.
+    osc, free = tmp_path / "osc.csv", tmp_path / "free.csv"
+    assert run(["kernel", "--kernel", kernel, "--omega", "0"], osc) == 0
+    assert run(["kernel", "--kernel", limit], free) == 0
+    assert osc.read_text().replace(f"# kernel: {kernel}\n", f"# kernel: {limit}\n") \
+        == free.read_text()
+
+
 def test_violated_tolerance_exits_one(tmp_path):
     path = tmp_path / "i.csv"
     assert run(["identities", "--tolerance", "1e-30"], path) == 1
@@ -819,9 +829,9 @@ def test_oracle_compare_refuses_a_short_time_at_once(omega, tmp_path, monkeypatc
 
 
 def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch, capsys):
-    # The output cannot be opened once the pool has started (a failure that
-    # only open sees): the run is refused, and no worker process or pool
-    # thread is left.
+    # The output cannot be opened (a failure that only open sees): the run is
+    # refused before the pool starts, so no pool, worker process or pool
+    # thread is made.
     def refuse(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
@@ -830,8 +840,7 @@ def test_kernel_write_failure_joins_the_pool(tmp_path, monkeypatch, capsys):
     threads = threading.active_count()
     assert run(["kernel", "--x-steps", "160"], tmp_path / "k.csv") == 2
     assert "error: cannot write" in capsys.readouterr().err
-    assert pools == ([min(len(os.sched_getaffinity(0)), 12)]
-                     if len(os.sched_getaffinity(0)) > 1 else [])
+    assert pools == []
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
 
@@ -926,10 +935,10 @@ def test_oracle_compare_makes_one_call_per_order_and_time(tmp_path, monkeypatch)
 
 
 def test_identities_without_coupling_run_at_a_large_hbar(tmp_path):
-    # lambda is exactly 0 at n = 1/2, however large hbar^2 would be.
+    # The sweep reads no coupling, so no hbar^2 (n^2 - 1/4) can overflow.
     path = tmp_path / "i.csv"
-    assert run(["identities", "--hbar", "1e200", "--order-n", "0.5"], path) == 0
-    assert "n=0.5 lambda=0\n" in path.read_text()
+    assert run(["identities", "--hbar", "1e200"], path) == 0
+    assert path.read_text().splitlines()[1] == "# units: hbar=9.9999999999999997e+199 m=1 omega=1"
 
 
 # Inputs that overflowed inside the program, each refused by name before
@@ -951,12 +960,12 @@ def test_identities_without_coupling_run_at_a_large_hbar(tmp_path):
     (["oracle-compare", "--hbar", "1e300", "--times", "0.7", "--orders", "1"],
      "the closed form underflowed to 0 at x1=0.69999999999999996, x2=0.90000000000000002, "
      "t=0.69999999999999996, n=1"),
-    (["identities", "--hbar", "1e200", "--order-n", "1"],
+    (["kernel", "--hbar", "1e200", "--order-n", "1"],
      "lambda = hbar^2 (n^2 - 1/4) overflows at hbar=1e+200, n=1"),
     (["evolve", "--kernel", "free", "--x-max", "1e200"],
      "the lens transform's frequency underflows to 0 on a grid reaching |x| = 1e+200"),
 ], ids=["radial-wt", "sho-wt", "identities-wt", "evolve-wt", "sho-x2", "free-x2",
-        "oracle-zero", "identities-lambda", "evolve-lens"])
+        "oracle-zero", "kernel-lambda", "evolve-lens"])
 def test_an_overflowing_input_is_refused_by_name(argv, message, tmp_path, capsys):
     path = tmp_path / "r.csv"
     with warnings.catch_warnings():

@@ -127,10 +127,10 @@ def test_no_module_imports_another_modules_private_names(path):
 POOL_NAMES = {"ProcessPoolExecutor", "ThreadPoolExecutor", "cancel_futures"}
 
 
-def _pool_users(source: str) -> list[str]:
-    """The top-level functions (and methods) that name an executor class or
-    ``cancel_futures``, as a name, an attribute or a keyword; code outside
-    any function counts as ``<module>``.  Imports do not count."""
+def _users(source: str, wanted: set[str]) -> list[str]:
+    """The top-level functions (and methods) that name one of ``wanted``, as
+    a name, an attribute or a keyword; code outside any function counts as
+    ``<module>``.  Imports do not count."""
     def names(node: ast.AST) -> set[str]:
         found = set()
         for sub in ast.walk(node):
@@ -153,8 +153,13 @@ def _pool_users(source: str) -> list[str]:
             scopes = []
         else:
             scopes = [("<module>", node)]
-        users += [name for name, scope in scopes if names(scope) & POOL_NAMES]
+        users += [name for name, scope in scopes if names(scope) & wanted]
     return sorted(set(users))
+
+
+def _pool_users(source: str) -> list[str]:
+    """The functions that name an executor class or ``cancel_futures``."""
+    return _users(source, POOL_NAMES)
 
 
 def test_a_pool_user_is_caught():
@@ -170,3 +175,17 @@ def test_one_cli_function_runs_every_pool():
     # commands hand it their tasks.
     source = (Path(sl2prop.__file__).parent / "cli.py").read_text(encoding="utf-8")
     assert len(_pool_users(source)) == 1
+
+
+def test_a_report_writer_is_caught():
+    source = ("def cmd_a(args):\n    _write(args.output, [])\n"
+              "def cmd_b(args):\n    return [], True, ''\n"
+              "def main():\n    write = _write\n")
+    assert _users(source, {"_write"}) == ["cmd_a", "main"]
+
+
+def test_main_alone_writes_the_reports():
+    # The commands return their entries; main writes them and decides the
+    # exit status.
+    source = (Path(sl2prop.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert _users(source, {"_write"}) == ["main"]

@@ -110,9 +110,21 @@ class TestShoKernel:
             kv("sho", 1.0, 1.0, math.pi - 1e-12, P_LINE)
         assert exc.value.nearest_caustic_time == pytest.approx(math.pi)
 
-    def test_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            kv("sho", 1.0, 1.0, 0.5, P_FREE)
+    def test_zero_frequency_is_the_free_limit(self):
+        # w alone switches the oscillator on: at w = 0 sho and radial_sho are
+        # free and radial_h0 bit for bit, at a point, on arrays and applied.
+        x1, x2 = np.array([[0.4], [1.1], [2.3]]), np.array([0.6, 1.7])
+        v = np.random.default_rng(7).standard_normal((40, 2)) @ [1.0, 1j]
+        for osc, free, n in (("sho", "free", 0.5), ("radial_sho", "radial_h0", 0.5),
+                             ("radial_sho", "radial_h0", 1.0),
+                             ("radial_sho", "radial_h0", 2.5)):
+            p = PhysParams(omega=0.0, n=n)
+            for t in (0.7, -1.3, 0.4 - 0.2j):
+                assert np.array_equal(kv(osc, x1, x2, t, p), kv(free, x1, x2, t, p))
+                assert kv(osc, 1.1, 0.6, t, p) == kv(free, 1.1, 0.6, t, p)
+            for t in (0.7, -1.3):
+                assert np.array_equal(kn.kernel_apply(osc, 0.3, 0.05, v, t, p),
+                                      kn.kernel_apply(free, 0.3, 0.05, v, t, p))
 
     def test_symmetry_and_time_reversal(self):
         a = kv("sho", 0.3, 1.7, 0.9, P_LINE)
