@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_apply, kernel_kind, kernel_values
+from .kernels import caustic_position, kernel_apply, kernel_kind, kernel_values
 from .oracle import GridSpec, GridWavefunction
 from .sl2rep import PhysParams
 
@@ -140,7 +140,7 @@ def schrodinger_residual(
     kernel: str,
     x1: float,
     x2: float,
-    t: float,
+    t: float | complex,
     params: PhysParams,
     dx: float,
     dt: float,
@@ -149,16 +149,22 @@ def schrodinger_residual(
 
     Checks (hbar^2/2m)(-d^2/dx1^2 + (n^2 - 1/4)/x1^2 + m^2 w^2 x1^2/hbar^2) K
     against i hbar dK/dt with centered second-order stencils; the returned
-    |LHS - RHS| / |RHS| shrinks as O(dx^2) + O(dt^2).  A stencil point the
-    kernel refuses (at or beyond the wall, on a caustic) raises from the
-    kernel; a stencil that straddles a caustic is refused here, where its
-    three times are seen together.
+    |LHS - RHS| / |RHS| shrinks as O(dx^2) + O(dt^2).  t is real, or complex
+    with Im t <= 0 (the damped kernel, analytic in t, whose t stencil steps
+    by the real dt).  A stencil point the kernel refuses (at or beyond the
+    wall, on a caustic, at Im t > 0) raises from the kernel; a stencil that
+    straddles a caustic, or the delta limit t = 0 at w = 0, is refused here,
+    where its three times are seen together.
     """
-    x1, x2, t = float(x1), float(x2), float(t)
+    x1, x2 = float(x1), float(x2)
+    t = complex(t) if np.iscomplexobj(t) else float(t)
     ham = kernel_kind(kernel).hamiltonian(params)
     n, omega = ham.n, ham.omega
-    if omega > 0 and (math.floor(omega * (t - dt) / math.pi)
-                      != math.floor(omega * (t + dt) / math.pi)):
+    # The ends differ in caustic index where the stencil crosses a line Re
+    # w t = k pi (Re t = 0 at w = 0).  There |sin(w t)| = |sin(i w Im t)|,
+    # so the crossing lies in the window where i Im t does.
+    if (caustic_position(t - dt, ham)[0] != caustic_position(t + dt, ham)[0]
+            and caustic_position(1j * t.imag, ham)[2]):
         raise ValueError("t stencil straddles a caustic")
 
     h, m = params.hbar, params.m

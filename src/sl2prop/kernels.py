@@ -31,6 +31,11 @@ Written out, with x1, x2 > 0 on the half line:
   e^{(i m w/2 hbar)(x1^2 + x2^2) cot wt}, the quadratic phases wrapped
   around radial_h0 at the effective time sin(wt)/w.
 
+For 0 <= n < 1 the half-line Hamiltonian is not essentially self-adjoint.
+I_n takes the extension whose solutions are regular at the wall, x^{n+1/2},
+and so do the oracles' J_n and Laguerre eigenbasis L_k^{(n)}: the three
+routes make the same choice, so their agreement cannot test it.
+
 Each oscillator kernel can also be assembled from any of the disentangling
 identities ``sl2rep.IDENTITY_IDS``: ``route_factors``, the one route entry
 point, walks the identity's factors in ``sl2rep.FACTOR_ORDER`` (quadratic
@@ -72,10 +77,14 @@ Bessel core; the tests hold C = 4.
 
 All square roots are principal-branch; the i in 1/sqrt(i t) carries the
 phase e^{-i pi/4} for t > 0.  Evaluation refuses within ``CAUSTIC_TOL`` of a
-zero of sin(w t), where the oscillator kernels are distributional.  Past the
-first caustic, |w t| > pi, the principal branch misses the propagator's
-phase: ``sho`` repeats with period 2 pi/w instead of changing sign, and
-``radial_sho`` gains e^{+i pi (n+1)} per half period, not e^{-i pi (n+1)}.
+zero of sin(w t), where the oscillator kernels are distributional.
+``caustic_position`` alone decides where t lies among those zeros, and the
+delta limit t = 0 at w = 0: the caustic index floor(Re w t/pi), the nearest
+caustic and the window.  The kernels' refusal and the t stencil of
+``evolve.schrodinger_residual`` both read it.  Past the first caustic,
+|w t| > pi, the principal branch misses the propagator's phase: ``sho``
+repeats with period 2 pi/w instead of changing sign, and ``radial_sho``
+gains e^{+i pi (n+1)} per half period, not e^{-i pi (n+1)}.
 """
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ __all__ = [
     "KERNEL_NAMES",
     "CausticSingularity",
     "KernelKind",
+    "caustic_position",
     "kernel_kind",
     "route_factors",
     "kernel_values",
@@ -142,18 +152,37 @@ def kernel_kind(name: str) -> KernelKind:
 
 
 class CausticSingularity(ValueError):
-    """Requested time is within CAUSTIC_TOL of a zero of sin(w t)."""
+    """Requested time is within CAUSTIC_TOL of a zero of sin(w t); the
+    nearest caustic is the one ``caustic_position`` names."""
 
-    def __init__(self, t: float, omega: float, caustic_tol: float):
-        # A complex t lies in the window only near the real axis; the
-        # nearest caustic is taken from the real part of w t.
-        k = round(np.real(omega * t) / math.pi)
+    def __init__(self, t, nearest_caustic_time: float):
         self.t = t
-        self.nearest_caustic_time = k * math.pi / omega
+        self.nearest_caustic_time = nearest_caustic_time
         super().__init__(
-            f"|sin(w t)| <= {caustic_tol:g} at t={t}; nearest caustic at "
+            f"|sin(w t)| <= {CAUSTIC_TOL:g} at t={t}; nearest caustic at "
             f"t={self.nearest_caustic_time}"
         )
+
+
+def caustic_position(t, params: PhysParams):
+    """Where a real or complex t lies among the caustics of the sl(2)
+    factors, the zeros of sin(w t): returns (j, nearest, inside).
+
+    j = floor(Re w t / pi) numbers the caustics below Re t, so t = 0 is a
+    boundary; nearest = round(Re w t / pi) pi / w is the nearest caustic;
+    inside says whether |sin(w t)| <= ``CAUSTIC_TOL``.  At w = 0 the one
+    singular time is the delta limit t = 0: j is 0 or -1 by the sign of Re t,
+    nearest is 0 and inside means t = 0.  ``ValueError`` where w t is not
+    finite (``PhysParams.omega_t``).
+    """
+    wt = params.omega_t(t)
+    if params.omega == 0:
+        return (0 if np.real(t) >= 0 else -1), 0.0, t == 0
+    turns = np.real(wt) / math.pi
+    # |sin(w t)| >= sinh|Im w t|, past CAUSTIC_TOL at |Im w t| >= 1, where
+    # the sine is not taken: it would overflow at large |Im w t|.
+    inside = abs(np.imag(wt)) < 1.0 and abs(np.sin(wt)) <= CAUSTIC_TOL
+    return math.floor(turns), round(turns) * math.pi / params.omega, inside
 
 
 def _factors(t, params: PhysParams, bessel: bool):
@@ -208,8 +237,9 @@ def _checked_kind(name: str, x1, x2, t, params: PhysParams):
         raise ValueError("t = 0 is not a valid kernel argument (delta limit)")
     if kind.halfline and any(np.any(np.asarray(x).real <= 0) for x in (x1, x2)):
         raise ValueError("half-line kernels require strictly positive positions")
-    if params.omega > 0 and abs(np.sin(params.omega_t(t))) <= CAUSTIC_TOL:
-        raise CausticSingularity(t, params.omega, CAUSTIC_TOL)
+    _, nearest, inside = caustic_position(t, params)
+    if inside:
+        raise CausticSingularity(t, nearest)
     if np.imag(t) > 0:
         raise ValueError(f"Im t > 0 is refused at t={t}: the kernel grows without bound there")
     return kind, params

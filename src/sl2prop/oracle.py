@@ -12,6 +12,11 @@ Both take positions and time as plain arguments and import nothing from
 pairs at one time on one node set, so a comparison over many orders and
 points costs one quadrature per time.  ``edge_contaminated`` is the one
 test of whether an evolved state has reached the edge of its grid.
+
+For 0 <= n < 1 the half-line Hamiltonian is not essentially self-adjoint.
+The spectral oracle's J_n and the Laguerre eigenbasis L_k^{(n)} take the
+extension whose solutions are regular at the wall, x^{n+1/2}, as the closed
+form's I_n does: their agreement cannot test that choice.
 """
 
 from __future__ import annotations

@@ -217,6 +217,39 @@ class TestSchrodingerResidual:
         with pytest.raises(ValueError, match="straddles a caustic"):
             ev.schrodinger_residual("radial_sho", 1.2, 0.8, math.pi - 1e-4, params, 0.01, 1e-3)
 
+    @pytest.mark.parametrize("kernel,params", [
+        ("free", PhysParams(n=1.0, omega=0.0)),
+        ("radial_h0", PhysParams(n=1.0, omega=0.0)),
+        ("radial_sho", PhysParams(n=1.0, omega=0.0)),
+        ("radial_sho", PhysParams(n=1.0, omega=1.0)),
+    ])
+    def test_a_stencil_across_t_zero_is_refused(self, kernel, params):
+        # t - dt < 0 < t + dt: at w = 0 the delta limit is the caustic.
+        with pytest.raises(ValueError, match="straddles a caustic"):
+            ev.schrodinger_residual(kernel, 1.2, 0.8, 5e-5, params, 0.01, 1e-4)
+
+    @pytest.mark.parametrize("t", [0.7 - 0.3j, 2.0 - 0.5j, -1j])
+    @pytest.mark.parametrize("kernel,params", [
+        ("radial_sho", PhysParams(n=2.5, omega=1.0)),
+        ("sho", P_LINE),
+        ("radial_h0", PhysParams(n=1.0, omega=0.0)),
+    ])
+    def test_second_order_in_dx_at_a_damped_time(self, kernel, params, t):
+        # Off the real axis sin(w t) has no zeros: the stencil at -i crosses
+        # Re t = 0, the caustic line, and is not refused.
+        res = [ev.schrodinger_residual(kernel, 1.2, 0.8, t, params, dx, 1e-4)
+               for dx in (0.04, 0.02, 0.01)]
+        for coarse, fine in zip(res, res[1:]):
+            assert 3.5 < coarse / fine < 4.5
+
+    def test_a_growing_time_is_refused_by_the_kernel(self):
+        with pytest.raises(ValueError, match="Im t > 0 is refused"):
+            ev.schrodinger_residual("sho", 1.2, 0.8, 0.7 + 0.3j, P_LINE, 0.01, 1e-4)
+
+    def test_a_stencil_across_a_caustic_near_the_real_axis_is_refused(self):
+        with pytest.raises(ValueError, match="straddles a caustic"):
+            ev.schrodinger_residual("sho", 1.2, 0.8, math.pi - 1e-9j, P_LINE, 0.01, 1e-4)
+
 
 class TestDeltaLimitCheck:
     TIMES = [0.04, 0.02, 0.01, 0.005]

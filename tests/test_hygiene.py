@@ -142,19 +142,20 @@ def _users(source: str, wanted: set[str]) -> list[str]:
                 found.add(sub.arg)
         return found
 
-    users = []
+    return sorted({name for name, scope in _scopes(source) if names(scope) & wanted})
+
+
+def _scopes(source: str):
+    """(name, node) for each top-level function and method, and for each
+    other top-level statement as ``<module>``; imports are skipped."""
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
-            scopes = [(f"{node.name}.{f.name}", f) for f in node.body
-                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scopes = [(node.name, node)]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            scopes = []
-        else:
-            scopes = [("<module>", node)]
-        users += [name for name, scope in scopes if names(scope) & wanted]
-    return sorted(set(users))
+            yield node.name, node
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield "<module>", node
 
 
 def _pool_users(source: str) -> list[str]:
@@ -189,3 +190,47 @@ def test_main_alone_writes_the_reports():
     # exit status.
     source = (Path(sl2prop.__file__).parent / "cli.py").read_text(encoding="utf-8")
     assert _users(source, {"_write"}) == ["main"]
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name a ``Name`` or an ``Attribute`` ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _caustic_sites(source: str) -> list[str]:
+    """The functions that decide where t lies among the caustics: they read
+    ``CAUSTIC_TOL`` other than to format it into a message, or take the
+    floor or the round of a quotient by pi."""
+    def decides(scope: ast.AST) -> bool:
+        formatted = {id(sub) for f in ast.walk(scope) if isinstance(f, ast.FormattedValue)
+                     for sub in ast.walk(f)}
+        for sub in ast.walk(scope):
+            if (_name(sub) == "CAUSTIC_TOL" and isinstance(sub.ctx, ast.Load)
+                    and id(sub) not in formatted):
+                return True
+            if isinstance(sub, ast.Call) and _name(sub.func) in {"floor", "round"} and any(
+                    isinstance(d, ast.BinOp) and isinstance(d.op, ast.Div)
+                    and _name(d.right) == "pi" for arg in sub.args for d in ast.walk(arg)):
+                return True
+        return False
+
+    return sorted({name for name, scope in _scopes(source) if decides(scope)})
+
+
+def test_a_caustic_site_is_caught():
+    source = ("CAUSTIC_TOL = 1e-8\n"
+              "def a(t, omega, dt):\n"
+              "    return math.floor(omega * (t - dt) / math.pi)\n"
+              "def b(k):\n    return round(k / np.pi)\n"
+              "def c(x):\n    return abs(x) <= kn.CAUSTIC_TOL\n"
+              "class E:\n    def __init__(self):\n        self.m = f'{CAUSTIC_TOL:g}'\n"
+              "def d(t):\n    return math.floor(t / 2.0) + round(math.pi)\n")
+    assert _caustic_sites(source) == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("module,owners", [("kernels", ["caustic_position"]), ("evolve", [])])
+def test_one_function_decides_where_t_lies_among_the_caustics(module, owners):
+    # The caustic index, the nearest caustic and the window have one owner,
+    # which the kernels' refusal and the PDE check's stencil test both read.
+    source = (Path(sl2prop.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert _caustic_sites(source) == owners

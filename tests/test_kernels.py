@@ -466,6 +466,35 @@ class TestComplexTimeCaustic:
         assert exc.value.t == t
 
 
+class TestCausticPosition:
+    """The one test of where t lies among the caustics."""
+
+    @pytest.mark.parametrize("t,index,nearest", [
+        (0.0, 0, 0.0), (-1e-300, -1, 0.0), (1.4, 0, 0.0), (1.7, 0, math.pi),
+        (math.pi, 1, math.pi), (-3.5, -2, -math.pi), (3.5 - 20.0j, 1, math.pi)])
+    def test_index_and_nearest_caustic(self, t, index, nearest):
+        got, near, _ = kn.caustic_position(t, P_LINE)
+        assert (got, near) == (index, nearest)
+
+    @pytest.mark.parametrize("t,inside", [(math.pi, True), (math.pi + 2e-8, False),
+                                          (-1e-9j, True), (-1e-7j, False),
+                                          (1.0 - 800.0j, False)])
+    def test_window(self, t, inside):
+        # Far from the real axis the window is decided without a sine that
+        # overflows, so no RuntimeWarning is raised.
+        assert kn.caustic_position(t, P_LINE)[2] == inside
+
+    @pytest.mark.parametrize("t,index,inside", [(0.0, 0, True), (1e-300, 0, False),
+                                                (-1e-300, -1, False), (-2.0 - 1.0j, -1, False),
+                                                (-1.0j, 0, False)])
+    def test_at_zero_omega_only_the_delta_limit_is_singular(self, t, index, inside):
+        assert kn.caustic_position(t, P_FREE) == (index, 0.0, inside)
+
+    def test_a_non_finite_omega_t_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="w t is not finite"):
+            kn.caustic_position(1e308, PhysParams(omega=10.0))
+
+
 class TestImaginaryTime:
     """At t = -i tau (w = hbar = m = 1) the kernel is the heat kernel
     e^{-tau H}, and its trace is the partition function sum_k e^{-tau E_k},
