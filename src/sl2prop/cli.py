@@ -487,7 +487,7 @@ def cmd_selftest(args):
     - route equivalence (1e-10): each of the seven identities through
       ``kernels.route_factors`` against the closed form
       ``kernels.kernel_values``; the spectral oracle against it at one
-      point (1e-9, reads 3.6e-16);
+      point (1e-9, reads 3.2e-16);
     - kernel PDE residual (2e-4): the worst ``evolve.schrodinger_residual``
       at (1.2, 0.8, 0.7), dx = 0.01, dt = 1e-4, over radial_sho n = 2.5, sho
       and radial_h0 n = 1 (the O(dx^2 + dt^2) defect reads 8.2e-5);

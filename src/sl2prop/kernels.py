@@ -326,9 +326,11 @@ def kernel_apply(name: str, x0: float, dx: float, v, t: float, params: PhysParam
 
 
 def _fast_len(n: int) -> int:
-    """The least length >= n whose prime factors are all 2, 3, 5, 7 or 11:
-    the lengths that numpy's pocketfft transforms in its fast radices, as
-    ``scipy.fft.next_fast_len`` chooses them for a complex transform."""
+    """The least length >= max(n, 1) whose prime factors are all 2, 3, 5, 7
+    or 11: the lengths that numpy's pocketfft transforms in its fast radices,
+    as ``scipy.fft.next_fast_len`` chooses them for a complex transform.
+    ``kernel_apply`` asks for 3N - 2, which is -2 for an empty vector."""
+    n = max(n, 1)
     while True:
         rest = n
         for p in (2, 3, 5, 7, 11):

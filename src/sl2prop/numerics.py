@@ -23,12 +23,14 @@ ray in the right half plane, and that route shares no code with the Cephes
 and spherical routines that the closed forms take at real argument.
 
 ``integrate_oscillatory`` is a batched composite Gauss-Legendre rule over
-(0, k_max] whose first panel is graded dyadically toward k = 0, where a
-spectral integrand behaves like k^{2n+1} and is not smooth at non-integer
-2n.  The graded pieces below the top three span little phase and take half
-a panel's nodes.  The caller makes the integrand absolutely convergent and
-small beyond k_max (the spectral oracle rotates its contour for that); the
-rule only integrates.  The integrand may be a batch (leading axes of its
+(0, k_max] in equal panels.  By default its first panel is graded
+dyadically toward k = 0, where a spectral integrand behaves like k^{2n+1}
+and is not smooth at non-integer 2n; the graded pieces below the top three
+span little phase and take half a panel's nodes.  A caller whose integrand
+is analytic at k = 0 takes the first panel plain, like the others.  The
+caller makes the integrand absolutely convergent and small beyond k_max
+(the spectral oracle rotates its contour for that); the rule only
+integrates.  The integrand may be a batch (leading axes of its
 values) sharing one node set; the nodes are walked a fixed number of panels
 at a time, which bounds the memory a batch takes, and the node-halving
 quadrature error and the truncation-tail error are reported separately,
@@ -37,6 +39,7 @@ elementwise over the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -51,6 +54,7 @@ __all__ = [
     "bessel_i_complex",
     "gauss_legendre_panels",
     "integrate_oscillatory",
+    "validate_order",
 ]
 
 _GL_NODES = 24
@@ -62,10 +66,13 @@ _JV_FROM = 1e6  # j0 and j1 hand over to jv above this argument
 _J_ARG_MAX = 1e15  # no routine keeps the phase of J_n beyond this argument
 
 
-def _validate_order(n: float) -> float:
+def validate_order(n: float) -> float:
+    """The order n as a float; ``ValueError`` unless it is finite and n >= 0."""
     n = float(n)
     if not n >= 0:
         raise ValueError(f"Bessel order must satisfy n >= 0, got n={n}")
+    if not math.isfinite(n):
+        raise ValueError(f"Bessel order must be finite, got n={n}")
     return n
 
 
@@ -121,10 +128,10 @@ def bessel_j(n: float, x) -> float | complex | np.ndarray:
     -------
     float, complex or ndarray
         J_n(x), elementwise for array input, of the argument's kind.
-        ``ValueError`` is raised for n < 0, x < 0 (Re x < 0), |x| > 1e15, or
-        a non-finite value at a finite argument.
+        ``ValueError`` is raised for n < 0 or n = inf, x < 0 (Re x < 0),
+        |x| > 1e15, or a non-finite value at a finite argument.
     """
-    n = _validate_order(n)
+    n = validate_order(n)
     is_complex = np.iscomplexobj(x)
     x, scalar = _as_array(x, complex if is_complex else float)
     if np.any(x.real < 0):
@@ -175,10 +182,10 @@ def bessel_i_complex(n: float, z) -> complex | np.ndarray:
     Returns
     -------
     complex or ndarray
-        ``ValueError`` is raised for n < 0, or a non-finite value at a
-        finite argument (AMOS gives up on |z| beyond about 1e9).
+        ``ValueError`` is raised for n < 0 or n = inf, or a non-finite value
+        at a finite argument (AMOS gives up on |z| beyond about 1e9).
     """
-    n = _validate_order(n)
+    n = validate_order(n)
     z, scalar = _as_array(z, complex)
     if not scalar and np.all(z.real == 0):
         # One side of the imaginary axis: one phase for the whole array.
@@ -211,16 +218,18 @@ def bessel_i_complex(n: float, z) -> complex | np.ndarray:
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Composite Gauss-Legendre over (0, k_max] in ``panel_count`` equal
-    panels, the first of them graded toward k = 0."""
+    panels, the first of them graded toward k = 0 unless ``graded`` is
+    false: an integrand analytic at k = 0 needs no grading."""
 
     panel_count: int
     k_max: float
+    graded: bool = True
 
     def __post_init__(self):
         if self.panel_count < 1:
             raise ValueError("panel_count must be >= 1")
-        if not self.k_max > 0:
-            raise ValueError("k_max must be > 0")
+        if not 0 < self.k_max < math.inf:
+            raise ValueError(f"k_max must be finite and > 0, got {self.k_max}")
 
 
 @dataclass(frozen=True)
@@ -258,22 +267,27 @@ def gauss_legendre_panels(
 
 
 def _panel_edges(spec: QuadratureSpec) -> np.ndarray:
-    """The edges of ``spec``'s panels, the first split into ``_GRADING``
-    pieces that halve toward 0: [0, h/2^29], [h/2^29, h/2^28], ..., [h/2, h]."""
+    """The edges of ``spec``'s panels; a graded spec splits the first into
+    ``_GRADING`` pieces that halve toward 0: [0, h/2^29], [h/2^29, h/2^28],
+    ..., [h/2, h]."""
     edges = np.linspace(0.0, spec.k_max, spec.panel_count + 1)
+    if not spec.graded:
+        return edges
     graded = edges[1] * 0.5 ** np.arange(_GRADING - 1, 0, -1)
     return np.concatenate([edges[:1], graded, edges[1:]])
 
 
-def _panel_sums(integrand, edges: np.ndarray, nodes: int):
+def _panel_sums(integrand, spec: QuadratureSpec, nodes: int):
     """The sum of g w over the rule's nodes, made and walked
     ``_BLOCK_PANELS`` panels at a time, and the last panel's g and weights.
-    Each panel takes ``nodes`` nodes, except the ``_THIN`` lowest graded
-    pieces, which take half as many."""
+    Each panel takes ``nodes`` nodes, except, in a graded spec, the
+    ``_THIN`` lowest graded pieces, which take half as many."""
+    edges = _panel_edges(spec)
+    thin_pieces = _THIN if spec.graded else 0
     total = 0.0
     for lo in range(0, edges.size - 1, _BLOCK_PANELS):
         hi = lo + _BLOCK_PANELS
-        thin = min(max(lo, _THIN), hi)
+        thin = min(max(lo, thin_pieces), hi)
         k_thin, w_thin = gauss_legendre_panels(edges[lo : thin + 1], nodes // 2)
         k_full, w_full = gauss_legendre_panels(edges[thin : hi + 1], nodes)
         w = np.concatenate([w_thin, w_full])
@@ -292,22 +306,25 @@ def integrate_oscillatory(
     ``integrand(k)`` returns the values g(k), of shape ``batch + k.shape``
     for a batch of integrands that share their nodes (``batch`` may be
     empty).  The rule is composite Gauss-Legendre, ``_GL_NODES`` nodes on
-    each of ``spec.panel_count`` equal panels, with the first panel split
-    into ``_GRADING`` pieces that halve toward k = 0: an integrand that
-    behaves like k^{2n+1} at the origin is not smooth there at non-integer
-    2n (the spectral oracle at n = 0.024, x = (0.16, 2.5), t = 0.23 is off
-    by 1.8e-7 with a plain first panel and by 3.4e-12 with the graded one).
+    each of ``spec.panel_count`` equal panels.  A graded spec (the default)
+    splits the first panel into ``_GRADING`` pieces that halve toward k = 0:
+    an integrand that behaves like k^{2n+1} at the origin is not smooth
+    there at non-integer 2n (the spectral oracle at n = 0.024, x = (0.16,
+    2.5), t = 0.23 is off by 1.8e-7 with a plain first panel and by 3.4e-12
+    with the graded one).  With ``spec.graded`` false the first panel is
+    plain, and 8 panels take 192 nodes on the fine rule and 96 on the
+    coarse one.
 
-    Only the top three pieces take ``_GL_NODES`` nodes; the 27 below take
-    half as many.  The spectral oracle sizes a panel to at most 12 rad of a
-    phase that grows linearly and quadratically from k = 0, so the top three
-    pieces hold at most 9, 3 and 1.5 rad of it and each piece below at most
-    0.75 rad, where half the nodes resolve the phase and the factor-2 span
-    of k^{2n+1} alike.  The top piece needs the full rule: with half, the
+    Of the graded pieces only the top three take ``_GL_NODES`` nodes; the
+    27 below take half as many.  The spectral oracle sizes a panel to at
+    most 12 rad of a phase that grows linearly and quadratically from k = 0,
+    so the top three pieces hold at most 9, 3 and 1.5 rad of it and each
+    piece below at most 0.75 rad, where half the nodes resolve the phase and
+    the factor-2 span of k^{2n+1} alike.  The top piece needs the full rule: with half, the
     coarse rule on its 9 rad raises the node-halving estimate of the
     default oracle-compare rows from 1e-11 to 1e-7.  The next two keep it
-    as a margin.  A call with 8 panels takes 564 nodes on the fine rule and
-    282 on the coarse one.
+    as a margin.  A graded call with 8 panels takes 564 nodes on the fine
+    rule and 282 on the coarse one.
 
     The nodes are made and walked ``_BLOCK_PANELS`` panels at a time, so
     ``integrand`` never sees more than that many panels' nodes in one call:
@@ -332,11 +349,10 @@ def integrate_oscillatory(
     QuadratureResult
         Scalars for a scalar integrand, arrays of the batch shape otherwise.
     """
-    edges = _panel_edges(spec)
-    value, g, w = _panel_sums(integrand, edges, _GL_NODES)
+    value, g, w = _panel_sums(integrand, spec, _GL_NODES)
     width = spec.k_max / spec.panel_count
     tail_err = np.abs(np.sum(w * g, axis=-1)) + np.max(np.abs(g), axis=-1) * width
-    quad_err = np.abs(value - _panel_sums(integrand, edges, _GL_NODES // 2)[0])
+    quad_err = np.abs(value - _panel_sums(integrand, spec, _GL_NODES // 2)[0])
     if np.ndim(value) == 0:
         return QuadratureResult(complex(value), float(quad_err), float(tail_err))
     return QuadratureResult(value, quad_err, tail_err)

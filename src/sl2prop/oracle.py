@@ -32,6 +32,7 @@ from .numerics import (
     QuadratureSpec,
     bessel_j,
     integrate_oscillatory,
+    validate_order,
 )
 from .sl2rep import PhysParams
 
@@ -134,9 +135,17 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
     - the ray is truncated at the r where that bound reaches -40;
     - the 24-node Gauss-Legendre panels, at least 8, each hold at most
       12 rad of phase, c r^2 cos 2 theta + S r cos theta at the truncation
-      point, and ``integrate_oscillatory`` grades the first toward r = 0,
-      where the integrand behaves like r^{2n+1}, into 30 pieces, the lowest
-      27 of them with 12 nodes.
+      point;
+    - the first panel is plain where every order of the batch has integer
+      2n, and graded toward r = 0 otherwise.  J_n(z) is (z/2)^n times an
+      entire function of z^2 (DLMF 10.2.2), so the integrand is r^{2n+1}
+      times a function analytic at r = 0, and has a branch point there
+      only at non-integer 2n.  There ``integrate_oscillatory`` splits the
+      first panel into 30 pieces, the lowest 27 of them with 12 nodes; one
+      such order grades the panel for the whole batch, which shares one
+      node set.  The default oracle-compare rows (n = 0, 1/2, 1, 5/2) take
+      192 nodes per call, and 564 with the grading.  The orders are
+      checked first: one that is negative or not finite is refused by name.
 
     The panel count grows like S^2/c as |t| falls (28M at x1 = x2 = 5,
     t = 1e-6), so a call that needs more than ``_MAX_PANELS`` panels is
@@ -158,6 +167,8 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
     distinct position.
     """
     orders = np.asarray(order, dtype=float)
+    for n in orders.flat:
+        validate_order(n)
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float),
                                  np.asarray(x2, dtype=float))
     if np.ndim(t) != 0:
@@ -182,7 +193,8 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
         raise ValueError(f"the spectral oracle at t={t:.17g} needs {panels:.3g} panels, "
                          f"more than its cap of {_MAX_PANELS}: the ray's cost grows like "
                          "1/|t| at short times")
-    spec = QuadratureSpec(panel_count=max(8, math.ceil(panels)), k_max=r_max)
+    spec = QuadratureSpec(panel_count=max(8, math.ceil(panels)), k_max=r_max,
+                          graded=not np.all(2.0 * orders % 1.0 == 0.0))
     ray = complex(math.cos(theta), -math.copysign(math.sin(theta), t))
 
     xs, where = np.unique(np.concatenate([x1.ravel(), x2.ravel()]), return_inverse=True)

@@ -61,6 +61,14 @@ class TestReturnContract:
             assert isinstance(v, np.ndarray)
             assert v.shape == shape and v.dtype == complex
 
+    @pytest.mark.parametrize("n", [0.5, 1.5])
+    @pytest.mark.parametrize("name", kn.KERNEL_NAMES)
+    def test_kernel_apply_to_an_empty_vector(self, name, n):
+        # The FFT path (the line kernels, and the half line at n = 1/2)
+        # asked for a transform length of 3 * 0 - 2 and never returned.
+        out = kn.kernel_apply(name, 0.5, 0.1, np.zeros(0), 0.7, PhysParams(n=n))
+        assert out.shape == (0,) and out.dtype == complex
+
 
 # Each entry point that goes through the kernel's checks refuses a NaN or
 # infinite argument rather than returning NaN values.

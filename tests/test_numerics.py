@@ -56,6 +56,13 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             nm.bessel_j(-1.0, 0.5)
 
+    def test_a_non_finite_order_is_refused_by_name(self):
+        # J_inf(1) read 0.0 and e^{-|Re z|} I_inf(i) nan + nanj.
+        for bessel, z in ((nm.bessel_j, 1.0), (nm.bessel_j, 1.0 + 0j),
+                          (nm.bessel_i_complex, 1j), (nm.bessel_i_complex, 1.0)):
+            with pytest.raises(ValueError, match="Bessel order must be finite, got n=inf"):
+                bessel(math.inf, z)
+
     @pytest.mark.parametrize("n", [1.0, 1.5, 2.5])
     def test_recurrence_residual(self, n):
         x = 0.537 + 0.631 * np.arange(40)
@@ -309,6 +316,26 @@ class TestIntegrateOscillatory:
             nm.QuadratureSpec(panel_count=0, k_max=1.0)
         with pytest.raises(ValueError):
             nm.QuadratureSpec(panel_count=4, k_max=-1.0)
+
+    @pytest.mark.parametrize("k_max", [math.inf, math.nan])
+    def test_a_non_finite_k_max_is_refused_by_name(self, k_max):
+        # An infinite k_max gave nan + 0j and NaN error terms.
+        with pytest.raises(ValueError, match="k_max must be finite and > 0"):
+            nm.QuadratureSpec(panel_count=4, k_max=k_max)
+
+    def test_a_plain_spec_takes_equal_panels(self):
+        # No graded pieces: 4 panels of 24 fine and 12 coarse nodes.
+        calls = []
+
+        def integrand(k):
+            calls.append(k)
+            return np.exp(-(k**2))
+
+        res = nm.integrate_oscillatory(integrand, nm.QuadratureSpec(4, 6.0, graded=False))
+        assert [k.size for k in calls] == [4 * 24, 4 * 12]
+        k, _ = nm.gauss_legendre_panels(np.linspace(0.0, 6.0, 5))
+        assert np.array_equal(calls[0], k)
+        assert res.value.real == pytest.approx(SQRT_PI_OVER_2, abs=1e-12)
 
     def test_one_integrand_call_on_the_fine_and_one_on_the_coarse_nodes(self):
         # The first panel is graded into 30 pieces, so 4 panels are 33 pieces;

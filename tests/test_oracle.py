@@ -153,26 +153,51 @@ class TestHankelOracle:
         closed = kn.kernel_values("radial_h0", 0.16, 2.5, 0.23, p)
         assert abs(res.value - closed) / abs(closed) <= 1e-11
 
-    def test_default_rows_take_564_fine_and_282_coarse_nodes_per_call(self, monkeypatch):
-        # Eight panels, the first graded into 30 pieces: 3 * 24 + 27 * 12 +
-        # 7 * 24 fine nodes and half as many coarse ones, one integrand call
-        # on each.
+    @pytest.mark.parametrize("orders, nodes", [
+        # Every 2n an integer: eight plain panels, 8 * 24 fine nodes.
+        ([0.0, 0.5, 1.0, 2.5], [192, 96]),
+        # One non-integer 2n grades the first panel for the whole batch:
+        # 3 * 24 + 27 * 12 + 7 * 24 fine nodes.
+        ([0.0, 0.5, 1.0, 2.5, 0.024], [564, 282]),
+    ], ids=["integer-2n", "graded"])
+    def test_fine_and_coarse_nodes_per_call_of_the_default_rows(
+            self, orders, nodes, monkeypatch):
+        # Half as many coarse nodes as fine ones, one integrand call on each.
         params = PhysParams(omega=1.0)
         x1, x2 = np.meshgrid((0.7, 1.3), (0.9, 1.6), indexing="ij")
-        nodes = []
+        seen = []
         integrate = orc.integrate_oscillatory
 
         def spy(integrand, spec):
             def counted(r):
-                nodes.append(r.size)
+                seen.append(r.size)
                 return integrand(r)
             return integrate(counted, spec)
 
         monkeypatch.setattr(orc, "integrate_oscillatory", spy)
         for t in (0.3, 0.7, 1.2, 2.0, 3.5):
             *_, te = kn.route_factors("MAIN", x1, x2, t, params)
-            orc.hankel_kernel_oracle(x1, x2, te, np.array([0.0, 0.5, 1.0, 2.5]), params)
-        assert nodes == [564, 282] * 5
+            orc.hankel_kernel_oracle(x1, x2, te, np.array(orders), params)
+        assert seen == nodes * 5
+
+    def test_a_plain_first_panel_agrees_with_the_graded_one_at_integer_2n(self):
+        # The integrand is analytic at r = 0 where 2n is an integer, so the
+        # plain first panel must give the graded value, which the same batch
+        # takes once a non-integer order joins it.
+        params = PhysParams(omega=1.0)
+        x1, x2 = np.meshgrid((0.7, 1.3), (0.9, 1.6), indexing="ij")
+        orders = [0.0, 0.5, 1.0, 2.5, 20.0]
+        for t in (0.3, 0.7, 1.2, 2.0, 3.5):
+            *_, te = kn.route_factors("MAIN", x1, x2, t, params)
+            plain = orc.hankel_kernel_oracle(x1, x2, te, np.array(orders), params).value
+            graded = orc.hankel_kernel_oracle(x1, x2, te, np.array(orders + [0.024]),
+                                              params).value[:-1]
+            assert np.all(np.abs(plain - graded) <= 1e-11 * np.abs(graded))
+
+    @pytest.mark.parametrize("order", [math.inf, [0.5, math.inf], -1.0, math.nan])
+    def test_an_order_that_is_negative_or_not_finite_is_refused_by_name(self, order):
+        with pytest.raises(ValueError, match="Bessel order must"):
+            orc.hankel_kernel_oracle(1.0, 1.0, 1.0, order, PhysParams(omega=0.0))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
