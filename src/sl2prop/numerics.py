@@ -24,17 +24,16 @@ and spherical routines that the closed forms take at real argument.
 
 ``integrate_oscillatory`` is a batched composite Gauss-Legendre rule over
 (0, k_max] in equal panels.  By default its first panel is graded
-dyadically toward k = 0, where a spectral integrand behaves like k^{2n+1}
-and is not smooth at non-integer 2n; the graded pieces below the top three
-span little phase and take half a panel's nodes.  A caller whose integrand
-is analytic at k = 0 takes the first panel plain, like the others.  The
-caller makes the integrand absolutely convergent and small beyond k_max
-(the spectral oracle rotates its contour for that); the rule only
-integrates.  The integrand may be a batch (leading axes of its
-values) sharing one node set; the nodes are walked a fixed number of panels
-at a time, which bounds the memory a batch takes, and the node-halving
-quadrature error and the truncation-tail error are reported separately,
-elementwise over the batch.
+geometrically toward k = 0, where a spectral integrand behaves like
+k^{2n+1} and is not smooth at non-integer 2n, into pieces that take the
+same nodes as every other panel.  A caller whose integrand is analytic at
+k = 0 takes the first panel plain, like the others.  The caller makes
+the integrand absolutely convergent and small beyond k_max (the spectral
+oracle rotates its contour for that); the rule only integrates.  The
+integrand may be a batch (leading axes of its values) sharing one node
+set; the nodes are walked a fixed number of panels at a time, which bounds
+the memory a batch takes, and the node-halving quadrature error and the
+truncation-tail error are reported separately, elementwise over the batch.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ __all__ = [
 ]
 
 _GL_NODES = 24
-_GRADING = 30  # pieces of the first panel, halving toward k = 0
-_THIN = _GRADING - 3  # the graded pieces below the top three: half of _GL_NODES
+_GRADING = 16  # pieces of the first panel
+_GRADING_RATIO = 4.0  # each graded piece is this many times the one below it
 
 _BLOCK_PANELS = 256  # panels per integrand call: bounds a batch's memory only
 _JV_FROM = 1e6  # j0 and j1 hand over to jv above this argument
@@ -268,30 +267,24 @@ def gauss_legendre_panels(
 
 def _panel_edges(spec: QuadratureSpec) -> np.ndarray:
     """The edges of ``spec``'s panels; a graded spec splits the first into
-    ``_GRADING`` pieces that halve toward 0: [0, h/2^29], [h/2^29, h/2^28],
-    ..., [h/2, h]."""
+    ``_GRADING`` pieces that shrink by ``_GRADING_RATIO`` toward 0:
+    [0, h/4^15], [h/4^15, h/4^14], ..., [h/4, h]."""
     edges = np.linspace(0.0, spec.k_max, spec.panel_count + 1)
     if not spec.graded:
         return edges
-    graded = edges[1] * 0.5 ** np.arange(_GRADING - 1, 0, -1)
+    graded = edges[1] / _GRADING_RATIO ** np.arange(_GRADING - 1, 0, -1)
     return np.concatenate([edges[:1], graded, edges[1:]])
 
 
 def _panel_sums(integrand, spec: QuadratureSpec, nodes: int):
-    """The sum of g w over the rule's nodes, made and walked
-    ``_BLOCK_PANELS`` panels at a time, and the last panel's g and weights.
-    Each panel takes ``nodes`` nodes, except, in a graded spec, the
-    ``_THIN`` lowest graded pieces, which take half as many."""
+    """The sum of g w over the rule's nodes, ``nodes`` on each panel or
+    graded piece, made and walked ``_BLOCK_PANELS`` panels at a time, and
+    the last panel's g and weights."""
     edges = _panel_edges(spec)
-    thin_pieces = _THIN if spec.graded else 0
     total = 0.0
     for lo in range(0, edges.size - 1, _BLOCK_PANELS):
-        hi = lo + _BLOCK_PANELS
-        thin = min(max(lo, thin_pieces), hi)
-        k_thin, w_thin = gauss_legendre_panels(edges[lo : thin + 1], nodes // 2)
-        k_full, w_full = gauss_legendre_panels(edges[thin : hi + 1], nodes)
-        w = np.concatenate([w_thin, w_full])
-        g = integrand(np.concatenate([k_thin, k_full]))
+        k, w = gauss_legendre_panels(edges[lo : lo + _BLOCK_PANELS + 1], nodes)
+        g = integrand(k)
         total = total + np.sum(g * w, axis=-1)
     last = slice(-nodes, None)
     return total, g[..., last], w[last]
@@ -307,24 +300,23 @@ def integrate_oscillatory(
     for a batch of integrands that share their nodes (``batch`` may be
     empty).  The rule is composite Gauss-Legendre, ``_GL_NODES`` nodes on
     each of ``spec.panel_count`` equal panels.  A graded spec (the default)
-    splits the first panel into ``_GRADING`` pieces that halve toward k = 0:
-    an integrand that behaves like k^{2n+1} at the origin is not smooth
-    there at non-integer 2n (the spectral oracle at n = 0.024, x = (0.16,
-    2.5), t = 0.23 is off by 1.8e-7 with a plain first panel and by 3.4e-12
-    with the graded one).  With ``spec.graded`` false the first panel is
-    plain, and 8 panels take 192 nodes on the fine rule and 96 on the
-    coarse one.
-
-    Of the graded pieces only the top three take ``_GL_NODES`` nodes; the
-    27 below take half as many.  The spectral oracle sizes a panel to at
-    most 12 rad of a phase that grows linearly and quadratically from k = 0,
-    so the top three pieces hold at most 9, 3 and 1.5 rad of it and each
-    piece below at most 0.75 rad, where half the nodes resolve the phase and
-    the factor-2 span of k^{2n+1} alike.  The top piece needs the full rule: with half, the
-    coarse rule on its 9 rad raises the node-halving estimate of the
-    default oracle-compare rows from 1e-11 to 1e-7.  The next two keep it
-    as a margin.  A graded call with 8 panels takes 564 nodes on the fine
-    rule and 282 on the coarse one.
+    splits the first panel [0, h] into ``_GRADING`` pieces that shrink by 4
+    toward k = 0, [0, h/4^15], [h/4^15, h/4^14], ..., [h/4, h]: an
+    integrand that behaves like k^{2n+1} at the origin is not smooth there
+    at non-integer 2n (the spectral oracle at n = 0.024, x = (0.16, 2.5),
+    t = 0.23 is off by 1.8e-7 with a plain first panel and by 3.4e-12 with
+    the graded one).  Every piece takes ``_GL_NODES`` nodes, like every
+    panel.  On a piece [a, qa] the integrand is analytic inside the
+    Bernstein ellipse that reaches k = 0, so the rule converges like
+    rho^{-2N} on N nodes, rho = (q+1)/(q-1) + sqrt(((q+1)/(q-1))^2 - 1)
+    (Trefethen, SIAM Rev. 50 (2008) 67).  At q = 4, rho = 3: 3^-24 = 4e-12
+    on the 12 coarse nodes, scaled by the integrand's size on the piece,
+    keeps the node-halving estimate near roundoff with one density for
+    every piece.  (At q = 8, rho = 2.09 and the estimate for k^0.048 e^{3ik}
+    on (0, 1] rises to 1e-11; q = 2 would take 720 nodes in the panel.)
+    A graded call with 8 panels takes 552 nodes on the fine rule and 276 on
+    the coarse one; with ``spec.graded`` false the first panel is plain,
+    and 8 panels take 192 and 96.
 
     The nodes are made and walked ``_BLOCK_PANELS`` panels at a time, so
     ``integrand`` never sees more than that many panels' nodes in one call:

@@ -141,11 +141,12 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
       entire function of z^2 (DLMF 10.2.2), so the integrand is r^{2n+1}
       times a function analytic at r = 0, and has a branch point there
       only at non-integer 2n.  There ``integrate_oscillatory`` splits the
-      first panel into 30 pieces, the lowest 27 of them with 12 nodes; one
-      such order grades the panel for the whole batch, which shares one
-      node set.  The default oracle-compare rows (n = 0, 1/2, 1, 5/2) take
-      192 nodes per call, and 564 with the grading.  The orders are
-      checked first: one that is negative or not finite is refused by name.
+      first panel into 16 pieces that shrink by 4 toward r = 0, each on
+      24 nodes; one such order grades the panel for the whole batch, which
+      shares one node set.  The default oracle-compare rows (n = 0, 1/2,
+      1, 5/2) take 192 nodes per call, and 552 with the grading.  The
+      orders are checked first: one that is negative or not finite is
+      refused by name, and so is a t, x1 or x2 that is not finite.
 
     The panel count grows like S^2/c as |t| falls (28M at x1 = x2 = 5,
     t = 1e-6), so a call that needs more than ``_MAX_PANELS`` panels is
@@ -174,6 +175,8 @@ def hankel_kernel_oracle(x1, x2, t: float, order, params: PhysParams) -> Quadrat
     if np.ndim(t) != 0:
         raise ValueError("the spectral oracle takes one time per call")
     t = float(t)
+    if not (math.isfinite(t) and np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ValueError("spectral oracle requires finite t, x1 and x2")
     if np.any(x1 <= 0) or np.any(x2 <= 0):
         raise ValueError("spectral oracle requires x1, x2 > 0")
     if t == 0:

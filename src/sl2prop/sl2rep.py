@@ -96,11 +96,15 @@ class PhysParams:
     def from_coupling(cls, lam: float, hbar: float = 1.0, m: float = 1.0,
                       omega: float = 1.0) -> "PhysParams":
         """Construct from lam >= -hbar^2/4 instead of the order n."""
+        cls(hbar=hbar, m=m, omega=omega)  # refuses hbar = 0 before the division
         nsq = lam / hbar / hbar + 0.25
         if nsq < 0:
             raise ValueError(
                 f"coupling lam={lam} below the -hbar^2/4 bound; no real order"
             )
+        if not math.isfinite(nsq):
+            raise ValueError(f"lambda={lam:g} at hbar={hbar:g} gives no finite order: "
+                             "n must be finite")
         return cls(hbar=hbar, m=m, omega=omega, n=math.sqrt(nsq))
 
 

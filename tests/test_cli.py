@@ -975,6 +975,24 @@ def test_an_overflowing_input_is_refused_by_name(argv, message, tmp_path, capsys
     assert not path.exists()
 
 
+# A --lambda that gives no finite order is blamed on lambda, not on an n
+# the user never passed; -inf stays below the bound.  hbar = 0 ended in a
+# ZeroDivisionError traceback.
+@pytest.mark.parametrize("argv,message", [
+    (["kernel", "--lambda", "nan"], "lambda=nan at hbar=1 gives no finite order: n must be finite"),
+    (["kernel", "--lambda", "inf"], "lambda=inf at hbar=1 gives no finite order: n must be finite"),
+    (["kernel", "--lambda", "1", "--hbar", "1e-200"],
+     "lambda=1 at hbar=1e-200 gives no finite order: n must be finite"),
+    (["kernel", "--lambda", "-inf"], "coupling lam=-inf below the -hbar^2/4 bound; no real order"),
+    (["kernel", "--lambda", "1", "--hbar", "0"], "hbar must be > 0"),
+], ids=["nan", "inf", "tiny-hbar", "minus-inf", "zero-hbar"])
+def test_a_lambda_with_no_finite_order_is_refused_by_name(argv, message, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    assert run(argv, path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
 # One more overflow, refused by name in the same way: beta x^2 = m w x^2/hbar
 # at the edge of the eigenbasis grid.
 @pytest.mark.parametrize("argv,message", [

@@ -338,8 +338,8 @@ class TestIntegrateOscillatory:
         assert res.value.real == pytest.approx(SQRT_PI_OVER_2, abs=1e-12)
 
     def test_one_integrand_call_on_the_fine_and_one_on_the_coarse_nodes(self):
-        # The first panel is graded into 30 pieces, so 4 panels are 33 pieces;
-        # the lowest 27 pieces take 12 and 6 nodes, the other 6 take 24 and 12.
+        # The first panel is graded into 16 pieces, so 4 panels are 19 pieces,
+        # each of 24 fine and 12 coarse nodes.
         spec = nm.QuadratureSpec(panel_count=4, k_max=6.0)
         calls = []
 
@@ -348,7 +348,21 @@ class TestIntegrateOscillatory:
             return np.exp(-(k**2))
 
         nm.integrate_oscillatory(integrand, spec)
-        assert calls == [27 * 12 + 6 * 24, 27 * 6 + 6 * 12]
+        assert calls == [19 * 24, 19 * 12]
+
+    def test_the_graded_first_panel_is_16_pieces_that_shrink_by_4(self):
+        # One density for every piece: at q = 4 the rule converges like 3^-2N,
+        # so the node-halving estimate stays at roundoff too.
+        edges = nm._panel_edges(nm.QuadratureSpec(4, 1.0))
+        h = 0.25  # the first panel
+        assert np.array_equal(edges, np.r_[0.0, h / 4.0 ** np.arange(15, 0, -1),
+                                           np.linspace(h, 1.0, 4)])
+        with mp.workdps(30):
+            exact = complex(mp.quad(lambda k: k ** mp.mpf("0.048") * mp.exp(3j * k), [0, 1]))
+        res = nm.integrate_oscillatory(lambda k: k**0.048 * np.exp(3j * k),
+                                       nm.QuadratureSpec(4, 1.0))
+        assert abs(res.value - exact) < 1e-13 * abs(exact)
+        assert res.quad_err < 1e-13 * abs(exact)
 
     def test_integrand_sees_at_most_one_block_of_nodes(self):
         panels = 2 * nm._BLOCK_PANELS + 3
@@ -361,7 +375,7 @@ class TestIntegrateOscillatory:
 
         nm.integrate_oscillatory(integrand, spec)
         assert max(calls) == nm._BLOCK_PANELS * 24
-        assert sum(calls) == 27 * (12 + 6) + (panels + 2) * (24 + 12)
+        assert sum(calls) == (panels + 15) * (24 + 12)
 
     def test_batch_matches_one_integrand_at_a_time(self):
         # Every term of the result, elementwise over a (2, 3) batch, against

@@ -157,8 +157,8 @@ class TestHankelOracle:
         # Every 2n an integer: eight plain panels, 8 * 24 fine nodes.
         ([0.0, 0.5, 1.0, 2.5], [192, 96]),
         # One non-integer 2n grades the first panel for the whole batch:
-        # 3 * 24 + 27 * 12 + 7 * 24 fine nodes.
-        ([0.0, 0.5, 1.0, 2.5, 0.024], [564, 282]),
+        # 16 pieces and 7 panels of 24 fine nodes.
+        ([0.0, 0.5, 1.0, 2.5, 0.024], [552, 276]),
     ], ids=["integer-2n", "graded"])
     def test_fine_and_coarse_nodes_per_call_of_the_default_rows(
             self, orders, nodes, monkeypatch):
@@ -198,6 +198,16 @@ class TestHankelOracle:
     def test_an_order_that_is_negative_or_not_finite_is_refused_by_name(self, order):
         with pytest.raises(ValueError, match="Bessel order must"):
             orc.hankel_kernel_oracle(1.0, 1.0, 1.0, order, PhysParams(omega=0.0))
+
+    @pytest.mark.parametrize("x1, x2, t", [
+        (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf),
+        (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, [2.0, math.nan], 1.0),
+    ], ids=["t-nan", "t-inf", "t-minus-inf", "x1-nan", "x1-inf", "x2-array-nan"])
+    def test_a_t_or_x_that_is_not_finite_is_refused_by_name(self, x1, x2, t):
+        # These passed the x <= 0 and t = 0 checks and were refused as
+        # needing "nan panels".
+        with pytest.raises(ValueError, match="requires finite t, x1 and x2"):
+            orc.hankel_kernel_oracle(x1, x2, t, 0.5, P_FREE)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -264,6 +274,48 @@ PACKET = ev.TestFunction(center=6.0, width=0.6)
 # t = 0.25, and the packet is 2e-9 of its peak at x = 1.
 FRAME_GRIDS = (orc.GridSpec(x_max=10.0, points=700),
                orc.GridSpec(x_max=10.0, points=1400, x_min=-10.0))
+
+
+class TestEdgeContaminated:
+    # The outer 5% of 100 intervals is the last 5 nodes (and the first 5 on
+    # the full line); a peak of 1 sits in the middle.
+    @staticmethod
+    def _psi(grid, at):
+        samples = np.zeros(grid.points + 1)
+        samples[grid.points // 2] = 1.0
+        samples[list(at)] = list(at.values())
+        return orc.GridWavefunction(samples, grid)
+
+    def test_a_half_line_tail_above_1e_8_of_the_peak_is_read(self):
+        grid = orc.GridSpec(x_max=1.0, points=100)
+        assert orc.edge_contaminated(self._psi(grid, {96: 1.01e-8}))
+        assert orc.edge_contaminated(self._psi(grid, {100: 1.01e-8}))
+        assert not orc.edge_contaminated(self._psi(grid, {96: 1e-8}))
+        assert not orc.edge_contaminated(self._psi(grid, {95: 1.0}))
+
+    def test_the_wall_end_of_a_half_line_grid_is_not_read(self):
+        grid = orc.GridSpec(x_max=1.0, points=100)
+        assert not orc.edge_contaminated(self._psi(grid, {0: 1.0, 4: 1.0}))
+
+    def test_both_ends_of_a_full_line_grid_are_read(self):
+        grid = orc.GridSpec(x_max=1.0, points=100, x_min=-1.0)
+        assert orc.edge_contaminated(self._psi(grid, {0: 1.01e-8}))
+        assert orc.edge_contaminated(self._psi(grid, {4: 1.01e-8}))
+        assert orc.edge_contaminated(self._psi(grid, {100: 1.01e-8}))
+        assert not orc.edge_contaminated(self._psi(grid, {5: 1.0, 95: 1.0}))
+
+    def test_the_zero_state_is_never_contaminated(self):
+        for grid in (HALF, LINE):
+            assert not orc.edge_contaminated(
+                orc.GridWavefunction(np.zeros(grid.points + 1), grid))
+
+    def test_a_16_interval_grid_reads_one_node_per_end(self):
+        half = orc.GridSpec(x_max=1.0, points=16)
+        line = orc.GridSpec(x_max=1.0, points=16, x_min=-1.0)
+        assert orc.edge_contaminated(self._psi(half, {16: 1e-7}))
+        assert not orc.edge_contaminated(self._psi(half, {15: 1.0}))
+        assert orc.edge_contaminated(self._psi(line, {0: 1e-7}))
+        assert not orc.edge_contaminated(self._psi(line, {1: 1.0, 15: 1.0}))
 
 
 def _state(kernel, n, packet=PACKET, grids=(HALF, LINE)):
