@@ -6,9 +6,8 @@ checks take plain positions and time.  Propagation integrates the kernel
 against the samples on their own grid with trapezoid weights; since the
 integrand is smooth and vanishes at both ends of the window, the rule
 converges super-algebraically once the kernel oscillation is resolved.  The
-quadrature goes through the kernel's factored form ``kernels.kernel_apply``
-(quadratic phase x core x quadratic phase), so no kernel matrix is formed.
-The output grid is always the input grid.
+quadrature is ``kernels.kernel_apply``, which states how the kernel is
+applied.  The output grid is always the input grid.
 
 Phase conventions are never asserted by these checks: every phase-sensitive
 comparison is made through magnitudes or phase differences.
@@ -104,19 +103,13 @@ def propagate(
     """Evolve a packet by quadrature against the selected kernel.
 
     psi(x1, t) = integral of K(x1, x2, t) psi(x2, 0) over the grid window,
-    evaluated at every grid node x1.  The sum is D * (C @ (D * w)) for the
-    trapezoid-weighted samples w, the kernel's quadratic phase D and its
-    core C (``kernels.kernel_apply``): an FFT convolution for the line core
-    and the n = 1/2 Bessel core; otherwise the symmetric Bessel core, with
-    sqrt(x1 x2) split into D, evaluated on square tiles on and above the
-    diagonal, each off-diagonal tile applied also transposed, by
-    ``np.einsum`` rather than a BLAS matvec, whose threads would spin on the
-    CPUs that concurrent calls need.  A call shares no state with another:
-    ``evolve`` propagates its frames concurrently, and each equals the frame
-    of a call made alone, bit for bit.  ``psi0``'s grid is the quadrature
-    and output grid.  A half-line kernel drops the wall node from the
-    quadrature and returns psi(0) = 0, whatever psi0 holds there; the kernel
-    refuses t = 0 and the caustics.
+    evaluated at every grid node x1: ``kernels.kernel_apply`` applies the
+    kernel to the trapezoid-weighted samples.  A call shares no state with
+    another: ``evolve`` propagates its frames concurrently, and each equals
+    the frame of a call made alone, bit for bit.  ``psi0``'s grid is the
+    quadrature and output grid.  A half-line kernel drops the wall node from
+    the quadrature and returns psi(0) = 0, whatever psi0 holds there; the
+    kernel refuses t = 0 and the caustics.
     """
     g = psi0.grid
     cols, weighted = _columns(psi0.samples, g, kernel_kind(kernel).halfline)
@@ -128,12 +121,11 @@ def propagate(
 
 
 def l2_distance(a: GridWavefunction, b: GridWavefunction) -> float:
-    """L2 distance of two states sampled on the same grid."""
+    """L2 distance of two states sampled on the same grid: the norm of their
+    difference, refused where the difference is not finite."""
     if a.grid != b.grid:
         raise ValueError("states live on different grids")
-    return float(
-        np.sqrt(np.trapezoid(np.abs(a.samples - b.samples) ** 2, dx=a.grid.dx))
-    )
+    return GridWavefunction(a.samples - b.samples, a.grid).norm()
 
 
 def schrodinger_residual(

@@ -495,6 +495,15 @@ def test_evolve_refuses_an_overflowing_packet_without_a_warning(flags, message, 
     assert not path.exists()
 
 
+def test_evolve_refuses_a_half_line_packet_that_reaches_the_wall(tmp_path, capsys):
+    # center - 4 width = 2.4 - 4 * 0.6 = 0: the support touches the wall.
+    path = tmp_path / "e.csv"
+    assert run(["evolve", "--center", "2.4"], path) == 2
+    assert capsys.readouterr() == (
+        "", "error: half-line packets need center - 4 width > 0 (support off the wall)\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flags,window", [
     (["--center", "100"], "[0, 14]"),
     (["--kernel", "sho", "--center=-100"], "[-14, 14]"),

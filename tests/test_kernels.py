@@ -70,6 +70,39 @@ class TestReturnContract:
         assert out.shape == (0,) and out.dtype == complex
 
 
+class TestApplyTransformLength:
+    """The FFT apply against the dense matrix where 2N - 1, the least
+    circular length that keeps the valid part, falls on either side of a
+    power of two, and at ``evolve``'s default column counts."""
+
+    FFT_KERNELS = ["sho", "free", "radial_sho", "radial_h0"]  # at n = 1/2
+
+    @staticmethod
+    def check(name, cols, x0, dx, t):
+        params = kn.kernel_kind(name).hamiltonian(PhysParams(n=0.5, omega=1.0))
+        rng = np.random.default_rng(cols)
+        v = rng.normal(size=(cols, 2)) @ np.array([1.0, 1j])
+        x = x0 + dx * np.arange(cols)
+        want = kv(name, x[:, None], x[None, :], t, params) @ v
+        got = kn.kernel_apply(name, x0, dx, v, t, params)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [0.7, -0.4])
+    @pytest.mark.parametrize("x0", [0.25, 0.2963], ids=["on-lattice", "off-lattice"])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65])
+    @pytest.mark.parametrize("name", FFT_KERNELS)
+    def test_small_sizes(self, name, cols, x0, t):
+        self.check(name, cols, x0, 0.125, t)
+
+    @pytest.mark.parametrize("name", FFT_KERNELS)
+    def test_evolve_default_columns(self, name):
+        # 2001 nodes on [-14, 14]; 2000 on (0, 14], the wall node dropped.
+        if kn.kernel_kind(name).halfline:
+            self.check(name, 2000, 0.007, 0.007, 0.7)
+        else:
+            self.check(name, 2001, -14.0, 0.014, 0.7)
+
+
 # Each entry point that goes through the kernel's checks refuses a NaN or
 # infinite argument rather than returning NaN values.
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

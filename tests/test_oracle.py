@@ -242,6 +242,28 @@ class TestGridSpecAndWavefunction:
         with pytest.raises(ValueError, match="half-line grid"):
             packet.sample(orc.GridSpec(x_max=5.0, points=50, x_min=-5.0), P_FREE, True)
 
+    def test_half_line_sample_refuses_support_at_the_wall(self):
+        g = orc.GridSpec(x_max=5.0, points=50)
+        for center in (2.4, 1.0):  # center - 4 width = 0, < 0
+            packet = ev.TestFunction(center=center, width=0.6)
+            with pytest.raises(ValueError, match="need center - 4 width > 0"):
+                packet.sample(g, P_FREE, halfline=True)
+        # The full line has no wall.
+        assert packet.sample(g, P_FREE, halfline=False).samples[0] != 0.0
+
+    def test_wavefunction_refuses_samples_of_the_wrong_shape(self):
+        g = orc.GridSpec(x_max=5.0, points=16)
+        for shape in ((16,), (18,), (17, 1), ()):
+            with pytest.raises(ValueError, match=r"expected 17 samples, got \("):
+                orc.GridWavefunction(np.ones(shape), g)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_wavefunction_refuses_non_finite_samples(self, bad):
+        samples = np.ones(17, dtype=complex)
+        samples[5] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            orc.GridWavefunction(samples, orc.GridSpec(x_max=5.0, points=16))
+
     def test_caller_array_is_not_modified(self):
         g = orc.GridSpec(x_max=5.0, points=16)
         a = np.ones(17, dtype=complex)

@@ -83,6 +83,10 @@ class TestGeneratorMatrices:
         assert np.max(np.abs((x2 @ d - d @ x2) - 4j * x2)) <= 1e-14
         assert np.max(np.abs((p2l @ d - d @ p2l) + 4j * p2l)) <= 1e-14
 
+    def test_refuses_an_unknown_generator(self):
+        with pytest.raises(ValueError, match="unknown generator 'Q'"):
+            sr.generator_matrix("Q")
+
 
 class TestExpTraceless:
     def test_zero_matrix(self):
