@@ -164,9 +164,9 @@ def schrodinger_residual(
     def K(xx, tt):
         return kernel_values(kernel, xx, x2, tt, params)
 
-    k0 = K(x1, t)
-    kxp = K(x1 + dx, t)
-    kxm = K(x1 - dx, t)
+    # kernel_values gives a point the same bits alone as in an array; tolist
+    # makes Python complexes of them, so the stencil arithmetic stays Python's.
+    k0, kxp, kxm = K(np.array([x1, x1 + dx, x1 - dx]), t).tolist()
     ktp = K(x1, t + dt)
     ktm = K(x1, t - dt)
 

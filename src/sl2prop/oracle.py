@@ -261,7 +261,9 @@ def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
     stay below the grid's Nyquist wavenumber.  The basis size K ends after
     16 successive |c_k| below 1e-12 of the norm, once the c_k hold half the
     squared norm (a packet far out has tiny first ones), or at N + 1.  Each
-    eigenfunction is made once to project and once to sum: no K x N array.
+    eigenfunction is made once, and one step takes its coefficient c_k,
+    multiplies it by its phase, adds c_k e^{-i E_k t/hbar} phi_k to the sum
+    and tests the stop: no K x N array and no second pass.
     A w t that is not finite, a grid so wide that w' underflows to 0, and
     one so wide that m w x^2/hbar overflows (w > 0) are refused by name.
     """
@@ -290,19 +292,18 @@ def eigen_evolve(psi0: GridWavefunction, t: float, params: PhysParams,
     weights = grid.weights()
     weighted = weights * chirp * psi0.samples
     norm2 = float(weights @ np.abs(psi0.samples) ** 2)
-    coeffs, held, run = [], 0.0, 0
-    for phi in _eigenfunctions(x, m * w / h, params.n, halfline):
-        coeffs.append(complex(phi @ weighted))
-        held += abs(coeffs[-1]) ** 2
-        run = run + 1 if abs(coeffs[-1]) ** 2 < 1e-24 * norm2 else 0
-        if (run >= 16 and 2.0 * held > norm2) or len(coeffs) == x.size:
-            break
-    k = np.arange(len(coeffs))
-    phases = np.exp(-1j * w * t * (2.0 * k + params.n + 1.0 if halfline else k + 0.5))
     out = np.zeros(x.size, dtype=complex)
-    for c, phi in zip((np.array(coeffs) * phases).tolist(),
-                      _eigenfunctions(x, m * w / h, params.n, halfline)):
-        out += c * phi
+    held, run = 0.0, 0
+    for k, phi in enumerate(_eigenfunctions(x, m * w / h, params.n, halfline)):
+        c = complex(phi @ weighted)
+        energy = 2.0 * k + params.n + 1.0 if halfline else k + 0.5
+        # numpy's complex multiply, not Python's: they round differently, and
+        # evolve's CSV bytes rest on numpy's.
+        out += complex(np.multiply(c, np.exp(-1j * w * t * energy))) * phi
+        held += abs(c) ** 2
+        run = run + 1 if abs(c) ** 2 < 1e-24 * norm2 else 0
+        if (run >= 16 and 2.0 * held > norm2) or k + 1 == x.size:
+            break
     return GridWavefunction(chirp * out, grid)
 
 

@@ -920,6 +920,18 @@ def test_identities_clips_part_of_the_range_with_a_notice(tmp_path, capsys):
         assert times == (ts if ident == "MAIN" else kept)
 
 
+def test_identities_print_no_notice_before_a_refused_residual(tmp_path, capsys):
+    # MAIN clips the 2 end times, where |cos(w t/2)| = 0.03, and then its
+    # residual call refuses m w: the clip notices wait for the end of the sweep.
+    path = tmp_path / "i.csv"
+    argv = ["identities", "--mass", "1e-320", "--omega", "1e-10",
+            "--t-min", "-3.2e10", "--t-max", "3.2e10"]
+    assert run(argv, path) == 2
+    assert capsys.readouterr() == ("", "error: the identity check's m w or 1/(m w) is not "
+                                       "finite at m=9.99989e-321, omega=1e-10\n")
+    assert not path.exists()
+
+
 def test_oracle_compare_makes_one_call_per_order_and_time(tmp_path, monkeypatch):
     # Per time, one closed-form call per order over the 2 x 2 point pairs and
     # one oracle call; the caustic at t = pi skips the time at every order.

@@ -416,6 +416,25 @@ class TestEigenEvolve:
         backward = orc.eigen_evolve(psi, -0.7, params, halfline).samples
         assert np.array_equal(backward, forward.conj())
 
+    @pytest.mark.parametrize("kernel,n", [("sho", 0.5), ("free", 0.5), ("radial_sho", 2.5),
+                                          ("radial_h0", 1.0)])
+    def test_each_call_makes_the_eigenbasis_once(self, kernel, n, monkeypatch):
+        # Projection, phase and sum share one pass over the modes, at w > 0
+        # and through the lens transform at w = 0.
+        starts = []
+        eigenfunctions = orc._eigenfunctions
+
+        def counted(*args):
+            starts.append(args)
+            return eigenfunctions(*args)
+
+        monkeypatch.setattr(orc, "_eigenfunctions", counted)
+        psi, params, halfline = _state(kernel, n)
+        for t in (0.7, -2.0):
+            before = len(starts)
+            orc.eigen_evolve(psi, t, params, halfline)
+            assert len(starts) == before + 1
+
     def test_zero_time_is_the_identity(self):
         psi, params, halfline = _state("radial_sho", 1.0)
         out = orc.eigen_evolve(psi, 0.0, params, halfline)
